@@ -18,8 +18,10 @@ import importlib.resources
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -44,7 +46,6 @@ from .estimators import (
 from .processes import (
     Garch11,
     InverseMultiplier,
-    KestenAR,
     KestenScalar,
     ProcessSpec,
     ReturnSeries,
@@ -65,16 +66,6 @@ from .theory import (
 )
 
 OUTPUT_ROOT_ENV = "KESTENLAB_OUTPUT_ROOT"
-
-_KNOWN_ANALYSES = (
-    "tail_fit",
-    "hill",
-    "acf",
-    "cramer",
-    "conditions",
-    "lyapunov",
-    "moment_lyapunov",
-)
 
 
 @dataclass
@@ -97,7 +88,12 @@ class ExperimentConfig:
             raise InvalidConfig(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if not self.analyses:
             raise InvalidConfig("config must request at least one analysis")
-        self.analyses = _normalize_analyses(self.analyses, self.process)
+        if not isinstance(self.analyses, dict):
+            raise InvalidConfig("analyses must be a mapping of analysis name -> params")
+        self.analyses = {
+            name: _analysis_params(name, params, self.process)
+            for name, params in self.analyses.items()
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -117,57 +113,6 @@ def _scalar_feedback_laws(process: ProcessSpec):
     if isinstance(process, Garch11):
         return garch_to_kesten(process.omega, process.alpha, process.beta)
     return None
-
-
-def _normalize_analyses(analyses: dict, process: ProcessSpec) -> dict:
-    if not isinstance(analyses, dict):
-        raise InvalidConfig("analyses must be a mapping of analysis name -> params")
-    out: dict = {}
-    for name, params in analyses.items():
-        if name not in _KNOWN_ANALYSES:
-            raise InvalidConfig(
-                f"unknown analysis {name!r}; known: {', '.join(_KNOWN_ANALYSES)}"
-            )
-        params = dict(params or {})
-        if name == "tail_fit":
-            thr = params.get("threshold")
-            out[name] = {"threshold": None if thr is None else float(thr)}
-        elif name == "hill":
-            out[name] = {"k": int(params.get("k", 10_000))}
-        elif name == "acf":
-            kinds = params.get("kinds", ["raw"])
-            if not kinds or any(k not in ("raw", "absolute") for k in kinds):
-                raise InvalidConfig(f"acf kinds must be raw/absolute, got {kinds!r}")
-            out[name] = {"max_lag": int(params.get("max_lag", 50)), "kinds": list(kinds)}
-        elif name in ("cramer", "conditions"):
-            if _scalar_feedback_laws(process) is None:
-                raise InvalidConfig(
-                    f"{name!r} analysis needs a scalar feedback process "
-                    "(kesten_scalar or garch11)"
-                )
-            out[name] = {}
-        elif name == "lyapunov":
-            if not isinstance(process, (KestenScalar, KestenAR)):
-                raise InvalidConfig(
-                    "'lyapunov' analysis needs a kesten_scalar or kesten_ar process"
-                )
-            out[name] = {
-                "t_horizon": int(params.get("t_horizon", 1000)),
-                "trials": int(params.get("trials", 100)),
-            }
-        elif name == "moment_lyapunov":
-            if not isinstance(process, (KestenScalar, KestenAR)):
-                raise InvalidConfig(
-                    "'moment_lyapunov' analysis needs a kesten_scalar or "
-                    "kesten_ar process"
-                )
-            grid = [float(x) for x in params.get("grid", [0.5, 6.0])]
-            out[name] = {
-                "grid": grid,
-                "t_horizon": int(params.get("t_horizon", 6)),
-                "trials": int(params.get("trials", 200_000)),
-            }
-    return out
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -265,19 +210,6 @@ def _canonical_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, newline="\n")
-    os.replace(tmp, path)
-
-
-def _write_file_atomic(path: Path, writer) -> None:
-    """Run a writer against a .tmp path, then rename into place."""
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
-
-
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -302,6 +234,207 @@ def resolve_output_dir(
         return p
     base = Path(root) if root else Path("runs")
     return base / (name or f"run-{config_digest(config)[:12]}")
+
+
+# analyses --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One analysis a run can request; a config value takes its default's type.
+
+    ``compute(series, config, params, write)`` writes the analysis files with
+    ``write(filename, payload)`` and returns its ``summary.json`` entry, which
+    ``report(entry, out_dir)`` renders as lines.  ``processes`` lists the
+    accepted process kinds (None: any).
+    """
+
+    defaults: dict
+    processes: tuple[str, ...] | None
+    compute: Callable[[ReturnSeries, ExperimentConfig, dict, Callable], dict]
+    report: Callable[[dict, Path], list[str]]
+    check: Callable[[dict], None] | None = None  # rejects bad parameter values
+
+
+_SCALAR_FEEDBACK = ("kesten_scalar", "garch11")
+_MATRIX_PRODUCT = ("kesten_scalar", "kesten_ar")
+
+
+def _cramer(series, config: ExperimentConfig, params: dict, write) -> dict:
+    a_law, _ = _scalar_feedback_laws(config.process)
+    solution = cramer_root(a_law)
+    regime = classify_regime(a_law)
+    payload = {"solution": solution.to_dict(), "regime": regime.to_dict()}
+    write("cramer.json", payload)
+    return payload
+
+
+def _report_cramer(entry: dict, out_dir: Path) -> list[str]:
+    reg = entry["regime"]
+    sol = entry["solution"]
+    rel = "=" if reg["case"] == "A" else (">" if reg["case"] == "B" else "<")
+    return [
+        f"regime: {reg['case']} (E(a) = {reg['mean_a']:.4g} {rel} 1) "
+        f"-> predicted {reg['predicted']}",
+        f"predicted mu = {sol['mu_star']:.4f} "
+        f"(method {sol['method']}, residual {sol['residual']:.2g})",
+    ]
+
+
+def _tail_fit(series, config: ExperimentConfig, params: dict, write) -> dict:
+    fit = tail_exponent_ls(series, params["threshold"])
+    x, p = empirical_ccdf(series, absolute=True)
+    write("ccdf.csv", lambda path: write_ccdf_csv(x, p, path))
+    write("tail_fit.json", fit.to_dict())
+    return fit.to_dict()
+
+
+def _report_tail_fit(entry: dict, out_dir: Path) -> list[str]:
+    return [
+        f"fitted mu = {entry['exponent']:.4f} +- {entry['stderr']:.4f} "
+        f"(log-log LS above {entry['threshold']:.4g}, n_tail {entry['n_tail']})"
+    ]
+
+
+def _hill(series, config: ExperimentConfig, params: dict, write) -> dict:
+    est = hill_estimator(series, params["k"])
+    payload = {"k": params["k"], "estimate": est}
+    write("hill.json", payload)
+    return payload
+
+
+def _report_hill(entry: dict, out_dir: Path) -> list[str]:
+    return [f"hill cross-check (k={entry['k']}): {entry['estimate']:.4f}"]
+
+
+def _acf(series, config: ExperimentConfig, params: dict, write) -> dict:
+    entry = {}
+    for kind in params["kinds"]:
+        res = acf(series, params["max_lag"], absolute=(kind == "absolute"))
+        write(f"acf_{kind}.csv", lambda path: write_acf_csv(res, path))
+        entry[kind] = {
+            "lag_1": res.at(1),
+            f"lag_{params['max_lag']}": res.at(params["max_lag"]),
+        }
+    return entry
+
+
+def _check_acf(params: dict) -> None:
+    kinds = params["kinds"]
+    if not kinds or len(set(kinds)) < len(kinds) or not set(kinds) <= {"raw", "absolute"}:
+        raise InvalidConfig(f"acf kinds must be distinct raw/absolute, got {kinds!r}")
+
+
+def _report_acf(entry: dict, out_dir: Path) -> list[str]:
+    parts = []
+    for kind, vals in entry.items():
+        detail = ", ".join(f"{k.replace('_', ' ')} = {v:+.4f}" for k, v in vals.items())
+        parts.append(f"{kind}: {detail}")
+    return ["acf: " + " | ".join(parts)]
+
+
+def _conditions(series, config: ExperimentConfig, params: dict, write) -> dict:
+    report_ = kesten_conditions_report(*_scalar_feedback_laws(config.process))
+    write("conditions.json", report_.to_dict())
+    return {
+        "all_verified": report_.all_verified,
+        "regime_case": report_.regime_case,
+        "mu_star": report_.mu_star,
+    }
+
+
+def _report_conditions(entry: dict, out_dir: Path) -> list[str]:
+    ok = "all verified" if entry["all_verified"] else "NOT all verified"
+    lines = [f"Kesten-theorem conditions (a)-(h): {ok} (case {entry['regime_case']})"]
+    report_json = out_dir / "conditions.json"
+    if report_json.exists():
+        detail = json.loads(report_json.read_text())
+        for c in detail["conditions"]:
+            ev = "" if c["evidence"] is None else f"{c['evidence']:+.6g}"
+            lines.append(f"  ({c['condition']}) {c['status']:<13} {ev:<14} {c['note']}")
+    return lines
+
+
+def _lyapunov(series, config: ExperimentConfig, params: dict, write) -> dict:
+    est = lyapunov_top(
+        config.process, params["t_horizon"], params["trials"], RngStream(config.seed, 1)
+    )
+    write("lyapunov.json", est.to_dict())
+    return est.to_dict()
+
+
+def _report_lyapunov(entry: dict, out_dir: Path) -> list[str]:
+    return [
+        f"top Lyapunov exponent: {entry['gamma_hat']:+.4f} +- {entry['stderr']:.4f} "
+        f"({'stationary' if entry['gamma_hat'] < 0 else 'non-stationary'})"
+    ]
+
+
+def _moment_lyapunov(series, config: ExperimentConfig, params: dict, write) -> dict:
+    sol = moment_lyapunov_root(
+        config.process,
+        params["grid"],
+        params["t_horizon"],
+        params["trials"],
+        RngStream(config.seed, 2),
+    )
+    write("moment_lyapunov.json", sol.to_dict())
+    return sol.to_dict()
+
+
+def _report_moment_lyapunov(entry: dict, out_dir: Path) -> list[str]:
+    bias = entry.get("finite_t_bias")
+    bias_txt = "" if bias is None else f", finite-t drift {bias:+.3f}"
+    return [
+        f"moment-Lyapunov root: mu = {entry['mu_star']:.3f} "
+        f"+- {entry.get('stderr', float('nan')):.3f}{bias_txt}"
+    ]
+
+
+# in report order; a run computes the requested analyses in this order too
+ANALYSES: dict[str, Analysis] = {
+    "cramer": Analysis({}, _SCALAR_FEEDBACK, _cramer, _report_cramer),
+    "tail_fit": Analysis({"threshold": None}, None, _tail_fit, _report_tail_fit),
+    "hill": Analysis({"k": 10_000}, None, _hill, _report_hill),
+    "acf": Analysis(
+        {"max_lag": 50, "kinds": ["raw"]}, None, _acf, _report_acf, _check_acf
+    ),
+    "conditions": Analysis({}, _SCALAR_FEEDBACK, _conditions, _report_conditions),
+    "lyapunov": Analysis(
+        {"t_horizon": 1000, "trials": 100}, _MATRIX_PRODUCT, _lyapunov, _report_lyapunov
+    ),
+    "moment_lyapunov": Analysis(
+        {"grid": [0.5, 6.0], "t_horizon": 6, "trials": 200_000},
+        _MATRIX_PRODUCT,
+        _moment_lyapunov,
+        _report_moment_lyapunov,
+    ),
+}
+
+
+def _coerce(default, value):
+    """A config value takes its default's type; a None default means an optional float."""
+    if isinstance(default, list):
+        return [type(default[0])(x) for x in value]
+    if default is None:
+        return None if value is None else float(value)
+    return type(default)(value)
+
+
+def _analysis_params(name: str, params, process: ProcessSpec) -> dict:
+    """Validated parameters of one analysis, with its defaults filled in."""
+    if name not in ANALYSES:
+        raise InvalidConfig(f"unknown analysis {name!r}; known: {', '.join(ANALYSES)}")
+    analysis = ANALYSES[name]
+    if analysis.processes is not None and process.kind not in analysis.processes:
+        raise InvalidConfig(
+            f"{name!r} analysis needs a {' or '.join(analysis.processes)} process"
+        )
+    params = dict(params or {})
+    out = {key: _coerce(d, params.get(key, d)) for key, d in analysis.defaults.items()}
+    if analysis.check is not None:
+        analysis.check(out)
+    return out
 
 
 def run(
@@ -332,17 +465,15 @@ def run(
         "seed": config.seed,
     }
 
-    # fail fast on a provably non-stationary scalar recursion
-    if feedback is not None and isinstance(process, KestenScalar):
+    if feedback is not None:
         stat = stationarity_check(feedback[0])
         summary["stationarity"] = stat.to_dict()
-        if stat.verdict == "non-stationary":
+        # fail fast on a provably non-stationary scalar recursion
+        if stat.verdict == "non-stationary" and isinstance(process, KestenScalar):
             raise NonStationary(
                 f"E[log a] = {stat.log_moment:+.4g} > 0: the recursion has no "
                 "stationary solution; refusing to simulate"
             )
-    elif feedback is not None:
-        summary["stationarity"] = stationarity_check(feedback[0]).to_dict()
 
     if isinstance(process, InverseMultiplier):
         try:
@@ -362,87 +493,25 @@ def run(
 
     outputs: dict[str, list[str]] = {}
 
-    def record(analysis: str, filename: str) -> None:
-        outputs.setdefault(analysis, []).append(filename)
+    def write(group: str | None, filename: str, payload) -> None:
+        """Write ``payload(tmp_path)``, or ``payload`` as canonical JSON, to a ``.tmp``
+        path, rename it into place and list it under ``group`` (None: unlisted)."""
+        tmp = out_dir / (filename + ".tmp")
+        if callable(payload):
+            payload(tmp)
+        else:
+            tmp.write_text(_canonical_json(payload), newline="\n")
+        os.replace(tmp, out_dir / filename)
+        if group is not None:
+            outputs.setdefault(group, []).append(filename)
 
-    _write_file_atomic(out_dir / "series.csv", lambda p: write_series_csv(series, p))
-    record("series", "series.csv")
-    _write_atomic(out_dir / "series_meta.json", _canonical_json(series.metadata()))
-    record("series", "series_meta.json")
-
-    for analysis, params in config.analyses.items():
-        if analysis == "tail_fit":
-            fit = tail_exponent_ls(series, params["threshold"])
-            x, p = empirical_ccdf(series, absolute=True)
-            _write_file_atomic(out_dir / "ccdf.csv", lambda q: write_ccdf_csv(x, p, q))
-            record(analysis, "ccdf.csv")
-            _write_atomic(out_dir / "tail_fit.json", _canonical_json(fit.to_dict()))
-            record(analysis, "tail_fit.json")
-            summary["tail_fit"] = fit.to_dict()
-        elif analysis == "hill":
-            est = hill_estimator(series, params["k"])
-            payload = {"k": params["k"], "estimate": est}
-            _write_atomic(out_dir / "hill.json", _canonical_json(payload))
-            record(analysis, "hill.json")
-            summary["hill"] = payload
-        elif analysis == "acf":
-            summary_acf = {}
-            for kind in params["kinds"]:
-                res = acf(series, params["max_lag"], absolute=(kind == "absolute"))
-                fname = f"acf_{kind}.csv"
-                _write_file_atomic(out_dir / fname, lambda q: write_acf_csv(res, q))
-                record(analysis, fname)
-                summary_acf[kind] = {
-                    "lag_1": res.at(1),
-                    f"lag_{params['max_lag']}": res.at(params["max_lag"]),
-                }
-            summary["acf"] = summary_acf
-        elif analysis == "cramer":
-            a_law, _ = feedback
-            solution = cramer_root(a_law)
-            regime = classify_regime(a_law)
-            payload = {"solution": solution.to_dict(), "regime": regime.to_dict()}
-            _write_atomic(out_dir / "cramer.json", _canonical_json(payload))
-            record(analysis, "cramer.json")
-            summary["cramer"] = payload
-        elif analysis == "conditions":
-            a_law, e_law = feedback
-            report_ = kesten_conditions_report(a_law, e_law)
-            _write_atomic(
-                out_dir / "conditions.json", _canonical_json(report_.to_dict())
-            )
-            record(analysis, "conditions.json")
-            summary["conditions"] = {
-                "all_verified": report_.all_verified,
-                "regime_case": report_.regime_case,
-                "mu_star": report_.mu_star,
-            }
-        elif analysis == "lyapunov":
-            est = lyapunov_top(
-                process,
-                params["t_horizon"],
-                params["trials"],
-                RngStream(config.seed, 1),
-            )
-            _write_atomic(out_dir / "lyapunov.json", _canonical_json(est.to_dict()))
-            record(analysis, "lyapunov.json")
-            summary["lyapunov"] = est.to_dict()
-        elif analysis == "moment_lyapunov":
-            sol = moment_lyapunov_root(
-                process,
-                params["grid"],
-                params["t_horizon"],
-                params["trials"],
-                RngStream(config.seed, 2),
-            )
-            _write_atomic(
-                out_dir / "moment_lyapunov.json", _canonical_json(sol.to_dict())
-            )
-            record(analysis, "moment_lyapunov.json")
-            summary["moment_lyapunov"] = sol.to_dict()
-
-    _write_atomic(out_dir / "summary.json", _canonical_json(summary))
-    record("summary", "summary.json")
+    write("series", "series.csv", lambda p: write_series_csv(series, p))
+    write("series", "series_meta.json", series.metadata())
+    for key, analysis in ANALYSES.items():
+        if key in config.analyses:
+            params = config.analyses[key]
+            summary[key] = analysis.compute(series, config, params, partial(write, key))
+    write("summary", "summary.json", summary)
 
     manifest = RunManifest(
         config_digest=digest,
@@ -454,7 +523,7 @@ def run(
         outputs=outputs,
         counters={"resamples": series.resamples},
     )
-    _write_atomic(out_dir / "manifest.json", _canonical_json(manifest.to_dict()))
+    write(None, "manifest.json", manifest.to_dict())
     return manifest
 
 
@@ -548,61 +617,9 @@ def report(manifest: RunManifest | str | Path) -> str:
                 f"(unit-exponent law, predicted mu = {up['predicted_mu']:g}, "
                 f"tail constant {up['tail_constant']:.4g})"
             )
-    if "cramer" in summary:
-        reg = summary["cramer"]["regime"]
-        sol = summary["cramer"]["solution"]
-        rel = "=" if reg["case"] == "A" else (">" if reg["case"] == "B" else "<")
-        lines.append(
-            f"regime: {reg['case']} (E(a) = {reg['mean_a']:.4g} {rel} 1) "
-            f"-> predicted {reg['predicted']}"
-        )
-        lines.append(
-            f"predicted mu = {sol['mu_star']:.4f} "
-            f"(method {sol['method']}, residual {sol['residual']:.2g})"
-        )
-    if "tail_fit" in summary:
-        tf = summary["tail_fit"]
-        lines.append(
-            f"fitted mu = {tf['exponent']:.4f} +- {tf['stderr']:.4f} "
-            f"(log-log LS above {tf['threshold']:.4g}, n_tail {tf['n_tail']})"
-        )
-    if "hill" in summary:
-        lines.append(
-            f"hill cross-check (k={summary['hill']['k']}): "
-            f"{summary['hill']['estimate']:.4f}"
-        )
-    if "acf" in summary:
-        parts = []
-        for kind, vals in summary["acf"].items():
-            detail = ", ".join(f"{k.replace('_', ' ')} = {v:+.4f}" for k, v in vals.items())
-            parts.append(f"{kind}: {detail}")
-        lines.append("acf: " + " | ".join(parts))
-    if "conditions" in summary:
-        cond = summary["conditions"]
-        ok = "all verified" if cond["all_verified"] else "NOT all verified"
-        lines.append(f"Kesten-theorem conditions (a)-(h): {ok} (case {cond['regime_case']})")
-        report_json = out_dir / "conditions.json"
-        if report_json.exists():
-            detail = json.loads(report_json.read_text())
-            for c in detail["conditions"]:
-                ev = "" if c["evidence"] is None else f"{c['evidence']:+.6g}"
-                lines.append(
-                    f"  ({c['condition']}) {c['status']:<13} {ev:<14} {c['note']}"
-                )
-    if "lyapunov" in summary:
-        ly = summary["lyapunov"]
-        lines.append(
-            f"top Lyapunov exponent: {ly['gamma_hat']:+.4f} +- {ly['stderr']:.4f} "
-            f"({'stationary' if ly['gamma_hat'] < 0 else 'non-stationary'})"
-        )
-    if "moment_lyapunov" in summary:
-        ml = summary["moment_lyapunov"]
-        bias = ml.get("finite_t_bias")
-        bias_txt = "" if bias is None else f", finite-t drift {bias:+.3f}"
-        lines.append(
-            f"moment-Lyapunov root: mu = {ml['mu_star']:.3f} "
-            f"+- {ml.get('stderr', float('nan')):.3f}{bias_txt}"
-        )
+    for name, analysis in ANALYSES.items():
+        if name in summary:
+            lines.extend(analysis.report(summary[name], out_dir))
     n_files = sum(len(v) for v in manifest.outputs.values())
     lines.append(f"outputs: {manifest.output_dir} ({n_files} files)")
     return "\n".join(lines)
@@ -696,18 +713,11 @@ def _cmd_cramer(args) -> int:
 
 def _cmd_lyapunov(args) -> int:
     config = load_config(args.config)
-    if not isinstance(config.process, (KestenScalar, KestenAR)):
-        raise InvalidConfig(
-            "lyapunov needs a kesten_scalar or kesten_ar process in the config"
-        )
-    params = config.analyses.get("lyapunov", {"t_horizon": 1000, "trials": 100})
-    est = lyapunov_top(
-        config.process,
-        params["t_horizon"],
-        params["trials"],
-        RngStream(config.seed, 1),
-    )
-    print(_canonical_json(est.to_dict()), end="")
+    name = "lyapunov"
+    params = _analysis_params(name, config.analyses.get(name), config.process)
+    # the analysis without its bundle: print the entry, write no files
+    entry = ANALYSES[name].compute(None, config, params, lambda filename, payload: None)
+    print(_canonical_json(entry), end="")
     return 0
 
 

@@ -22,7 +22,7 @@ class NoDensity(LawError):
 
 
 class InvalidConfig(KestenLabError, ValueError):
-    """Malformed config fragment (law, process spec, or experiment file)."""
+    """Malformed config (law, process spec, experiment file) or bad analysis parameter."""
 
 
 class DegenerateSpec(KestenLabError, ValueError):

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DegenerateTail,
     InsufficientTail,
+    InvalidConfig,
     NonPositivePrice,
     SeriesTooShort,
 )
@@ -186,7 +187,7 @@ def acf(series, max_lag: int, absolute: bool = False) -> AcfResult:
     """
     v = _values(series)
     if max_lag < 1:
-        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
+        raise InvalidConfig(f"max_lag must be >= 1, got {max_lag}")
     if absolute:
         v = np.abs(v)
     n = v.size

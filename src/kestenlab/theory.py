@@ -30,6 +30,7 @@ from .distributions import (
 )
 from .errors import (
     DegenerateLaw,
+    InvalidConfig,
     NoDensity,
     NonnegativityRequired,
     NonStationary,
@@ -197,7 +198,6 @@ class LyapunovEstimate:
     t_horizon: int
     trials: int
     stderr: float
-    norm: str = "inf"
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.gamma_hat):
@@ -215,7 +215,7 @@ class LyapunovEstimate:
             "t_horizon": int(self.t_horizon),
             "trials": int(self.trials),
             "stderr": float(self.stderr),
-            "norm": self.norm,
+            "norm": "inf",  # the matrix norm of _batched_log_norms
         }
 
 
@@ -601,29 +601,17 @@ def kesten_conditions_report(
 
 # matrix case -----------------------------------------------------------------
 
-_NORMS = {
-    "inf": lambda P: np.abs(P).sum(axis=2).max(axis=1),
-    "1": lambda P: np.abs(P).sum(axis=1).max(axis=1),
-    "fro": lambda P: np.sqrt((P * P).sum(axis=(1, 2))),
-}
-
-
 def _batched_log_norms(
     spec: KestenAR,
     gen: np.random.Generator,
     horizons: tuple[int, ...],
     trials: int,
-    norm: str,
 ) -> dict[int, np.ndarray]:
-    """log ||A_1 ... A_t|| per trial at each requested horizon.
+    """log ||A_1 ... A_t|| (inf-norm) per trial at each requested horizon.
 
     The running product is renormalized every step, so the accumulated log
     norms are exact: ||A_t ... A_1|| = prod of the per-step scale factors.
     """
-    try:
-        norm_fn = _NORMS[norm]
-    except KeyError:
-        raise ValueError(f"unknown norm {norm!r}; choose from {sorted(_NORMS)}") from None
     k = spec.order
     steps = max(horizons)
     eye = np.eye(k)
@@ -644,7 +632,7 @@ def _batched_log_norms(
         for i in range(1, k):
             A[:, i, i - 1] = 1.0
         P = A @ P
-        s = norm_fn(P)
+        s = np.abs(P).sum(axis=2).max(axis=1)
         if np.any(s <= 0.0):
             raise TheoryError("matrix product collapsed to zero norm")
         acc += np.log(s)
@@ -659,7 +647,6 @@ def lyapunov_top(
     t_horizon: int = 1000,
     trials: int = 100,
     rng: RngStream = RngStream(0),
-    norm: str = "inf",
 ) -> LyapunovEstimate:
     """Top Lyapunov exponent of the companion-matrix product, by Monte Carlo.
 
@@ -667,14 +654,14 @@ def lyapunov_top(
     the norm-independent stationarity criterion for the order-K recursion.
     """
     if t_horizon < 100:
-        raise ValueError(f"t_horizon must be >= 100, got {t_horizon}")
+        raise InvalidConfig(f"t_horizon must be >= 100, got {t_horizon}")
     if trials < 10:
-        raise ValueError(f"trials must be >= 10, got {trials}")
+        raise InvalidConfig(f"trials must be >= 10, got {trials}")
     spec = as_ar(ar_spec)
-    log_norms = _batched_log_norms(spec, rng.generator(), (t_horizon,), trials, norm)
+    log_norms = _batched_log_norms(spec, rng.generator(), (t_horizon,), trials)
     g = log_norms[t_horizon] / t_horizon
     stderr = float(g.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return LyapunovEstimate(float(g.mean()), t_horizon, trials, stderr, norm)
+    return LyapunovEstimate(float(g.mean()), t_horizon, trials, stderr)
 
 
 def moment_lyapunov_root(
@@ -683,7 +670,6 @@ def moment_lyapunov_root(
     t_horizon: int = 6,
     trials: int = 200_000,
     rng: RngStream = RngStream(0),
-    norm: str = "inf",
 ) -> CramerSolution:
     """Positive zero of the moment growth rate Lambda(mu), by Monte Carlo.
 
@@ -702,11 +688,11 @@ def moment_lyapunov_root(
     spec = as_ar(ar_spec)
     mus = [float(m) for m in mu_grid]
     if len(mus) < 2 or sorted(mus) != mus or mus[0] <= 0:
-        raise ValueError("mu_grid must be an increasing sequence of positive values")
+        raise InvalidConfig("mu_grid must be an increasing sequence of positive values")
     if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
+        raise InvalidConfig(f"trials must be >= 100, got {trials}")
 
-    pre = lyapunov_top(spec, 500, 50, rng.substream(1), norm)
+    pre = lyapunov_top(spec, 500, 50, rng.substream(1))
     if pre.gamma_hat > 2.0 * pre.stderr:
         raise NonStationary(
             f"top Lyapunov exponent {pre.gamma_hat:+.4g} "
@@ -714,7 +700,7 @@ def moment_lyapunov_root(
         )
 
     log_norms = _batched_log_norms(
-        spec, rng.substream(2).generator(), (t_horizon, 2 * t_horizon), trials, norm
+        spec, rng.substream(2).generator(), (t_horizon, 2 * t_horizon), trials
     )
     log_m = math.log(trials)
 

@@ -13,6 +13,7 @@ from kestenlab.cli import (
     config_to_json,
     ingest_prices,
     load_config,
+    main,
     report,
     run,
 )
@@ -64,9 +65,10 @@ class TestConfig:
             config_from_dict(bad)
 
     def test_unknown_analysis(self):
-        bad = {**SMALL_CONFIG, "analyses": {"spectral": {}}}
-        with pytest.raises(InvalidConfig):
-            config_from_dict(bad)
+        # an unknown name, and a known one that asks for an acf kind twice
+        for analyses in ({"spectral": {}}, {"acf": {"kinds": ["raw", "raw"]}}):
+            with pytest.raises(InvalidConfig):
+                config_from_dict({**SMALL_CONFIG, "analyses": analyses})
 
     def test_cramer_needs_scalar_feedback(self):
         bad = {
@@ -144,6 +146,45 @@ class TestRun:
         assert "regime: C (E(a) = 0.55 < 1)" in text
         assert "predicted mu = 3.0027" in text
         assert "fitted mu" in text
+
+    def test_every_analysis_in_one_run(self, tmp_path, capsys):
+        analyses = {
+            "tail_fit": {"threshold": None},
+            "hill": {"k": 500},
+            "acf": {"max_lag": 10, "kinds": ["raw", "absolute"]},
+            "cramer": {},
+            "conditions": {},
+            "lyapunov": {"t_horizon": 200, "trials": 16},
+            "moment_lyapunov": {"t_horizon": 2, "trials": 20000},
+        }
+        cfg = config_from_dict({**SMALL_CONFIG, "analyses": analyses})
+        manifest = run(cfg, output_dir=tmp_path / "out")
+        listed = [f for files in manifest.outputs.values() for f in files]
+        assert len(listed) == len(set(listed))
+        for fname in listed:
+            assert (tmp_path / "out" / fname).exists(), fname
+        text = report(manifest)
+        assert f"({len(listed)} files)" in text
+        # one report line per analysis, in the report's fixed order
+        heads = [
+            "regime: C",
+            "predicted mu = ",
+            "fitted mu = ",
+            "hill cross-check (k=500): ",
+            "acf: absolute: lag 1 = ",
+            "Kesten-theorem conditions (a)-(h): ",
+            "top Lyapunov exponent: ",
+            "moment-Lyapunov root: mu = ",
+        ]
+        starts = [text.index("\n" + head) for head in heads]
+        assert starts == sorted(starts)
+
+        # the lyapunov subcommand falls back to the analysis defaults
+        cfg_path = tmp_path / "small.cfg"
+        cfg_path.write_text(config_to_json(config_from_dict(SMALL_CONFIG)))
+        assert main(["lyapunov", "--config", str(cfg_path)]) == 0
+        est = json.loads(capsys.readouterr().out)
+        assert (est["t_horizon"], est["trials"]) == (1000, 100)
 
     def test_report_missing_artifacts(self, tmp_path):
         cfg = config_from_dict(SMALL_CONFIG)
@@ -250,6 +291,42 @@ class TestCommandLine:
         res = _cli("run", str(cfg_path), "--output-dir", str(tmp_path / "out"))
         assert res.returncode == 3
         assert "+0.1159" in res.stderr
+
+    RUN = ["run", "{cfg}", "--output-dir", "{out}"]
+
+    @pytest.mark.parametrize(
+        "argv, analyses",
+        [
+            (RUN, {"acf": {"max_lag": 0}}),
+            (RUN, {"lyapunov": {"t_horizon": 50}}),
+            (RUN, {"lyapunov": {"trials": 5}}),
+            (RUN, {"moment_lyapunov": {"grid": [6.0, 0.5]}}),
+            (RUN, {"moment_lyapunov": {"trials": 50}}),
+            (["lyapunov", "--config", "{cfg}"], {"lyapunov": {"t_horizon": 50}}),
+            (["acf", "{series}", "--max-lag", "0"], {"acf": {}}),
+        ],
+        ids=[
+            "run-acf-max_lag",
+            "run-lyapunov-t_horizon",
+            "run-lyapunov-trials",
+            "run-moment_lyapunov-grid",
+            "run-moment_lyapunov-trials",
+            "lyapunov-t_horizon",
+            "acf-max_lag",
+        ],
+    )
+    def test_bad_analysis_parameter_exit_code(self, tmp_path, argv, analyses):
+        # each value passes the config's type checks and fails the analysis bounds
+        cfg_path = tmp_path / "bad.cfg"
+        cfg = config_from_dict({**SMALL_CONFIG, "analyses": analyses})
+        cfg_path.write_text(config_to_json(cfg))
+        series = tmp_path / "series.csv"
+        series.write_text("t,r\n" + "".join(f"{t},{0.01 * (-1) ** t}\n" for t in range(200)))
+        paths = {"cfg": cfg_path, "series": series, "out": tmp_path / "out"}
+        res = _cli(*(arg.format(**paths) for arg in argv))
+        assert res.returncode == 2, res.stderr
+        assert "error:" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "small.cfg"
