@@ -20,6 +20,7 @@ from .errors import (
     NonPositivePrice,
     SeriesTooShort,
 )
+from .processes import write_csv
 
 MIN_TAIL_POINTS = 10
 
@@ -206,17 +207,9 @@ def acf(series, max_lag: int, absolute: bool = False) -> AcfResult:
 
 def write_ccdf_csv(x: np.ndarray, p: np.ndarray, path) -> None:
     """Write x,p survival points with round-trip-exact floats."""
-    lines = ["x,p"]
-    lines.extend(f"{repr(float(a))},{repr(float(b))}" for a, b in zip(x, p))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "x,p", x, p)
 
 
 def write_acf_csv(result: AcfResult, path) -> None:
     """Write lag,acf pairs."""
-    lines = ["lag,acf"]
-    lines.extend(
-        f"{int(lag)},{repr(float(v))}" for lag, v in zip(result.lags, result.values)
-    )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "lag,acf", result.lags, result.values)

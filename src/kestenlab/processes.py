@@ -462,15 +462,34 @@ def simulate(spec: ProcessSpec, rng: RngStream, n: int, burn_in: int | None = No
     raise TypeError(f"unknown process spec {type(spec).__name__}")
 
 
-# series CSV round trip ------------------------------------------------------
+# CSV round trip -------------------------------------------------------------
+
+# Rows formatted and written per block, so memory does not grow with the file.
+CSV_BLOCK_ROWS = 16_384
+
+
+def write_csv(path: str | Path, header: str, *columns) -> None:
+    """Write a header and one row per index of the equal-length columns.
+
+    Each column is a numpy array or a range.  Cells are written with repr,
+    so floats round-trip exactly and integers stay integers; lines end in LF.
+    """
+    n = len(columns[0])
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            cells = []
+            for column in columns:
+                part = column[start : start + CSV_BLOCK_ROWS]
+                if isinstance(part, np.ndarray):
+                    part = part.tolist()
+                cells.append(map(repr, part))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_series_csv(series: ReturnSeries, path: str | Path) -> None:
     """Write header t,r with round-trip-exact decimal floats and LF endings."""
-    path = Path(path)
-    lines = ["t,r"]
-    lines.extend(f"{t},{repr(float(v))}" for t, v in enumerate(series.values))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    write_csv(path, "t,r", range(len(series.values)), series.values)
 
 
 def read_series_csv(path: str | Path) -> np.ndarray:

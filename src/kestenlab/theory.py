@@ -11,6 +11,7 @@ which is only accessible by simulation.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -238,6 +239,7 @@ def stationarity_check(a_law: CoefficientLaw, tolerance: float = BOUNDARY_TOL) -
     return StationarityCheck(val, verdict, se, tolerance)
 
 
+@functools.lru_cache(maxsize=32)
 def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
     """Unique positive root of E(a^mu) = 1.
 
@@ -245,7 +247,11 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
     there is E[log a] < 0) and is convex, so it crosses 1 exactly once on
     the increasing branch.  The bracket is found by doubling mu from 1
     until the moment exceeds 1 (halving instead when it already does) and
-    refined by bisection.
+    refined by bisection.  For a Monte Carlo law, ``stderr`` is the
+    delta-method standard error of mu*: se(E(a^mu*)) / E[a^mu* log a].
+
+    Laws are frozen values, so the solution is memoized on the law's
+    parameters; a failed solve raises again and is not cached.
     """
     a_law = _collapse_constant(a_law)
     if isinstance(a_law, Constant) and abs(a_law.value - 1.0) < 1e-15:
@@ -307,19 +313,27 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
     mu_star = 0.5 * (lo + hi)
     val, se = phi(mu_star)
     residual = abs(val - 1.0)
-    return CramerSolution(mu_star, bracket, residual, method, se if mc else None)
+    # the sample moment function is strictly convex, so its slope at mu* is > 0
+    stderr = se / a_law.moment_slope(mu_star) if mc else None
+    return CramerSolution(mu_star, bracket, residual, method, stderr)
+
+
+def _expectation_case(
+    a_law: CoefficientLaw, tolerance: float = 1e-9
+) -> tuple[str, str, float]:
+    """Case A/B/C, its predicted regime, and E(a), with a 3-stderr band on E(a) = 1."""
+    mean_a, se = a_law.moment_with_stderr(1.0)
+    band = max(tolerance, 3.0 * se)
+    if abs(mean_a - 1.0) <= band:
+        return "A", "mu = 1", mean_a
+    if mean_a > 1.0:
+        return "B", "mu < 1", mean_a
+    return "C", "mu > 1", mean_a
 
 
 def classify_regime(a_law: CoefficientLaw, tolerance: float = 1e-9) -> RegimeClassification:
     """Expectation-accuracy case from E(a), checked against the solved root."""
-    mean_a, se = a_law.moment_with_stderr(1.0)
-    band = max(tolerance, 3.0 * se)
-    if abs(mean_a - 1.0) <= band:
-        case, predicted = "A", "mu = 1"
-    elif mean_a > 1.0:
-        case, predicted = "B", "mu < 1"
-    else:
-        case, predicted = "C", "mu > 1"
+    case, predicted, mean_a = _expectation_case(a_law, tolerance)
     solution = cramer_root(a_law)
     mu = solution.mu_star
     slack = max(1e-5, 3.0 * (solution.stderr or 0.0))
@@ -585,14 +599,7 @@ def kesten_conditions_report(
 
     # expectation-accuracy case from E(a) alone
     try:
-        mean_a, se = a_eff.moment_with_stderr(1.0)
-        band = max(1e-9, 3.0 * se)
-        if abs(mean_a - 1.0) <= band:
-            case, predicted = "A", "mu = 1"
-        elif mean_a > 1.0:
-            case, predicted = "B", "mu < 1"
-        else:
-            case, predicted = "C", "mu > 1"
+        case, predicted, _ = _expectation_case(a_eff)
     except Exception:
         case, predicted = "?", "unknown"
 

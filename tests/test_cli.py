@@ -367,6 +367,21 @@ class TestCommandLine:
         sol = json.loads(res.stdout)
         assert 2.99 <= sol["mu_star"] <= 3.01
 
+    @pytest.mark.parametrize(
+        "law",
+        [
+            '{"kind": "garch_coeff", "beta": 0.9, "alpha": "nan"}',
+            '{"kind": "uniform", "lo": 0, "hi": "inf"}',
+            '{"kind": "exponential", "mean": NaN}',
+        ],
+        ids=["garch-nan", "uniform-inf", "exponential-nan"],
+    )
+    def test_cramer_non_finite_law_exit_code(self, law):
+        res = _cli("cramer", "--law", law)
+        assert res.returncode == 2, res.stdout
+        assert "error:" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_cramer_thin_tail_exit_code(self):
         res = _cli("cramer", "--law", '{"kind": "uniform", "lo": 0.0, "hi": 0.5}')
         assert res.returncode == 3

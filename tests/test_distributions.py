@@ -44,6 +44,23 @@ class TestConstruction:
         with pytest.raises(LawError):
             GarchCoefficient(0.9, -0.1)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Exponential(math.inf),
+            lambda: Uniform(0.0, math.inf),
+            lambda: Uniform(-math.inf, 1.0),
+            lambda: Normal(math.nan, 1.0),
+            lambda: Normal(0.0, math.inf),
+            lambda: Constant(math.nan),
+            lambda: GarchCoefficient(0.9, math.nan),
+            lambda: GarchCoefficient(math.inf, 0.09),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(LawError, match="finite"):
+            build()
+
     def test_nonnegativity_flags(self):
         assert Exponential(0.55).nonnegative
         assert GarchCoefficient(0.9, 0.09).nonnegative

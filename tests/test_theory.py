@@ -21,10 +21,12 @@ from kestenlab import (
     expected_acf,
     inverse_tail_prediction,
     kesten_conditions_report,
+    law_from_config,
     lyapunov_top,
     moment_lyapunov_root,
     stationarity_check,
 )
+from kestenlab.distributions import MC_MOMENT_SAMPLES, _mc_generator
 from kestenlab.errors import (
     DegenerateLaw,
     NoDensity,
@@ -101,11 +103,55 @@ class TestCramerRoot:
 
         oracle = brentq(phi, 1.0, 8.0, xtol=1e-10)
         assert sol.mu_star == pytest.approx(oracle, abs=0.02)
+        # stderr is the delta-method standard error of mu*, not of E(a^mu*)
+        assert 0.01 < sol.stderr < 0.03
+        assert abs(sol.mu_star - oracle) <= 3.0 * sol.stderr
 
     def test_fitted_index_coefficient_root_is_one(self):
         # beta + alpha = 1 exactly, so mu = 1 solves the moment equation
         sol = cramer_root(GarchCoefficient(0.9, 0.1))
         assert sol.mu_star == 1.0
+
+
+class TestMonteCarloSample:
+    def test_one_draw_per_process(self, monkeypatch):
+        # two distinct but equal laws share one draw and one root
+        GarchCoefficient._mc_sample.cache_clear()
+        cramer_root.cache_clear()
+        draws = []
+        original = GarchCoefficient.sample
+
+        def counting_sample(self, gen, n):
+            draws.append(n)
+            return original(self, gen, n)
+
+        monkeypatch.setattr(GarchCoefficient, "sample", counting_sample)
+        cfg = {"kind": "garch_coeff", "beta": 0.9, "alpha": 0.09}
+        law, twin = law_from_config(cfg), law_from_config(cfg)
+        assert law is not twin and law == twin
+        stationarity_check(law)
+        cramer_root(twin)
+        classify_regime(law)
+        kesten_conditions_report(twin, Constant(0.01))
+        assert draws == [MC_MOMENT_SAMPLES]
+
+        fresh = original(law, _mc_generator(), MC_MOMENT_SAMPLES)
+        y = fresh**1.7
+        assert law.moment_with_stderr(1.7) == (
+            float(y.mean()),
+            float(y.std(ddof=1) / math.sqrt(y.size)),
+        )
+        assert law.log_moment() == float(np.log(fresh).mean())
+        assert len(draws) == 1
+
+    def test_sample_is_read_only_and_replaced_for_another_size(self):
+        law = GarchCoefficient(0.9, 0.09)
+        x = law._mc_sample(MC_MOMENT_SAMPLES)
+        assert not x.flags.writeable
+        law.log_moment(n=1000)
+        info = GarchCoefficient._mc_sample.cache_info()
+        assert info.currsize == 1
+        assert law._mc_sample(1000).size == 1000
 
 
 class TestClassifyRegime:
