@@ -13,7 +13,6 @@ from kestenlab import (
     Normal,
     RngStream,
     Uniform,
-    density_at_one,
     empirical_ccdf,
     inverse_tail_prediction,
     simulate_inverse_multiplier,
@@ -34,7 +33,7 @@ print(f"\nlog-log LS tail fit above {fit.threshold:.2f}: "
       f"exponent {fit.exponent:.3f} +- {fit.stderr:.3f}  (theory: 1)")
 
 # the tail constant is set by the density of a at the singular point a = 1
-f1 = density_at_one(spec.a_law)
+f1 = spec.a_law.pdf(1.0)
 print(f"density of a at 1: {f1:.1f}; "
       f"predicted two-sided multiplier tail at x=100: "
       f"{inverse_tail_prediction(spec.a_law, 100.0):.4f}")

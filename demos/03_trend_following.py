@@ -8,6 +8,8 @@ Lambda(mu) = lim (1/t) log E||A_1...A_t||^mu - a quantity only reachable
 by simulation once K > 1.
 """
 
+import numpy as np
+
 from kestenlab import (
     Exponential,
     KestenAR,
@@ -15,7 +17,6 @@ from kestenlab import (
     RngStream,
     Uniform,
     acf,
-    build_companion_matrix,
     lyapunov_top,
     moment_lyapunov_root,
     simulate_kesten_ar,
@@ -29,7 +30,7 @@ spec = KestenAR(
 )
 
 print("one draw of the companion matrix at the mean weights:")
-print(build_companion_matrix(0.6, [0.75, 0.15, 0.10]).matrix)
+print(np.vstack([0.6 * np.array([0.75, 0.15, 0.10]), np.eye(2, 3)]))
 
 est = lyapunov_top(spec, t_horizon=500, trials=64, rng=RngStream(9))
 print(f"\ntop Lyapunov exponent: {est.gamma_hat:.4f} +- {est.stderr:.4f} "

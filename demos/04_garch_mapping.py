@@ -16,8 +16,6 @@ from kestenlab import (
     cramer_root,
     garch11_paths,
     garch_to_kesten,
-    log_moment,
-    moment,
     simulate_garch11,
     stationarity_check,
 )
@@ -25,8 +23,8 @@ from kestenlab import (
 omega, alpha, beta = 0.01, 0.09, 0.9
 a_law, e_law = garch_to_kesten(omega, alpha, beta)
 print(f"sigma^2 recursion coefficient: a = {beta} + {alpha} z^2, noise e = {omega}")
-print(f"E(a) = {moment(a_law, 1.0)!r}  (a hair below 1)")
-print(f"E[log a] = {log_moment(a_law):.4f} -> {stationarity_check(a_law).verdict}, "
+print(f"E(a) = {a_law.moment(1.0)!r}  (a hair below 1)")
+print(f"E[log a] = {a_law.log_moment():.4f} -> {stationarity_check(a_law).verdict}, "
       "but only just: fitted GARCH hugs the non-stationary boundary")
 
 solution = cramer_root(a_law)

@@ -19,10 +19,6 @@ from .distributions import (
     RngStream,
     Uniform,
     law_from_config,
-    law_to_config,
-    log_moment,
-    moment,
-    sample,
 )
 from .estimators import (
     AcfResult,
@@ -34,7 +30,6 @@ from .estimators import (
     tail_exponent_ls,
 )
 from .processes import (
-    CompanionMatrix,
     Garch11,
     InverseMultiplier,
     KestenAR,
@@ -42,7 +37,6 @@ from .processes import (
     ProcessSpec,
     ReturnSeries,
     as_ar,
-    build_companion_matrix,
     garch11_paths,
     garch_to_kesten,
     read_series_csv,
@@ -63,7 +57,6 @@ from .theory import (
     TheoryReport,
     classify_regime,
     cramer_root,
-    density_at_one,
     expected_acf,
     inverse_tail_prediction,
     kesten_conditions_report,
@@ -83,12 +76,7 @@ __all__ = [
     "RngStream",
     "Uniform",
     "law_from_config",
-    "law_to_config",
-    "log_moment",
-    "moment",
-    "sample",
     # processes
-    "CompanionMatrix",
     "Garch11",
     "InverseMultiplier",
     "KestenAR",
@@ -96,7 +84,6 @@ __all__ = [
     "ProcessSpec",
     "ReturnSeries",
     "as_ar",
-    "build_companion_matrix",
     "garch11_paths",
     "garch_to_kesten",
     "read_series_csv",
@@ -124,7 +111,6 @@ __all__ = [
     "TheoryReport",
     "classify_regime",
     "cramer_root",
-    "density_at_one",
     "expected_acf",
     "inverse_tail_prediction",
     "kesten_conditions_report",

@@ -15,7 +15,9 @@ import argparse
 import csv
 import hashlib
 import importlib.resources
+import itertools
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -23,6 +25,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .distributions import RngStream, law_from_config
@@ -58,7 +62,6 @@ from .processes import (
 from .theory import (
     classify_regime,
     cramer_root,
-    density_at_one,
     kesten_conditions_report,
     lyapunov_top,
     moment_lyapunov_root,
@@ -477,7 +480,7 @@ def run(
 
     if isinstance(process, InverseMultiplier):
         try:
-            f1 = density_at_one(process.a_law)
+            f1 = process.a_law.pdf(1.0)
             summary["unit_exponent_prediction"] = {
                 "density_at_one": f1,
                 "predicted_mu": 1.0 if f1 > 0 else None,
@@ -570,8 +573,20 @@ def ingest_prices(csv_path: str | Path, column_spec: str | int = "close") -> Ret
             prices.append(value)
     if len(prices) < 2:
         raise ParseError(f"{path}: need at least two price rows, got {len(prices)}")
+    prices = np.asarray(prices, dtype=np.float64)
+    if prices.max() == math.inf:  # the one non-finite value that passes value > 0
+        line = _price_line(path, int(prices.argmax()))
+        raise ParseError(f"{path}: line {line}: price inf is not finite")
     returns = returns_from_prices(prices)
     return ReturnSeries(returns, digest, None, 0, 0)
+
+
+def _price_line(path: Path, index: int) -> int:
+    """Line number of the index-th price row of ``ingest_prices``, blank rows skipped."""
+    with path.open(newline="") as fh:
+        rows = enumerate(csv.reader(fh), start=1)
+        kept = (n for n, row in rows if n > 1 and any(c.strip() for c in row))
+        return next(itertools.islice(kept, index, None))
 
 
 def report(manifest: RunManifest | str | Path) -> str:

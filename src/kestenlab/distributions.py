@@ -4,7 +4,9 @@ The feedback coefficient ``a`` and the noise ``e`` of every return process
 are described by a small family of laws.  Each law knows how to draw
 samples, and how to evaluate the power moments ``E(X^mu)`` and the
 log-moment ``E[log X]`` that the tail-exponent machinery is built on:
-closed forms where they exist, deterministic Monte Carlo otherwise.
+closed forms where they exist, deterministic Monte Carlo otherwise; and
+the facts the condition checklist needs: support, density, point-mass
+collapse and truncated expectations ``expect``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import gammaln
 from scipy.stats import chi2
 
@@ -32,6 +35,8 @@ EULER_GAMMA = float(np.euler_gamma)
 MC_MOMENT_SAMPLES = 10**6
 _MC_STREAM_SEED = 0x5EED_CAFE
 _MC_STREAM_ID = 0xA11
+
+QUAD_EPSABS = 1e-8  # absolute tolerance of CoefficientLaw.expect
 
 
 @dataclass(frozen=True)
@@ -80,9 +85,10 @@ def _double_factorial_odd(j: int) -> float:
 
 @dataclass(frozen=True)
 class CoefficientLaw:
-    """Base law.  Subclasses implement sampling, moments and densities."""
+    """Base law.  Subclasses implement sampling, moments, densities and support."""
 
     kind = "base"
+    moment_method = "closed-form"  # how moment_with_stderr evaluates E(X^mu)
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
@@ -105,6 +111,30 @@ class CoefficientLaw:
     def symmetric(self) -> bool:
         """Symmetric about zero (permits even integer moments)."""
         return False
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """Closed hull (lo, hi) of the support; lo == hi for a point mass."""
+        raise NotImplementedError
+
+    def collapsed(self) -> CoefficientLaw:
+        """The same law, with a point mass in disguise written as a Constant."""
+        return self
+
+    def expect(self, fn, lo: float = -math.inf, hi: float = math.inf) -> float:
+        """E[fn(X); lo <= X <= hi], by quadrature of fn * pdf over the support."""
+        s_lo, s_hi = self.support
+        a, b = max(s_lo, lo), min(s_hi, hi)
+        if not a < b:
+            return 0.0
+        val, _err = quad(lambda x: fn(x) * self.pdf(x), a, b, epsabs=QUAD_EPSABS, limit=200)
+        return val
+
+    def abs_moment(self, mu: float) -> float:
+        """E|X|^mu."""
+        if self.nonnegative:
+            return self.moment(mu)
+        return self.expect(lambda x: abs(x) ** mu)
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """Draw n iid values, advancing the generator."""
@@ -181,6 +211,10 @@ class Exponential(CoefficientLaw):
     def has_density(self) -> bool:
         return True
 
+    @property
+    def support(self) -> tuple[float, float]:
+        return 0.0, math.inf
+
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.exponential(self.mean_value, n)
 
@@ -207,7 +241,7 @@ class Exponential(CoefficientLaw):
 
 @dataclass(frozen=True)
 class Uniform(CoefficientLaw):
-    """Uniform law on [lo, hi)."""
+    """Uniform law on [lo, hi), with the left-continuous density 1/(hi - lo) on (lo, hi]."""
 
     lo: float
     hi: float
@@ -235,6 +269,10 @@ class Uniform(CoefficientLaw):
     def symmetric(self) -> bool:
         return self.lo == -self.hi
 
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.lo, self.hi
+
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.uniform(self.lo, self.hi, n)
 
@@ -255,7 +293,7 @@ class Uniform(CoefficientLaw):
         return (upper - lower) / (hi - lo), 0.0
 
     def pdf(self, x: float) -> float:
-        if self.lo <= x <= self.hi:
+        if self.lo < x <= self.hi:
             return 1.0 / (self.hi - self.lo)
         return 0.0
 
@@ -299,6 +337,10 @@ class Normal(CoefficientLaw):
     def symmetric(self) -> bool:
         return self.mean_value == 0
 
+    @property
+    def support(self) -> tuple[float, float]:
+        return -math.inf, math.inf
+
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.normal(self.mean_value, self.sd, n)
 
@@ -311,6 +353,15 @@ class Normal(CoefficientLaw):
     def log_moment_with_stderr(self, n: int = MC_MOMENT_SAMPLES) -> tuple[float, float]:
         self._check_log_pre()
         raise AssertionError("unreachable")
+
+    def abs_moment(self, mu: float) -> float:
+        if self.mean_value != 0:
+            return super().abs_moment(mu)
+        # E|X|^mu = sd^mu 2^(mu/2) Gamma((mu+1)/2) / sqrt(pi)
+        return math.exp(
+            mu * math.log(self.sd) + 0.5 * mu * math.log(2.0)
+            + gammaln((mu + 1.0) / 2.0) - 0.5 * math.log(math.pi)
+        )
 
     def pdf(self, x: float) -> float:
         z = (x - self.mean_value) / self.sd
@@ -339,6 +390,10 @@ class Constant(CoefficientLaw):
     def strictly_positive(self) -> bool:
         return self.value > 0
 
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.value, self.value
+
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value)
 
@@ -354,6 +409,12 @@ class Constant(CoefficientLaw):
     def log_moment_with_stderr(self, n: int = MC_MOMENT_SAMPLES) -> tuple[float, float]:
         self._check_log_pre()
         return math.log(self.value), 0.0
+
+    def expect(self, fn, lo: float = -math.inf, hi: float = math.inf) -> float:
+        return fn(self.value) if lo <= self.value <= hi else 0.0
+
+    def abs_moment(self, mu: float) -> float:
+        return abs(self.value) ** mu
 
     def survival(self, x: float) -> float:
         return 1.0 if self.value > x else 0.0
@@ -375,6 +436,7 @@ class GarchCoefficient(CoefficientLaw):
     beta: float
     alpha: float
     kind = "garch_coeff"
+    moment_method = "monte-carlo"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -396,6 +458,13 @@ class GarchCoefficient(CoefficientLaw):
     @property
     def has_density(self) -> bool:
         return self.alpha > 0
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.beta, math.inf
+
+    def collapsed(self) -> CoefficientLaw:
+        return Constant(self.beta) if self.alpha == 0 else self
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         z = gen.standard_normal(n)
@@ -457,26 +526,6 @@ class GarchCoefficient(CoefficientLaw):
         return {"kind": "garch_coeff", "beta": self.beta, "alpha": self.alpha}
 
 
-# module-level operation surface -------------------------------------------
-
-
-def sample(law: CoefficientLaw, rng: RngStream, n: int) -> np.ndarray:
-    """n iid draws from the law; bitwise reproducible for equal streams."""
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    return law.sample(rng.generator(), n)
-
-
-def moment(law: CoefficientLaw, mu: float) -> float:
-    """E(X^mu)."""
-    return law.moment(mu)
-
-
-def log_moment(law: CoefficientLaw, n: int = MC_MOMENT_SAMPLES) -> float:
-    """E[log X]; requires the law to be strictly positive a.s."""
-    return law.log_moment(n)
-
-
 _LAW_BUILDERS = {
     "exponential": lambda c: Exponential(_field(c, "mean")),
     "uniform": lambda c: Uniform(_field(c, "lo"), _field(c, "hi")),
@@ -507,7 +556,3 @@ def law_from_config(config: dict) -> CoefficientLaw:
         return builder(config)
     except LawError as exc:
         raise InvalidConfig(str(exc)) from exc
-
-
-def law_to_config(law: CoefficientLaw) -> dict:
-    return law.to_config()

@@ -28,6 +28,7 @@ from .errors import (
     DegenerateSpec,
     InvalidConfig,
     NumericalOverflow,
+    ParseError,
     ZeroWeightSum,
 )
 
@@ -233,43 +234,6 @@ class ReturnSeries:
         return meta
 
 
-@dataclass(frozen=True)
-class CompanionMatrix:
-    """K x K companion form: top row a*w, shifted identity below."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.float64)
-        k = m.shape[0]
-        if m.shape != (k, k):
-            raise ValueError("companion matrix must be square")
-        expected = np.zeros((k, k))
-        expected[0, :] = m[0, :]
-        for i in range(1, k):
-            expected[i, i - 1] = 1.0
-        if not np.array_equal(m, expected):
-            raise ValueError("rows 2..K must be the shifted identity pattern")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def order(self) -> int:
-        return self.matrix.shape[0]
-
-
-def build_companion_matrix(a: float, weights) -> CompanionMatrix:
-    """Companion matrix with top row a*weights and unit subdiagonal."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size < 1:
-        raise ValueError("weights must be a nonempty 1-d vector")
-    k = w.size
-    m = np.zeros((k, k))
-    m[0, :] = a * w
-    for i in range(1, k):
-        m[i, i - 1] = 1.0
-    return CompanionMatrix(m)
-
-
 def _raise_overflow(step: int) -> None:
     raise NumericalOverflow(
         f"|r| exceeded {OVERFLOW_LIMIT:g} at step {step}; the coefficient "
@@ -431,12 +395,7 @@ def garch_to_kesten(
         raise InvalidConfig(f"omega must be positive, got {omega}")
     if alpha < 0 or beta < 0:
         raise InvalidConfig("alpha and beta must be nonnegative")
-    a_law: CoefficientLaw
-    if alpha == 0:
-        a_law = Constant(beta)
-    else:
-        a_law = GarchCoefficient(beta, alpha)
-    return a_law, Constant(omega)
+    return GarchCoefficient(beta, alpha).collapsed(), Constant(omega)
 
 
 def as_ar(spec: KestenScalar | KestenAR) -> KestenAR:
@@ -493,11 +452,31 @@ def write_series_csv(series: ReturnSeries, path: str | Path) -> None:
 
 
 def read_series_csv(path: str | Path) -> np.ndarray:
-    """Read a t,r series file back into a value array."""
+    """Read a t,r series file back into a value array of finite returns."""
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().strip()
         if header != "t,r":
             raise InvalidConfig(f"{path}: expected header 't,r', got {header!r}")
-        values = [float(line.rsplit(",", 1)[1]) for line in fh if line.strip()]
-    return np.asarray(values, dtype=np.float64)
+        try:
+            values = np.asarray(
+                [float(line.rsplit(",", 1)[1]) for line in fh if line.strip()],
+                dtype=np.float64,
+            )
+        except (IndexError, ValueError):
+            values = None
+    if values is None or not np.isfinite(values).all():
+        _raise_bad_series_row(path)
+    return values
+
+
+def _raise_bad_series_row(path: Path) -> None:
+    """ParseError naming the first data line without a finite return."""
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                ok = lineno == 1 or not line.strip() or math.isfinite(float(line.rsplit(",", 1)[1]))
+            except (IndexError, ValueError):
+                ok = False
+            if not ok:
+                raise ParseError(f"{path}: line {lineno}: no finite return in {line.rstrip()!r}")

@@ -17,18 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
-from .distributions import (
-    CoefficientLaw,
-    Constant,
-    Exponential,
-    GarchCoefficient,
-    Normal,
-    RngStream,
-    Uniform,
-)
+from .distributions import CoefficientLaw, RngStream
 from .errors import (
     DegenerateLaw,
     InvalidConfig,
@@ -44,7 +35,6 @@ from .processes import KestenAR, KestenScalar, ZeroWeightSum, as_ar
 
 RESIDUAL_TOL = 1e-6
 MU_CAP = 64.0
-QUAD_EPSABS = 1e-8
 BOUNDARY_TOL = 1e-4
 
 
@@ -220,13 +210,6 @@ class LyapunovEstimate:
         }
 
 
-def _collapse_constant(law: CoefficientLaw) -> CoefficientLaw:
-    """A garch coefficient with alpha == 0 is a constant in disguise."""
-    if isinstance(law, GarchCoefficient) and law.alpha == 0:
-        return Constant(law.beta)
-    return law
-
-
 def stationarity_check(a_law: CoefficientLaw, tolerance: float = BOUNDARY_TOL) -> StationarityCheck:
     """Verdict on E[log a] < 0 with a boundary band around zero."""
     val, se = a_law.log_moment_with_stderr()
@@ -253,8 +236,9 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
     Laws are frozen values, so the solution is memoized on the law's
     parameters; a failed solve raises again and is not cached.
     """
-    a_law = _collapse_constant(a_law)
-    if isinstance(a_law, Constant) and abs(a_law.value - 1.0) < 1e-15:
+    a_law = a_law.collapsed()
+    a_min, a_max = a_law.support
+    if a_min == a_max and abs(a_min - 1.0) < 1e-15:
         raise DegenerateLaw("a == 1 surely: E(a^mu) == 1 for every mu")
     if not a_law.nonnegative:
         raise NonnegativityRequired("the moment equation needs a nonnegative law")
@@ -273,8 +257,8 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
     def phi(mu: float) -> tuple[float, float]:
         return a_law.moment_with_stderr(mu)
 
-    mc = isinstance(a_law, GarchCoefficient)
-    method = "monte-carlo" if mc else "closed-form"
+    method = a_law.moment_method
+    mc = method == "monte-carlo"
 
     # bracket the increasing-branch crossing
     hi = 1.0
@@ -362,16 +346,6 @@ def expected_acf(a_law: CoefficientLaw, h: int) -> float:
     return a_law.mean() ** h
 
 
-def density_at_one(a_law: CoefficientLaw) -> float:
-    """Density of a at 1, using the left-limit value at a support endpoint."""
-    if not a_law.has_density:
-        raise NoDensity(f"{a_law.kind} law has no density")
-    if isinstance(a_law, Uniform):
-        # left limit: a uniform ending exactly at 1 still amplifies
-        return 1.0 / (a_law.hi - a_law.lo) if a_law.lo < 1.0 <= a_law.hi else 0.0
-    return a_law.pdf(1.0)
-
-
 def inverse_tail_prediction(a_law: CoefficientLaw, x: float) -> float:
     """Predicted asymptotic tail 2 f_a(1) / x of the inverse-multiplier process.
 
@@ -381,7 +355,9 @@ def inverse_tail_prediction(a_law: CoefficientLaw, x: float) -> float:
     """
     if not x > 0:
         raise ValueError(f"x must be positive, got {x}")
-    f1 = density_at_one(a_law)
+    if not a_law.has_density:
+        raise NoDensity(f"{a_law.kind} law has no density")
+    f1 = a_law.pdf(1.0)
     if f1 == 0.0:
         warnings.warn(
             "density of a at 1 is zero: the unit-exponent tail prediction "
@@ -396,71 +372,6 @@ def inverse_tail_prediction(a_law: CoefficientLaw, x: float) -> float:
 # condition checklist ---------------------------------------------------------
 
 
-def _support(law: CoefficientLaw) -> tuple[float, float]:
-    if isinstance(law, Exponential):
-        return 0.0, math.inf
-    if isinstance(law, Uniform):
-        return law.lo, law.hi
-    if isinstance(law, Normal):
-        return -math.inf, math.inf
-    if isinstance(law, GarchCoefficient):
-        return law.beta, math.inf
-    if isinstance(law, Constant):
-        return law.value, law.value
-    raise TypeError(f"unknown law {type(law).__name__}")
-
-
-def _quad(fn, lo: float, hi: float) -> float:
-    val, _err = quad(fn, lo, hi, epsabs=QUAD_EPSABS, limit=200)
-    return val
-
-
-def plus_log_abs_moment(law: CoefficientLaw) -> float:
-    """E[max(log|X|, 0)]; finite for every law in this family."""
-    law = _collapse_constant(law)
-    if isinstance(law, Constant):
-        v = abs(law.value)
-        return math.log(v) if v > 1.0 else 0.0
-    lo, hi = _support(law)
-    total = 0.0
-    if hi > 1.0:
-        total += _quad(lambda x: math.log(x) * law.pdf(x), max(lo, 1.0), hi)
-    if lo < -1.0:
-        total += _quad(lambda x: math.log(-x) * law.pdf(x), lo, min(hi, -1.0))
-    return total
-
-
-def tilted_log_moment(a_law: CoefficientLaw, lam: float) -> float:
-    """E[a^lam * max(log a, 0)] for a nonnegative law."""
-    a_law = _collapse_constant(a_law)
-    if isinstance(a_law, Constant):
-        v = a_law.value
-        return v**lam * math.log(v) if v > 1.0 else 0.0
-    lo, hi = _support(a_law)
-    if hi <= 1.0:
-        return 0.0
-    return _quad(lambda x: x**lam * math.log(x) * a_law.pdf(x), max(lo, 1.0), hi)
-
-
-def abs_moment(law: CoefficientLaw, mu: float) -> float:
-    """E[|X|^mu] for any law in the family."""
-    law = _collapse_constant(law)
-    if isinstance(law, Constant):
-        return abs(law.value) ** mu
-    if law.nonnegative:
-        return law.moment(mu)
-    if isinstance(law, Normal) and law.mean_value == 0:
-        # E|X|^mu = sd^mu 2^(mu/2) Gamma((mu+1)/2) / sqrt(pi)
-        return math.exp(
-            mu * math.log(law.sd)
-            + 0.5 * mu * math.log(2.0)
-            + gammaln((mu + 1.0) / 2.0)
-            - 0.5 * math.log(math.pi)
-        )
-    lo, hi = _support(law)
-    return _quad(lambda x: abs(x) ** mu * law.pdf(x), lo, hi)
-
-
 def kesten_conditions_report(
     a_law: CoefficientLaw, e_law: CoefficientLaw
 ) -> TheoryReport:
@@ -470,7 +381,8 @@ def kesten_conditions_report(
     (non-lattice log a) is `verified` for laws with a density and
     `assumed` otherwise; it is not mechanically decidable from samples.
     """
-    a_eff = _collapse_constant(a_law)
+    a_eff = a_law.collapsed()
+    e_eff = e_law.collapsed()
     entries: list[ConditionCheck] = []
 
     # (a) E[log a] < 0
@@ -492,8 +404,8 @@ def kesten_conditions_report(
         entries.append(ConditionCheck("a", "not-checkable", None, str(exc)))
         log_a_ok = False
 
-    # (b) E[max(log|e|, 0)] < inf
-    b_val = plus_log_abs_moment(e_law)
+    # (b) E[max(log|e|, 0)] < inf, summed over the tails e >= 1 and e <= -1
+    b_val = e_eff.expect(math.log, lo=1.0) + e_eff.expect(lambda x: math.log(-x), hi=-1.0)
     entries.append(
         ConditionCheck("b", "verified", b_val, "finite positive-part log moment")
     )
@@ -508,11 +420,11 @@ def kesten_conditions_report(
             ConditionCheck("c", "assumed", None, "discrete law: lattice check skipped")
         )
 
-    # (d) (1-a)^{-1} e not a constant
-    e_eff = _collapse_constant(e_law)
-    both_constant = isinstance(a_eff, Constant) and isinstance(e_eff, Constant)
-    e_zero = isinstance(e_eff, Constant) and e_eff.value == 0.0
-    if both_constant or e_zero:
+    # (d) (1-a)^{-1} e not a constant: violated when e is a point mass and
+    # a is one too, or e == 0
+    a_lo, a_hi = a_eff.support
+    e_lo, e_hi = e_eff.support
+    if e_lo == e_hi and (a_lo == a_hi or e_lo == 0.0):
         entries.append(
             ConditionCheck(
                 "d", "violated", None, "(1 - a)^{-1} e reduces to a constant"
@@ -571,9 +483,10 @@ def kesten_conditions_report(
 
     # (g) E[a^lambda1 max(log a, 0)] < inf
     if lam1 is not None:
-        g_val = tilted_log_moment(a_eff, lam1[0])
+        lam = lam1[0]
+        g_val = a_eff.expect(lambda x: x**lam * math.log(x), lo=1.0)
         entries.append(
-            ConditionCheck("g", "verified", g_val, f"tilted log moment at {lam1[0]:g}")
+            ConditionCheck("g", "verified", g_val, f"tilted log moment at {lam:g}")
         )
     else:
         entries.append(
@@ -588,7 +501,7 @@ def kesten_conditions_report(
         except TheoryError:
             mu_star = None
     if mu_star is not None:
-        h_val = abs_moment(e_law, mu_star)
+        h_val = e_eff.abs_moment(mu_star)
         entries.append(
             ConditionCheck("h", "verified", h_val, f"E|e|^mu* at mu* = {mu_star:.4g}")
         )

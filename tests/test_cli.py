@@ -361,6 +361,36 @@ class TestCommandLine:
         assert lines[0] == "lag,acf"
         assert len(lines) == 7
 
+    @pytest.mark.parametrize(
+        "command, text, line",
+        [
+            ("fit-tail", "t,r\n0,0.01\n1,abc\n", 3),
+            ("acf", "t,r\n0,0.01\n1,abc\n", 3),
+            ("fit-tail", "t,r\n0,0.01\n\n1\n", 4),
+            ("acf", "t,r\n0,0.01\n1\n", 3),
+            ("fit-tail", "t,r\n0,0.01\n100,inf\n", 3),
+            ("acf", "t,r\n0,0.01\n100,nan\n", 3),
+            ("ingest", "date,close\nd0,100\n\nd1,101\nd2,inf\n", 5),
+        ],
+        ids=[
+            "fit-tail-text",
+            "acf-text",
+            "fit-tail-one-column",
+            "acf-one-column",
+            "fit-tail-inf",
+            "acf-nan",
+            "ingest-inf-price",
+        ],
+    )
+    def test_bad_row_exit_code(self, tmp_path, capsys, command, text, line):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        argv = [command, str(path)] + (["--max-lag", "1"] if command == "acf" else [])
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: line {line}: ")
+
     def test_cramer_subcommand(self):
         res = _cli("cramer", "--law", '{"kind": "exponential", "mean": 0.55}')
         assert res.returncode == 0, res.stderr

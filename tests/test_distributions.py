@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from kestenlab import (
+    CoefficientLaw,
     Constant,
     Exponential,
     GarchCoefficient,
@@ -12,10 +13,6 @@ from kestenlab import (
     RngStream,
     Uniform,
     law_from_config,
-    law_to_config,
-    log_moment,
-    moment,
-    sample,
 )
 from kestenlab.errors import (
     InvalidConfig,
@@ -73,62 +70,58 @@ class TestConstruction:
 
 class TestSample:
     def test_constant_law_is_degenerate(self):
-        out = sample(Constant(0.55), RngStream(0), 3)
+        out = Constant(0.55).sample(RngStream(0).generator(), 3)
         assert out.tolist() == [0.55, 0.55, 0.55]
 
     def test_deterministic_for_equal_streams(self):
         law = Exponential(0.55)
-        a = sample(law, RngStream(7, 3), 1000)
-        b = sample(law, RngStream(7, 3), 1000)
+        a = law.sample(RngStream(7, 3).generator(), 1000)
+        b = law.sample(RngStream(7, 3).generator(), 1000)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
         law = Exponential(0.55)
-        a = sample(law, RngStream(7, 0), 1000)
-        b = sample(law, RngStream(7, 1), 1000)
+        a = law.sample(RngStream(7, 0).generator(), 1000)
+        b = law.sample(RngStream(7, 1).generator(), 1000)
         assert not np.array_equal(a, b)
 
     def test_exponential_mean(self):
         # spec band 0.55 +- 0.002 is ~3.6 sigma at n = 1e6
-        x = sample(Exponential(0.55), RngStream(11), 10**6)
+        x = Exponential(0.55).sample(RngStream(11).generator(), 10**6)
         assert abs(x.mean() - 0.55) < 0.002
 
     def test_uniform_mean(self):
-        x = sample(Uniform(0.0, 1.0), RngStream(12), 10**6)
+        x = Uniform(0.0, 1.0).sample(RngStream(12).generator(), 10**6)
         assert abs(x.mean() - 0.5) < 0.001
-
-    def test_sample_size_validation(self):
-        with pytest.raises(ValueError):
-            sample(Constant(1.0), RngStream(0), 0)
 
 
 class TestMoment:
     def test_exponential_closed_form(self):
         # Gamma(4) * 0.55^3
-        assert moment(Exponential(0.55), 3.0) == pytest.approx(0.99825, abs=1e-12)
+        assert Exponential(0.55).moment(3.0) == pytest.approx(0.99825, abs=1e-12)
 
     def test_exponential_vs_quadrature(self):
         m = 0.55
         oracle, _ = quad(
             lambda x: x**3 * math.exp(-x / m) / m, 0, np.inf, epsabs=1e-12
         )
-        assert moment(Exponential(m), 3.0) == pytest.approx(oracle, abs=1e-9)
+        assert Exponential(m).moment(3.0) == pytest.approx(oracle, abs=1e-9)
 
     def test_constant_power(self):
-        assert moment(Constant(1.0), 7.0) == 1.0
-        assert moment(Constant(0.5), 2.0) == 0.25
+        assert Constant(1.0).moment(7.0) == 1.0
+        assert Constant(0.5).moment(2.0) == 0.25
 
     def test_uniform_closed_form(self):
-        assert moment(Uniform(0.0, 1.0), 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert Uniform(0.0, 1.0).moment(1.0) == pytest.approx(0.5, abs=1e-15)
         oracle, _ = quad(lambda x: x**2.5 / 0.6, 0.7, 1.3, epsabs=1e-12)
-        assert moment(Uniform(0.7, 1.3), 2.5) == pytest.approx(oracle, abs=1e-9)
+        assert Uniform(0.7, 1.3).moment(2.5) == pytest.approx(oracle, abs=1e-9)
 
     def test_garch_integer_moments_closed_form(self):
         law = GarchCoefficient(0.9, 0.09)
-        assert moment(law, 1.0) == 0.9 + 0.09
+        assert law.moment(1.0) == 0.9 + 0.09
         # E(a^2) = b^2 + 2ab + 3a^2 with Ez^2. Ez^4 = 1, 3
         expected = 0.9**2 + 2 * 0.9 * 0.09 + 3 * 0.09**2
-        assert moment(law, 2.0) == pytest.approx(expected, rel=1e-15)
+        assert law.moment(2.0) == pytest.approx(expected, rel=1e-15)
 
     def test_garch_fractional_moment_vs_quadrature(self):
         from scipy.stats import chi2
@@ -148,10 +141,10 @@ class TestMoment:
         ids=["exponential", "uniform", "constant"],
     )
     def test_monte_carlo_agrees_with_closed_form(self, law, mu):
-        x = sample(law, RngStream(123), 10**6)
+        x = law.sample(RngStream(123).generator(), 10**6)
         y = x**mu
         se = y.std(ddof=1) / math.sqrt(y.size)
-        assert abs(y.mean() - moment(law, mu)) <= 4 * se + 1e-12
+        assert abs(y.mean() - law.moment(mu)) <= 4 * se + 1e-12
 
     @pytest.mark.parametrize(
         "law",
@@ -159,40 +152,40 @@ class TestMoment:
         ids=["exponential", "uniform", "constant", "garch"],
     )
     def test_zeroth_moment_limit(self, law):
-        assert 0.999 <= moment(law, 1e-6) <= 1.001
+        assert 0.999 <= law.moment(1e-6) <= 1.001
 
     def test_normal_even_moments(self):
-        assert moment(Normal(0.0, 2.0), 2.0) == pytest.approx(4.0, rel=1e-15)
-        assert moment(Normal(0.0, 1.0), 4.0) == pytest.approx(3.0, rel=1e-15)
+        assert Normal(0.0, 2.0).moment(2.0) == pytest.approx(4.0, rel=1e-15)
+        assert Normal(0.0, 1.0).moment(4.0) == pytest.approx(3.0, rel=1e-15)
 
     def test_fractional_moment_of_signed_law_rejected(self):
         with pytest.raises(NonnegativityRequired):
-            moment(Normal(0.0, 1.0), 1.5)
+            Normal(0.0, 1.0).moment(1.5)
         with pytest.raises(NonnegativityRequired):
-            moment(Uniform(-1.0, 2.0), 0.5)
+            Uniform(-1.0, 2.0).moment(0.5)
         # even integer needs symmetry about zero
         with pytest.raises(NonnegativityRequired):
-            moment(Normal(1.0, 1.0), 2.0)
+            Normal(1.0, 1.0).moment(2.0)
 
 
 class TestLogMoment:
     def test_constant_one(self):
-        assert log_moment(Constant(1.0)) == 0.0
+        assert Constant(1.0).log_moment() == 0.0
 
     def test_unit_exponential_is_minus_euler_gamma(self):
         oracle, _ = quad(lambda x: math.log(x) * math.exp(-x), 1e-300, np.inf)
-        val = log_moment(Exponential(1.0))
+        val = Exponential(1.0).log_moment()
         assert val == pytest.approx(oracle, abs=1e-7)
         assert val == pytest.approx(-EULER_GAMMA, abs=1e-4)
 
     def test_exponential_shift(self):
-        assert log_moment(Exponential(0.55)) == pytest.approx(
+        assert Exponential(0.55).log_moment() == pytest.approx(
             math.log(0.55) - EULER_GAMMA, abs=1e-12
         )
 
     def test_uniform_closed_form_vs_quadrature(self):
         oracle, _ = quad(lambda x: math.log(x) / 0.8, 0.4, 1.2, epsabs=1e-12)
-        assert log_moment(Uniform(0.4, 1.2)) == pytest.approx(oracle, abs=1e-9)
+        assert Uniform(0.4, 1.2).log_moment() == pytest.approx(oracle, abs=1e-9)
 
     def test_garch_monte_carlo_vs_quadrature(self):
         from scipy.stats import chi2
@@ -208,7 +201,7 @@ class TestLogMoment:
     def test_positivity_required(self):
         for law in [Normal(0.0, 1.0), Uniform(-1.0, 1.0), Constant(0.0), Constant(-1.0)]:
             with pytest.raises(PositivityRequired):
-                log_moment(law)
+                law.log_moment()
 
     @pytest.mark.parametrize(
         "law",
@@ -216,12 +209,69 @@ class TestLogMoment:
         ids=["exponential", "uniform", "garch"],
     )
     def test_jensen_strict_for_non_constant(self, law):
-        assert log_moment(law) < math.log(moment(law, 1.0))
+        assert law.log_moment() < math.log(law.moment(1.0))
 
     def test_jensen_equality_for_constant(self):
-        assert log_moment(Constant(0.7)) == pytest.approx(
-            math.log(moment(Constant(0.7), 1.0)), abs=1e-15
+        assert Constant(0.7).log_moment() == pytest.approx(
+            math.log(Constant(0.7).moment(1.0)), abs=1e-15
         )
+
+
+# Examples of every law; a law class missing here fails TestLawFacts loudly.
+LAW_EXAMPLES = {
+    Exponential: [Exponential(0.55)],
+    Uniform: [Uniform(0.0, 1.6), Uniform(-3.0, 2.0)],
+    Normal: [Normal(0.0, 1.0), Normal(0.3, 2.0)],
+    Constant: [Constant(2.5), Constant(-2.0)],
+    GarchCoefficient: [GarchCoefficient(0.9, 0.09), GarchCoefficient(0.5, 0.0)],
+}
+
+
+class TestLawFacts:
+    @pytest.mark.parametrize(
+        "cls", CoefficientLaw.__subclasses__(), ids=lambda cls: cls.__name__
+    )
+    def test_each_law_has_its_facts(self, cls):
+        for law in LAW_EXAMPLES[cls]:
+            lo, hi = law.support
+            x = law.sample(RngStream(5).generator(), 10**4)
+            assert np.all((lo <= x) & (x <= hi)), law
+            if law.has_density:
+                assert law.expect(lambda v: 1.0) == pytest.approx(1.0, rel=1e-7), law
+                if law.nonnegative:
+                    assert law.expect(lambda v: v) == pytest.approx(law.mean(), rel=1e-7)
+            if isinstance(law, GarchCoefficient) and law.alpha == 0:
+                assert law.collapsed() == Constant(law.beta)
+            else:
+                assert law.collapsed() is law
+            assert law.moment_method in ("closed-form", "monte-carlo")
+
+    def test_constant_expect_inside_and_outside(self):
+        law = Constant(2.5)
+        assert law.expect(lambda v: v * v) == 6.25
+        assert law.expect(lambda v: v * v, lo=2.5, hi=2.5) == 6.25
+        assert law.expect(lambda v: v * v, lo=1.0) == 6.25
+        assert law.expect(lambda v: v * v, hi=2.0) == 0.0
+        assert law.expect(lambda v: v * v, lo=3.0) == 0.0
+
+    def test_expect_is_truncated_to_the_interval(self):
+        law = Uniform(-3.0, 2.0)
+        assert law.expect(lambda v: 1.0, lo=1.0) == pytest.approx(0.2, rel=1e-12)
+        assert law.expect(lambda v: 1.0, hi=-1.0) == pytest.approx(0.4, rel=1e-12)
+        assert law.expect(lambda v: 1.0, lo=2.0) == 0.0
+        assert law.expect(lambda v: 1.0, lo=5.0, hi=6.0) == 0.0
+
+    def test_abs_moment(self):
+        # zero-mean normal closed form: E|X| = sd sqrt(2/pi), E X^2 = sd^2
+        assert Normal(0.0, 2.0).abs_moment(1.0) == pytest.approx(
+            2.0 * math.sqrt(2.0 / math.pi), rel=1e-12
+        )
+        assert Normal(0.0, 2.0).abs_moment(2.0) == pytest.approx(4.0, rel=1e-12)
+        # by quadrature: E X^2 = mean^2 + sd^2, and (hi^3 - lo^3) / (3 (hi - lo))
+        assert Normal(0.3, 2.0).abs_moment(2.0) == pytest.approx(4.09, rel=1e-8)
+        assert Uniform(-3.0, 2.0).abs_moment(2.0) == pytest.approx(35.0 / 15.0, rel=1e-8)
+        assert Constant(-2.0).abs_moment(1.5) == 2.0**1.5
+        assert Exponential(0.55).abs_moment(3.0) == Exponential(0.55).moment(3.0)
 
 
 class TestSerialization:
@@ -237,7 +287,7 @@ class TestSerialization:
         ids=["exponential", "uniform", "normal", "constant", "garch"],
     )
     def test_round_trip(self, law):
-        assert law_from_config(law_to_config(law)) == law
+        assert law_from_config(law.to_config()) == law
 
     def test_config_examples(self):
         assert law_from_config({"kind": "exponential", "mean": 0.55}) == Exponential(0.55)

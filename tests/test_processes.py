@@ -14,7 +14,6 @@ from kestenlab import (
     RngStream,
     Uniform,
     as_ar,
-    build_companion_matrix,
     garch11_paths,
     garch_to_kesten,
     read_series_csv,
@@ -205,27 +204,6 @@ class TestGarchToKesten:
     def test_log_moment_near_zero(self):
         a_law, _ = garch_to_kesten(0.01, 0.1, 0.9)
         assert -0.010 < a_law.log_moment() < -0.006
-
-
-class TestCompanionMatrix:
-    def test_order_one(self):
-        assert build_companion_matrix(1.0, [1.0]).matrix.tolist() == [[1.0]]
-
-    def test_order_two(self):
-        m = build_companion_matrix(2.0, [0.5, 0.5]).matrix
-        assert m.tolist() == [[1.0, 1.0], [1.0, 0.0]]
-
-    def test_order_three_top_row(self):
-        m = build_companion_matrix(0.6, [0.75, 0.15, 0.10]).matrix
-        assert m[0] == pytest.approx([0.45, 0.09, 0.06], rel=1e-15)
-        assert m[1].tolist() == [1.0, 0.0, 0.0]
-        assert m[2].tolist() == [0.0, 1.0, 0.0]
-
-    def test_pattern_validation(self):
-        from kestenlab import CompanionMatrix
-
-        with pytest.raises(ValueError):
-            CompanionMatrix(np.array([[0.5, 0.5], [0.5, 0.0]]))
 
 
 class TestReturnSeries:

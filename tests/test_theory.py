@@ -17,7 +17,6 @@ from kestenlab import (
     as_ar,
     classify_regime,
     cramer_root,
-    density_at_one,
     expected_acf,
     inverse_tail_prediction,
     kesten_conditions_report,
@@ -211,7 +210,97 @@ class TestStationarityCheck:
             stationarity_check(Normal(0.0, 1.0))
 
 
+# kesten_conditions_report(a, e).to_dict(), recorded before the law facts
+# moved onto the law classes: (a, e) -> (conditions, regime case, predicted, mu*)
+CONDITION_PINS = [
+    (
+        Uniform(0.0, 1.6),
+        Uniform(-3.0, 2.0),
+        [
+            ("a", "verified", -0.5299963707542643, "E[log a] stationary"),
+            ("b", "verified", 0.336426245424844, "finite positive-part log moment"),
+            ("c", "verified", None, "continuous law: log a non-lattice"),
+            ("d", "verified", None, "non-degenerate pair"),
+            ("e", "verified", 0.999470643454803, "E(a^0.001) = 0.999471 < 1"),
+            ("f", "verified", 1.3107200000000003, "E(a^4) = 1.31072 >= 1"),
+            ("g", "verified", 0.3788991569249707, "tilted log moment at 4"),
+            ("h", "verified", 4.454298535978506, "E|e|^mu* at mu* = 2.89"),
+        ],
+        ("C", "mu > 1", 2.8904633450493975),
+    ),
+    (
+        Exponential(0.55),
+        Normal(0.3, 2.0),
+        [
+            ("a", "verified", -1.1750526656571534, "E[log a] stationary"),
+            ("b", "verified", 0.45841277025479865, "finite positive-part log moment"),
+            ("c", "verified", None, "continuous law: log a non-lattice"),
+            ("d", "verified", None, "non-degenerate pair"),
+            ("e", "verified", 0.9988264585399486, "E(a^0.001) = 0.998826 < 1"),
+            ("f", "verified", 2.1961500000000007, "E(a^4) = 2.19615 >= 1"),
+            ("g", "verified", 2.0163203029113697, "tilted log moment at 4"),
+            ("h", "verified", 13.242193980609192, "E|e|^mu* at mu* = 3.003"),
+        ],
+        ("C", "mu > 1", 3.002659245267864),
+    ),
+    (
+        GarchCoefficient(0.5, 0.0),
+        Constant(3.0),
+        [
+            ("a", "verified", -0.6931471805599453, "E[log a] stationary"),
+            ("b", "verified", 1.0986122886681098, "finite positive-part log moment"),
+            ("c", "assumed", None, "discrete law: lattice check skipped"),
+            ("d", "violated", None, "(1 - a)^{-1} e reduces to a constant"),
+            ("e", "verified", 0.9993070929904525, "E(a^0.001) = 0.999307 < 1"),
+            (
+                "f",
+                "violated",
+                5.421010862427522e-20,
+                "E(a^mu) < 1 up to mu = 64: no lambda1 exists (thin-tail regime)",
+            ),
+            ("g", "not-checkable", None, "no lambda1 from (f)"),
+            ("h", "not-checkable", None, "no moment-equation root"),
+        ],
+        ("C", "mu > 1", None),
+    ),
+    (
+        Constant(2.5),
+        Constant(-2.0),
+        [
+            ("a", "violated", 0.9162907318741551, "E[log a] non-stationary"),
+            ("b", "verified", 0.6931471805599453, "finite positive-part log moment"),
+            ("c", "assumed", None, "discrete law: lattice check skipped"),
+            ("d", "violated", None, "(1 - a)^{-1} e reduces to a constant"),
+            ("e", "violated", None, "no small moment below 1 found"),
+            ("f", "verified", 2.5, "E(a^1) = 2.5 >= 1"),
+            ("g", "verified", 2.2907268296853878, "tilted log moment at 1"),
+            ("h", "not-checkable", None, "no moment-equation root"),
+        ],
+        ("B", "mu < 1", None),
+    ),
+]
+
+
+def _approx(value):
+    return None if value is None else pytest.approx(value, rel=1e-12)
+
+
 class TestConditionsReport:
+    @pytest.mark.parametrize(
+        "a_law, e_law, conditions, regime",
+        CONDITION_PINS,
+        ids=["two-sided-b", "quadrature-h", "garch-point-mass", "constant-pair"],
+    )
+    def test_pinned_reports(self, a_law, e_law, conditions, regime):
+        # branches no bundled config reaches: the two-sided (b) quadrature,
+        # the (h) quadrature for a nonzero-mean normal, and point masses
+        rep = kesten_conditions_report(a_law, e_law).to_dict()
+        got = [(c["condition"], c["status"], c["evidence"], c["note"]) for c in rep["conditions"]]
+        assert got == [(cid, st, _approx(ev), note) for cid, st, ev, note in conditions]
+        case, predicted, mu_star = regime
+        assert (rep["regime_case"], rep["predicted"]) == (case, predicted)
+        assert rep["mu_star"] == _approx(mu_star)
+
     def test_fig3_pair_all_verified(self):
         rep = kesten_conditions_report(Exponential(0.55), Normal(0.0, 0.0065))
         assert rep.all_verified
@@ -221,6 +310,9 @@ class TestConditionsReport:
 
     def test_constant_pair_violates_nondegeneracy(self):
         rep = kesten_conditions_report(Constant(0.5), Constant(0.0))
+        assert rep.condition("d").status == "violated"
+        # e == 0 surely makes (1 - a)^{-1} e == 0 whatever the law of a
+        rep = kesten_conditions_report(Exponential(0.55), GarchCoefficient(0.0, 0.0))
         assert rep.condition("d").status == "violated"
 
     def test_thin_tail_violates_lambda1(self):
@@ -269,10 +361,14 @@ class TestInverseTailPrediction:
     def test_no_density(self):
         with pytest.raises(NoDensity):
             inverse_tail_prediction(Constant(0.5), 10.0)
+        with pytest.raises(NoDensity, match="^garch_coeff law has no density$"):
+            inverse_tail_prediction(GarchCoefficient(0.5, 0.0), 10.0)
 
     def test_support_boundary_uses_left_limit(self):
-        assert density_at_one(Uniform(0.0, 1.0)) == 1.0
-        assert density_at_one(Uniform(1.0, 2.0)) == 0.0
+        # Uniform.pdf is left-continuous: 1/(hi - lo) on (lo, hi]
+        assert Uniform(0.0, 1.0).pdf(1.0) == 1.0
+        assert Uniform(1.0, 2.0).pdf(1.0) == 0.0
+        assert Uniform(0.0, 1.0).pdf(0.0) == 0.0
 
     def test_two_sided_multiplier_matches_prediction(self):
         # with a ~ U(0, 2) the multiplier 1/(1-a) blows up from both sides
@@ -292,7 +388,7 @@ class TestInverseTailPrediction:
         # constant 2 f_a(1); the multiplicative noise scales it by E|e|.
         # x * P(|r| > x) must sit within a factor 1.5 of f_a(1) * E|e|.
         e_abs_mean = math.sqrt(2.0 / math.pi)
-        constant = density_at_one(FIG2_SPEC.a_law) * e_abs_mean
+        constant = FIG2_SPEC.a_law.pdf(1.0) * e_abs_mean
         absr = np.abs(fig2_series.values)
         for x in (50.0, 100.0, 200.0):
             empirical = x * (absr > x).mean()
