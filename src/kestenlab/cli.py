@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import importlib.resources
-import itertools
 import json
 import math
 import os
@@ -53,6 +52,7 @@ from .processes import (
     KestenScalar,
     ProcessSpec,
     ReturnSeries,
+    _parse_rest,
     garch_to_kesten,
     read_series_csv,
     simulate,
@@ -556,37 +556,35 @@ def ingest_prices(csv_path: str | Path, column_spec: str | int = "close") -> Ret
             col = names.index(want)
         if not 0 <= col < len(header):
             raise ParseError(f"{path}: column index {col} out of range")
-        prices: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                value = float(row[col])
-            except (IndexError, ValueError):
-                raise ParseError(
-                    f"{path}: line {lineno}: cannot parse price from {row!r}"
-                ) from None
-            if not value > 0:
-                raise NonPositivePrice(
-                    f"{path}: line {lineno}: price {value!r} is not positive"
-                )
-            prices.append(value)
-    if len(prices) < 2:
-        raise ParseError(f"{path}: need at least two price rows, got {len(prices)}")
-    prices = np.asarray(prices, dtype=np.float64)
-    if prices.max() == math.inf:  # the one non-finite value that passes value > 0
-        line = _price_line(path, int(prices.argmax()))
-        raise ParseError(f"{path}: line {line}: price inf is not finite")
+        prices = _parse_rest(fh, raw, quotechar='"', usecols=col, ndmin=1)
+        if prices is None or not (
+            prices.size >= 2 and ((prices > 0) & (prices < math.inf)).all()
+        ):
+            fh.seek(0)  # the row scan below names the first bad line
+            next(reader)
+            prices, inf_line = [], None
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                try:
+                    value = float(row[col])
+                except (IndexError, ValueError):
+                    raise ParseError(
+                        f"{path}: line {lineno}: cannot parse price from {row!r}"
+                    ) from None
+                if not value > 0:
+                    raise NonPositivePrice(
+                        f"{path}: line {lineno}: price {value!r} is not positive"
+                    )
+                if value == math.inf and inf_line is None:
+                    inf_line = lineno
+                prices.append(value)
+            if len(prices) < 2:
+                raise ParseError(f"{path}: need at least two price rows, got {len(prices)}")
+            if inf_line is not None:  # the one non-finite value that passes value > 0
+                raise ParseError(f"{path}: line {inf_line}: price inf is not finite")
     returns = returns_from_prices(prices)
     return ReturnSeries(returns, digest, None, 0, 0)
-
-
-def _price_line(path: Path, index: int) -> int:
-    """Line number of the index-th price row of ``ingest_prices``, blank rows skipped."""
-    with path.open(newline="") as fh:
-        rows = enumerate(csv.reader(fh), start=1)
-        kept = (n for n, row in rows if n > 1 and any(c.strip() for c in row))
-        return next(itertools.islice(kept, index, None))
 
 
 def report(manifest: RunManifest | str | Path) -> str:

@@ -486,6 +486,13 @@ class GarchCoefficient(CoefficientLaw):
         y = self._mc_sample(MC_MOMENT_SAMPLES) ** mu
         return float(y.mean()), float(y.std(ddof=1) / math.sqrt(y.size))
 
+    def moment(self, mu: float) -> float:
+        """E(X^mu); a fractional mu skips moment_with_stderr's std pass."""
+        if float(mu).is_integer():
+            return self.moment_with_stderr(mu)[0]
+        self._check_moment_pre(mu)
+        return float((self._mc_sample(MC_MOMENT_SAMPLES) ** mu).mean())
+
     def moment_slope(self, mu: float) -> float:
         """d/dmu E(X^mu) = E[X^mu log X], from the same Monte Carlo sample."""
         x = self._mc_sample(MC_MOMENT_SAMPLES)

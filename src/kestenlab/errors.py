@@ -22,7 +22,7 @@ class NoDensity(LawError):
 
 
 class InvalidConfig(KestenLabError, ValueError):
-    """Malformed config (law, process spec, experiment file) or bad analysis parameter."""
+    """Malformed config (law, process spec, experiment file), analysis parameter or input series."""
 
 
 class DegenerateSpec(KestenLabError, ValueError):

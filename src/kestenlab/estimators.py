@@ -30,11 +30,13 @@ DEFAULT_TAIL_QUANTILE = 0.95
 
 
 def _values(series) -> np.ndarray:
-    """Accept a ReturnSeries or any 1-d array-like."""
+    """Accept a ReturnSeries or any nonempty, finite 1-d array-like."""
     vals = getattr(series, "values", series)
     arr = np.asarray(vals, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a nonempty 1-d series")
+        raise InvalidConfig("expected a nonempty 1-d series")
+    if not np.isfinite(arr).all():
+        raise InvalidConfig("series contains NaN or inf")
     return arr
 
 

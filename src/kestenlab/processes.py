@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -253,7 +254,8 @@ def simulate_inverse_multiplier(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if isinstance(spec.a_law, Constant) and abs(1.0 - spec.a_law.value) < NEAR_ONE_TOL:
+    a_lo, a_hi = spec.a_law.collapsed().support
+    if a_lo == a_hi and abs(1.0 - a_lo) < NEAR_ONE_TOL:
         raise DegenerateSpec("a == 1 surely: the multiplier (1 - a)^{-1} is undefined")
     gen = rng.generator()
     a = spec.a_law.sample(gen, n)
@@ -451,6 +453,28 @@ def write_series_csv(series: ReturnSeries, path: str | Path) -> None:
     write_csv(path, "t,r", range(len(series.values)), series.values)
 
 
+# numpy's float parser strips these around a field and float() does not,
+# so a file holding one of them is parsed by the row scan.
+_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+
+
+def _parse_rest(fh, raw: bytes, **kwargs) -> np.ndarray | None:
+    """The rest of the open CSV ``fh`` parsed by numpy's C reader.
+
+    ``raw`` is the file's bytes.  None when a row does not parse or the
+    file holds one of ``_NUMPY_ONLY_SPACE``: the caller then scans the rows
+    with float(), which names the bad line.
+    """
+    if any(c in raw for c in _NUMPY_ONLY_SPACE):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
+            return np.loadtxt(fh, delimiter=",", comments=None, **kwargs)
+    except ValueError:
+        return None
+
+
 def read_series_csv(path: str | Path) -> np.ndarray:
     """Read a t,r series file back into a value array of finite returns."""
     path = Path(path)
@@ -458,25 +482,23 @@ def read_series_csv(path: str | Path) -> np.ndarray:
         header = fh.readline().strip()
         if header != "t,r":
             raise InvalidConfig(f"{path}: expected header 't,r', got {header!r}")
-        try:
-            values = np.asarray(
-                [float(line.rsplit(",", 1)[1]) for line in fh if line.strip()],
-                dtype=np.float64,
-            )
-        except (IndexError, ValueError):
-            values = None
-    if values is None or not np.isfinite(values).all():
-        _raise_bad_series_row(path)
-    return values
-
-
-def _raise_bad_series_row(path: Path) -> None:
-    """ParseError naming the first data line without a finite return."""
-    with path.open() as fh:
+        table = _parse_rest(fh, path.read_bytes(), ndmin=2)
+        if table is not None and table.shape[0] >= 1 and table.shape[1] >= 2:
+            values = np.ascontiguousarray(table[:, -1])
+            if np.isfinite(values).all():
+                return values
+        fh.seek(0)
+        values = []
         for lineno, line in enumerate(fh, start=1):
+            if lineno == 1 or not line.strip():
+                continue
             try:
-                ok = lineno == 1 or not line.strip() or math.isfinite(float(line.rsplit(",", 1)[1]))
+                value = float(line.rsplit(",", 1)[1])
             except (IndexError, ValueError):
-                ok = False
-            if not ok:
+                value = math.nan
+            if not math.isfinite(value):
                 raise ParseError(f"{path}: line {lineno}: no finite return in {line.rstrip()!r}")
+            values.append(value)
+    if not values:
+        raise ParseError(f"{path}: no data rows")
+    return np.asarray(values, dtype=np.float64)

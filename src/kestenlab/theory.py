@@ -254,48 +254,46 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
             "the moment equation has no positive root"
         )
 
-    def phi(mu: float) -> tuple[float, float]:
-        return a_law.moment_with_stderr(mu)
-
+    phi = a_law.moment
     method = a_law.moment_method
     mc = method == "monte-carlo"
 
     # bracket the increasing-branch crossing
     hi = 1.0
-    val_hi, se_hi = phi(hi)
+    val_hi = phi(hi)
     while val_hi <= 1.0:
         if val_hi == 1.0:
             # exact hit (e.g. the unit-mean exponential at mu = 1)
-            return CramerSolution(hi, (hi, hi), 0.0, method, se_hi if mc else None)
+            se_hi = a_law.moment_with_stderr(hi)[1] if mc else None
+            return CramerSolution(hi, (hi, hi), 0.0, method, se_hi)
         if hi >= MU_CAP:
             raise NoPositiveRoot(
                 f"E(a^mu) stays below 1 up to mu = {MU_CAP:g}; "
                 "treating the regime as thin-tailed"
             )
         hi *= 2.0
-        val_hi, se_hi = phi(hi)
+        val_hi = phi(hi)
     lo = hi / 2.0
-    val_lo, _ = phi(lo)
+    val_lo = phi(lo)
     while val_lo >= 1.0:
         if val_lo == 1.0:
             return CramerSolution(lo, (lo, lo), 0.0, method, None)
         lo /= 2.0
         if lo < 1e-18:
             raise TheoryError("failed to bracket the moment-equation root")
-        val_lo, _ = phi(lo)
+        val_lo = phi(lo)
 
     bracket = (lo, hi)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        v, _ = phi(mid)
-        if v < 1.0:
+        if phi(mid) < 1.0:
             lo = mid
         else:
             hi = mid
         if hi - lo < 1e-13 * max(1.0, hi):
             break
     mu_star = 0.5 * (lo + hi)
-    val, se = phi(mu_star)
+    val, se = a_law.moment_with_stderr(mu_star)
     residual = abs(val - 1.0)
     # the sample moment function is strictly convex, so its slope at mu* is > 0
     stderr = se / a_law.moment_slope(mu_star) if mc else None
@@ -437,7 +435,7 @@ def kesten_conditions_report(
     lam0 = None
     if a_eff.nonnegative:
         for cand in (1e-3, 1e-2, 0.1, 0.5, 1.0):
-            v, _ = a_eff.moment_with_stderr(cand)
+            v = a_eff.moment(cand)
             if v < 1.0:
                 lam0 = (cand, v)
                 break
@@ -458,7 +456,7 @@ def kesten_conditions_report(
     if a_eff.nonnegative:
         cand = 1.0
         while cand <= MU_CAP:
-            v, _ = a_eff.moment_with_stderr(cand)
+            v = a_eff.moment(cand)
             last_val = v
             if v >= 1.0:
                 lam1 = (cand, v)

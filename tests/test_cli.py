@@ -371,6 +371,7 @@ class TestCommandLine:
             ("fit-tail", "t,r\n0,0.01\n100,inf\n", 3),
             ("acf", "t,r\n0,0.01\n100,nan\n", 3),
             ("ingest", "date,close\nd0,100\n\nd1,101\nd2,inf\n", 5),
+            ("ingest", "date,close\nd0,100\nd1,inf\n\nd2,inf\n", 3),
         ],
         ids=[
             "fit-tail-text",
@@ -380,6 +381,7 @@ class TestCommandLine:
             "fit-tail-inf",
             "acf-nan",
             "ingest-inf-price",
+            "ingest-first-of-two-inf-prices",
         ],
     )
     def test_bad_row_exit_code(self, tmp_path, capsys, command, text, line):
@@ -390,6 +392,17 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {path}: line {line}: ")
+
+    @pytest.mark.parametrize("command", ["fit-tail", "acf"])
+    @pytest.mark.parametrize("text", ["t,r\n", "t,r\n\n \n"], ids=["header-only", "blank-rows"])
+    def test_no_data_rows_exit_code(self, tmp_path, capsys, command, text):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        argv = [command, str(path)] + (["--max-lag", "1"] if command == "acf" else [])
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: no data rows\n"
 
     def test_cramer_subcommand(self):
         res = _cli("cramer", "--law", '{"kind": "exponential", "mean": 0.55}')

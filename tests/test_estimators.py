@@ -17,6 +17,7 @@ from kestenlab import (
 from kestenlab.errors import (
     DegenerateTail,
     InsufficientTail,
+    InvalidConfig,
     NonPositivePrice,
     SeriesTooShort,
 )
@@ -156,3 +157,24 @@ class TestAcf:
     def test_series_kind_label(self, fig3_series):
         assert acf(fig3_series, 2).series_kind == "raw"
         assert acf(fig3_series, 2, absolute=True).series_kind == "absolute"
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    [lambda x: acf(x, 2), lambda x: hill_estimator(x, 50), tail_exponent_ls, empirical_ccdf],
+    ids=["acf", "hill", "tail_ls", "ccdf"],
+)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.nan, "series contains NaN or inf"),
+        (np.inf, "series contains NaN or inf"),
+        (-np.inf, "series contains NaN or inf"),
+        (None, "expected a nonempty 1-d series"),
+    ],
+    ids=["nan", "inf", "-inf", "empty"],
+)
+def test_estimators_reject_non_finite_or_empty_input(estimator, bad, message):
+    x = np.array([]) if bad is None else np.append(exact_pareto(3.0, 1000, seed=3), bad)
+    with pytest.raises(InvalidConfig, match=message):  # a KestenLabError and a ValueError
+        estimator(x)

@@ -47,10 +47,12 @@ class TestInverseMultiplier:
         assert abs((s.values > 10).mean() - 0.1) < 0.003
 
     def test_degenerate_unit_coefficient(self):
-        with pytest.raises(DegenerateSpec):
-            simulate_inverse_multiplier(
-                InverseMultiplier(Constant(1.0), Normal(0.0, 1.0)), RngStream(0), 10
-            )
+        # refused up front, also when the law only collapses to a == 1
+        for a_law in (Constant(1.0), GarchCoefficient(1.0, 0.0)):
+            with pytest.raises(DegenerateSpec, match="a == 1 surely"):
+                simulate_inverse_multiplier(
+                    InverseMultiplier(a_law, Normal(0.0, 1.0)), RngStream(0), 10
+                )
 
     def test_near_one_draws_are_resampled(self):
         # half of this sliver sits within 1e-12 of 1 and must be redrawn
