@@ -52,6 +52,7 @@ from .processes import (
     KestenScalar,
     ProcessSpec,
     ReturnSeries,
+    _not_utf8,
     _parse_rest,
     garch_to_kesten,
     read_series_csv,
@@ -538,53 +539,69 @@ def ingest_prices(csv_path: str | Path, column_spec: str | int = "close") -> Ret
     path = Path(csv_path)
     raw = path.read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        col: int
-        try:
-            col = int(column_spec)
-        except (TypeError, ValueError):
-            names = [h.strip().lower() for h in header]
-            want = str(column_spec).strip().lower()
-            if want not in names:
-                raise ParseError(
-                    f"{path}: no column named {column_spec!r} in header {header!r}"
-                ) from None
-            col = names.index(want)
-        if not 0 <= col < len(header):
-            raise ParseError(f"{path}: column index {col} out of range")
-        prices = _parse_rest(fh, raw, quotechar='"', usecols=col, ndmin=1)
-        if prices is None or not (
-            prices.size >= 2 and ((prices > 0) & (prices < math.inf)).all()
-        ):
-            fh.seek(0)  # the row scan below names the first bad line
-            next(reader)
-            prices, inf_line = [], None
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                try:
-                    value = float(row[col])
-                except (IndexError, ValueError):
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            col: int
+            try:
+                col = int(column_spec)
+            except (TypeError, ValueError):
+                names = [h.strip().lower() for h in header]
+                want = str(column_spec).strip().lower()
+                if want not in names:
                     raise ParseError(
-                        f"{path}: line {lineno}: cannot parse price from {row!r}"
+                        f"{path}: no column named {column_spec!r} in header {header!r}"
                     ) from None
-                if not value > 0:
-                    raise NonPositivePrice(
-                        f"{path}: line {lineno}: price {value!r} is not positive"
-                    )
-                if value == math.inf and inf_line is None:
-                    inf_line = lineno
-                prices.append(value)
-            if len(prices) < 2:
-                raise ParseError(f"{path}: need at least two price rows, got {len(prices)}")
-            if inf_line is not None:  # the one non-finite value that passes value > 0
-                raise ParseError(f"{path}: line {inf_line}: price inf is not finite")
-    returns = returns_from_prices(prices)
+                col = names.index(want)
+            if not 0 <= col < len(header):
+                raise ParseError(f"{path}: column index {col} out of range")
+            prices = _parse_rest(fh, raw, quotechar='"', usecols=col, ndmin=1)
+            lines = None
+            if prices is None or not (
+                prices.size >= 2 and ((prices > 0) & (prices < math.inf)).all()
+            ):
+                prices, lines = _scan_prices(fh, reader, path, col)
+            with np.errstate(over="ignore"):
+                returns = returns_from_prices(prices)
+            if not np.isfinite(returns).all():  # p_t / p_{t-1} overflowed
+                i = int(np.argmin(np.isfinite(returns))) + 1
+                lines = lines or _scan_prices(fh, reader, path, col)[1]
+                raise ParseError(
+                    f"{path}: line {lines[i]}: the return into price "
+                    f"{float(prices[i])!r} is not finite"
+                )
+    except UnicodeDecodeError:
+        raise _not_utf8(path, raw) from None
     return ReturnSeries(returns, digest, None, 0, 0)
+
+
+def _scan_prices(fh, reader, path: Path, col: int) -> tuple[list[float], list[int]]:
+    """The prices after the header row and their line numbers, blank rows skipped.
+
+    Scans the rows of ``fh`` with float() and raises at the first bad one.
+    """
+    fh.seek(0)
+    next(reader)
+    prices, lines = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
+            value = float(row[col])
+        except (IndexError, ValueError):
+            raise ParseError(f"{path}: line {lineno}: cannot parse price from {row!r}") from None
+        if not value > 0:
+            raise NonPositivePrice(f"{path}: line {lineno}: price {value!r} is not positive")
+        prices.append(value)
+        lines.append(lineno)
+    if len(prices) < 2:
+        raise ParseError(f"{path}: need at least two price rows, got {len(prices)}")
+    if math.inf in prices:  # the one non-finite value that passes value > 0
+        raise ParseError(f"{path}: line {lines[prices.index(math.inf)]}: price inf is not finite")
+    return prices, lines
 
 
 def report(manifest: RunManifest | str | Path) -> str:

@@ -55,7 +55,7 @@ class RngStream:
         for name in ("seed", "stream_id"):
             v = getattr(self, name)
             if not (0 <= int(v) < 2**64):
-                raise ValueError(f"{name} must fit in 64 unsigned bits, got {v}")
+                raise InvalidConfig(f"{name} must fit in 64 unsigned bits, got {v}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -88,7 +88,10 @@ class CoefficientLaw:
     """Base law.  Subclasses implement sampling, moments, densities and support."""
 
     kind = "base"
-    moment_method = "closed-form"  # how moment_with_stderr evaluates E(X^mu)
+    # a "monte-carlo" law also gives moment_with_stderr and log_moment_with_stderr
+    moment_method = "closed-form"
+    has_density = False
+    symmetric = False  # about zero (permits even integer moments)
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
@@ -102,15 +105,6 @@ class CoefficientLaw:
     def strictly_positive(self) -> bool:
         """True when P(X > 0) = 1 (point masses at 0 excluded)."""
         raise NotImplementedError
-
-    @property
-    def has_density(self) -> bool:
-        return False
-
-    @property
-    def symmetric(self) -> bool:
-        """Symmetric about zero (permits even integer moments)."""
-        return False
 
     @property
     def support(self) -> tuple[float, float]:
@@ -144,17 +138,11 @@ class CoefficientLaw:
         return self.moment(1.0)
 
     def moment(self, mu: float) -> float:
-        return self.moment_with_stderr(mu)[0]
-
-    def moment_with_stderr(self, mu: float) -> tuple[float, float]:
-        """E(X^mu) and the standard error of its estimate (0 for closed forms)."""
+        """E(X^mu)."""
         raise NotImplementedError
 
-    def log_moment(self, n: int = MC_MOMENT_SAMPLES) -> float:
-        return self.log_moment_with_stderr(n)[0]
-
-    def log_moment_with_stderr(self, n: int = MC_MOMENT_SAMPLES) -> tuple[float, float]:
-        """E[log X] and the standard error of its estimate (0 for closed forms)."""
+    def log_moment(self) -> float:
+        """E[log X]."""
         raise NotImplementedError
 
     def pdf(self, x: float) -> float:
@@ -193,23 +181,12 @@ class Exponential(CoefficientLaw):
 
     mean_value: float
     kind = "exponential"
+    nonnegative = strictly_positive = has_density = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if not self.mean_value > 0:
             raise LawError(f"exponential mean must be positive, got {self.mean_value}")
-
-    @property
-    def nonnegative(self) -> bool:
-        return True
-
-    @property
-    def strictly_positive(self) -> bool:
-        return True
-
-    @property
-    def has_density(self) -> bool:
-        return True
 
     @property
     def support(self) -> tuple[float, float]:
@@ -218,12 +195,12 @@ class Exponential(CoefficientLaw):
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.exponential(self.mean_value, n)
 
-    def moment_with_stderr(self, mu: float) -> tuple[float, float]:
+    def moment(self, mu: float) -> float:
         self._check_moment_pre(mu)
-        return math.exp(gammaln(mu + 1.0) + mu * math.log(self.mean_value)), 0.0
+        return math.exp(gammaln(mu + 1.0) + mu * math.log(self.mean_value))
 
-    def log_moment_with_stderr(self, n: int = MC_MOMENT_SAMPLES) -> tuple[float, float]:
-        return math.log(self.mean_value) - EULER_GAMMA, 0.0
+    def log_moment(self) -> float:
+        return math.log(self.mean_value) - EULER_GAMMA
 
     def pdf(self, x: float) -> float:
         if x < 0:
@@ -246,6 +223,7 @@ class Uniform(CoefficientLaw):
     lo: float
     hi: float
     kind = "uniform"
+    has_density = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -262,10 +240,6 @@ class Uniform(CoefficientLaw):
         return self.lo >= 0
 
     @property
-    def has_density(self) -> bool:
-        return True
-
-    @property
     def symmetric(self) -> bool:
         return self.lo == -self.hi
 
@@ -276,21 +250,21 @@ class Uniform(CoefficientLaw):
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.uniform(self.lo, self.hi, n)
 
-    def moment_with_stderr(self, mu: float) -> tuple[float, float]:
+    def moment(self, mu: float) -> float:
         self._check_moment_pre(mu)
         lo, hi, p = self.lo, self.hi, mu + 1.0
         if self.nonnegative:
             val = (hi**p - lo**p) / (p * (hi - lo))
         else:  # symmetric, even integer mu
             val = hi**mu / p
-        return float(val), 0.0
+        return float(val)
 
-    def log_moment_with_stderr(self, n: int = MC_MOMENT_SAMPLES) -> tuple[float, float]:
+    def log_moment(self) -> float:
         self._check_log_pre()
         lo, hi = self.lo, self.hi
         upper = hi * math.log(hi) - hi
         lower = lo * math.log(lo) - lo if lo > 0 else 0.0
-        return (upper - lower) / (hi - lo), 0.0
+        return (upper - lower) / (hi - lo)
 
     def pdf(self, x: float) -> float:
         if self.lo < x <= self.hi:
@@ -315,23 +289,13 @@ class Normal(CoefficientLaw):
     mean_value: float
     sd: float
     kind = "normal"
+    nonnegative = strictly_positive = False
+    has_density = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if not self.sd > 0:
             raise LawError(f"normal sd must be positive, got {self.sd}")
-
-    @property
-    def nonnegative(self) -> bool:
-        return False
-
-    @property
-    def strictly_positive(self) -> bool:
-        return False
-
-    @property
-    def has_density(self) -> bool:
-        return True
 
     @property
     def symmetric(self) -> bool:
@@ -344,13 +308,13 @@ class Normal(CoefficientLaw):
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.normal(self.mean_value, self.sd, n)
 
-    def moment_with_stderr(self, mu: float) -> tuple[float, float]:
+    def moment(self, mu: float) -> float:
         self._check_moment_pre(mu)
         # reachable only for mean 0 and even integer mu
         j = int(mu) // 2
-        return _double_factorial_odd(j) * self.sd ** int(mu), 0.0
+        return _double_factorial_odd(j) * self.sd ** int(mu)
 
-    def log_moment_with_stderr(self, n: int = MC_MOMENT_SAMPLES) -> tuple[float, float]:
+    def log_moment(self) -> float:
         self._check_log_pre()
         raise AssertionError("unreachable")
 
@@ -397,18 +361,18 @@ class Constant(CoefficientLaw):
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value)
 
-    def moment_with_stderr(self, mu: float) -> tuple[float, float]:
+    def moment(self, mu: float) -> float:
         if mu <= 0:
             raise LawError(f"moment order must be positive, got {mu}")
         if self.value < 0 and not float(mu).is_integer():
             raise NonnegativityRequired(
                 f"fractional moment of negative constant {self.value}"
             )
-        return self.value**mu, 0.0
+        return self.value**mu
 
-    def log_moment_with_stderr(self, n: int = MC_MOMENT_SAMPLES) -> tuple[float, float]:
+    def log_moment(self) -> float:
         self._check_log_pre()
-        return math.log(self.value), 0.0
+        return math.log(self.value)
 
     def expect(self, fn, lo: float = -math.inf, hi: float = math.inf) -> float:
         return fn(self.value) if lo <= self.value <= hi else 0.0
@@ -437,6 +401,7 @@ class GarchCoefficient(CoefficientLaw):
     alpha: float
     kind = "garch_coeff"
     moment_method = "monte-carlo"
+    nonnegative = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -445,10 +410,6 @@ class GarchCoefficient(CoefficientLaw):
                 f"garch coefficient requires beta, alpha >= 0, "
                 f"got beta={self.beta}, alpha={self.alpha}"
             )
-
-    @property
-    def nonnegative(self) -> bool:
-        return True
 
     @property
     def strictly_positive(self) -> bool:
@@ -470,7 +431,8 @@ class GarchCoefficient(CoefficientLaw):
         z = gen.standard_normal(n)
         return self.beta + self.alpha * z * z
 
-    def moment_with_stderr(self, mu: float) -> tuple[float, float]:
+    def moment(self, mu: float) -> float:
+        """E(X^mu): closed form for integer mu, the Monte Carlo mean otherwise."""
         self._check_moment_pre(mu)
         if float(mu).is_integer():
             k = int(mu)
@@ -482,16 +444,16 @@ class GarchCoefficient(CoefficientLaw):
                     * self.alpha**j
                     * _double_factorial_odd(j)
                 )
-            return val, 0.0
+            return val
+        return float((self._mc_sample(MC_MOMENT_SAMPLES) ** mu).mean())
+
+    def moment_with_stderr(self, mu: float) -> tuple[float, float]:
+        """E(X^mu) and the standard error of its estimate (0 for integer mu)."""
+        if float(mu).is_integer():
+            return self.moment(mu), 0.0
+        self._check_moment_pre(mu)
         y = self._mc_sample(MC_MOMENT_SAMPLES) ** mu
         return float(y.mean()), float(y.std(ddof=1) / math.sqrt(y.size))
-
-    def moment(self, mu: float) -> float:
-        """E(X^mu); a fractional mu skips moment_with_stderr's std pass."""
-        if float(mu).is_integer():
-            return self.moment_with_stderr(mu)[0]
-        self._check_moment_pre(mu)
-        return float((self._mc_sample(MC_MOMENT_SAMPLES) ** mu).mean())
 
     def moment_slope(self, mu: float) -> float:
         """d/dmu E(X^mu) = E[X^mu log X], from the same Monte Carlo sample."""
@@ -500,7 +462,12 @@ class GarchCoefficient(CoefficientLaw):
         y *= np.log(x)
         return float(y.mean())
 
+    def log_moment(self, n: int = MC_MOMENT_SAMPLES) -> float:
+        self._check_log_pre()
+        return float(np.log(self._mc_sample(n)).mean())
+
     def log_moment_with_stderr(self, n: int = MC_MOMENT_SAMPLES) -> tuple[float, float]:
+        """E[log X] and the standard error of its Monte Carlo estimate."""
         self._check_log_pre()
         y = np.log(self._mc_sample(n))
         return float(y.mean()), float(y.std(ddof=1) / math.sqrt(n))

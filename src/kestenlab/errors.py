@@ -30,7 +30,7 @@ class DegenerateSpec(KestenLabError, ValueError):
 
 
 class NumericalOverflow(KestenLabError, OverflowError):
-    """A simulated path left the representable range; likely non-stationary."""
+    """A simulated path (likely non-stationary) or a series statistic left the float range."""
 
 
 class ZeroWeightSum(KestenLabError, ValueError):

@@ -18,6 +18,7 @@ from .errors import (
     InsufficientTail,
     InvalidConfig,
     NonPositivePrice,
+    NumericalOverflow,
     SeriesTooShort,
 )
 from .processes import write_csv
@@ -58,9 +59,9 @@ class TailFit:
 
     def __post_init__(self) -> None:
         if self.n_tail < MIN_TAIL_POINTS:
-            raise ValueError(f"tail fit used only {self.n_tail} exceedances")
+            raise InsufficientTail(f"tail fit used only {self.n_tail} exceedances")
         if not self.exponent > 0:
-            raise ValueError(
+            raise DegenerateTail(
                 f"fitted exponent must be positive, got {self.exponent}; "
                 "the data shows no power-law decay above this threshold"
             )
@@ -87,11 +88,11 @@ class AcfResult:
         lags = np.asarray(self.lags, dtype=np.int64)
         vals = np.asarray(self.values, dtype=np.float64)
         if lags.shape != vals.shape:
-            raise ValueError("lags and values must align")
+            raise InvalidConfig("lags and values must align")
         if vals[0] != 1.0:
-            raise ValueError("autocorrelation at lag 0 must be exactly 1")
-        if np.any(np.abs(vals) > 1.0 + 1e-12):
-            raise ValueError("autocorrelation values must lie in [-1, 1]")
+            raise InvalidConfig("autocorrelation at lag 0 must be exactly 1")
+        if not np.all(np.abs(vals) <= 1.0 + 1e-12):  # NaN fails too
+            raise InvalidConfig("autocorrelation values must lie in [-1, 1]")
         object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", vals)
 
@@ -103,7 +104,7 @@ def returns_from_prices(prices) -> np.ndarray:
     """Relative price changes (P_t - P_{t-1}) / P_{t-1}."""
     p = np.asarray(prices, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:
-        raise ValueError("need at least two prices")
+        raise InvalidConfig("need at least two prices")
     bad = np.where(~(p > 0))[0]
     if bad.size:
         raise NonPositivePrice(
@@ -196,8 +197,11 @@ def acf(series, max_lag: int, absolute: bool = False) -> AcfResult:
     n = v.size
     if n <= 10 * max_lag:
         raise SeriesTooShort(f"need n > 10 * max_lag, got n={n}, max_lag={max_lag}")
-    xo = v - v.mean()
-    gamma0 = float(xo @ xo) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        xo = v - v.mean()
+        gamma0 = float(xo @ xo) / n
+    if not np.isfinite(gamma0):
+        raise NumericalOverflow("the series variance overflows float64; rescale the series")
     if gamma0 == 0.0:
         raise DegenerateTail("series has zero variance")
     vals = np.empty(max_lag + 1)

@@ -211,9 +211,9 @@ class ReturnSeries:
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("return series must be a nonempty 1-d array")
+            raise InvalidConfig("return series must be a nonempty 1-d array")
         if not np.isfinite(arr).all():
-            raise ValueError(
+            raise InvalidConfig(
                 "return series contains NaN/inf; the generating parameters "
                 "are likely outside the stationary regime"
             )
@@ -253,7 +253,7 @@ def simulate_inverse_multiplier(
     large-but-finite values.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidConfig(f"n must be >= 1, got {n}")
     a_lo, a_hi = spec.a_law.collapsed().support
     if a_lo == a_hi and abs(1.0 - a_lo) < NEAR_ONE_TOL:
         raise DegenerateSpec("a == 1 surely: the multiplier (1 - a)^{-1} is undefined")
@@ -279,7 +279,7 @@ def simulate_kesten_scalar(
 ) -> ReturnSeries:
     """Iterate r_t = a_t r_{t-1} + e_t from r0, drop burn_in, return n values."""
     if n < 1 or burn_in < 0:
-        raise ValueError(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
+        raise InvalidConfig(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
     gen = rng.generator()
     total = burn_in + n
     a = spec.a_law.sample(gen, total)
@@ -307,7 +307,7 @@ def simulate_kesten_ar(
     simulate_kesten_scalar and reproduces it bitwise.
     """
     if n < 1 or burn_in < 0:
-        raise ValueError(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
+        raise InvalidConfig(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
     gen = rng.generator()
     total = burn_in + n
     k = spec.order
@@ -360,7 +360,7 @@ def garch11_paths(
     pathwise with a = beta + alpha z^2.
     """
     if n < 1 or burn_in < 0:
-        raise ValueError(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
+        raise InvalidConfig(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
     gen = rng.generator()
     total = burn_in + n
     z = gen.standard_normal(total)
@@ -420,7 +420,7 @@ def simulate(spec: ProcessSpec, rng: RngStream, n: int, burn_in: int | None = No
         return simulate_kesten_ar(spec, rng, n, burn)
     if isinstance(spec, Garch11):
         return simulate_garch11(spec, rng, n, burn)
-    raise TypeError(f"unknown process spec {type(spec).__name__}")
+    raise InvalidConfig(f"unknown process spec {type(spec).__name__}")
 
 
 # CSV round trip -------------------------------------------------------------
@@ -475,30 +475,44 @@ def _parse_rest(fh, raw: bytes, **kwargs) -> np.ndarray | None:
         return None
 
 
+def _not_utf8(path: Path, raw: bytes) -> ParseError:
+    """ParseError naming the first line of the file bytes ``raw`` that is not UTF-8."""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return ParseError(f"{path}: line {line}: byte {raw[exc.start]:#04x} is not valid UTF-8")
+    return ParseError(f"{path}: not valid UTF-8")
+
+
 def read_series_csv(path: str | Path) -> np.ndarray:
     """Read a t,r series file back into a value array of finite returns."""
     path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip()
-        if header != "t,r":
-            raise InvalidConfig(f"{path}: expected header 't,r', got {header!r}")
-        table = _parse_rest(fh, path.read_bytes(), ndmin=2)
-        if table is not None and table.shape[0] >= 1 and table.shape[1] >= 2:
-            values = np.ascontiguousarray(table[:, -1])
-            if np.isfinite(values).all():
-                return values
-        fh.seek(0)
-        values = []
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1 or not line.strip():
-                continue
-            try:
-                value = float(line.rsplit(",", 1)[1])
-            except (IndexError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
-                raise ParseError(f"{path}: line {lineno}: no finite return in {line.rstrip()!r}")
-            values.append(value)
+    raw = path.read_bytes()
+    try:
+        with path.open(encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != "t,r":
+                raise InvalidConfig(f"{path}: expected header 't,r', got {header!r}")
+            table = _parse_rest(fh, raw, ndmin=2)
+            if table is not None and table.shape[0] >= 1 and table.shape[1] >= 2:
+                values = np.ascontiguousarray(table[:, -1])
+                if np.isfinite(values).all():
+                    return values
+            fh.seek(0)
+            values = []
+            for lineno, line in enumerate(fh, start=1):
+                if lineno == 1 or not line.strip():
+                    continue
+                try:
+                    value = float(line.rsplit(",", 1)[1])
+                except (IndexError, ValueError):
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}: line {lineno}: no finite return in {line.rstrip()!r}")
+                values.append(value)
+    except UnicodeDecodeError:
+        raise _not_utf8(path, raw) from None
     if not values:
         raise ParseError(f"{path}: no data rows")
     return np.asarray(values, dtype=np.float64)

@@ -35,7 +35,8 @@ from .processes import KestenAR, KestenScalar, ZeroWeightSum, as_ar
 
 RESIDUAL_TOL = 1e-6
 MU_CAP = 64.0
-BOUNDARY_TOL = 1e-4
+BOUNDARY_TOL = 1e-4  # |E[log a]| band of the "boundary" stationarity verdict
+MEAN_TOL = 1e-9  # |E(a) - 1| band of expectation-accuracy case A
 
 
 @dataclass(frozen=True)
@@ -51,17 +52,15 @@ class CramerSolution:
     mu_star: float
     bracket: tuple[float, float]
     residual: float
-    method: str  # "closed-form" | "quadrature" | "monte-carlo"
+    method: str  # "closed-form" | "monte-carlo"
     stderr: float | None = None
     finite_t_bias: float | None = None
 
     def __post_init__(self) -> None:
         if not self.mu_star > 0:
-            raise ValueError(f"mu_star must be positive, got {self.mu_star}")
-        if self.method in ("closed-form", "quadrature") and not (
-            self.residual < RESIDUAL_TOL
-        ):
-            raise ValueError(
+            raise TheoryError(f"mu_star must be positive, got {self.mu_star}")
+        if self.method == "closed-form" and not self.residual < RESIDUAL_TOL:
+            raise TheoryError(
                 f"{self.method} solution has residual {self.residual:g} >= {RESIDUAL_TOL:g}"
             )
 
@@ -192,9 +191,9 @@ class LyapunovEstimate:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.gamma_hat):
-            raise ValueError("Lyapunov estimate must be finite")
+            raise TheoryError("Lyapunov estimate must be finite")
         if self.stderr < 0:
-            raise ValueError("stderr must be nonnegative")
+            raise TheoryError("stderr must be nonnegative")
 
     @property
     def stationary(self) -> bool:
@@ -210,16 +209,19 @@ class LyapunovEstimate:
         }
 
 
-def stationarity_check(a_law: CoefficientLaw, tolerance: float = BOUNDARY_TOL) -> StationarityCheck:
-    """Verdict on E[log a] < 0 with a boundary band around zero."""
-    val, se = a_law.log_moment_with_stderr()
-    if abs(val) <= tolerance:
+def stationarity_check(a_law: CoefficientLaw) -> StationarityCheck:
+    """Verdict on E[log a] < 0 with a boundary band of BOUNDARY_TOL around zero."""
+    if a_law.moment_method == "monte-carlo":
+        val, se = a_law.log_moment_with_stderr()
+    else:
+        val, se = a_law.log_moment(), 0.0
+    if abs(val) <= BOUNDARY_TOL:
         verdict = "boundary"
     elif val < 0:
         verdict = "stationary"
     else:
         verdict = "non-stationary"
-    return StationarityCheck(val, verdict, se, tolerance)
+    return StationarityCheck(val, verdict, se)
 
 
 @functools.lru_cache(maxsize=32)
@@ -247,7 +249,7 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
             "P(a > 1) = 0: E(a^mu) < 1 for all mu > 0, the tail is thin "
             "(no amplification events)"
         )
-    elog, _ = a_law.log_moment_with_stderr()
+    elog = a_law.log_moment()
     if elog >= 0:
         raise NonStationary(
             f"E[log a] = {elog:+.6g} >= 0: no stationary solution, "
@@ -263,9 +265,9 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
     val_hi = phi(hi)
     while val_hi <= 1.0:
         if val_hi == 1.0:
-            # exact hit (e.g. the unit-mean exponential at mu = 1)
-            se_hi = a_law.moment_with_stderr(hi)[1] if mc else None
-            return CramerSolution(hi, (hi, hi), 0.0, method, se_hi)
+            # exact hit (e.g. the unit-mean exponential at mu = 1); hi is an integer,
+            # and every law computes its integer moments exactly
+            return CramerSolution(hi, (hi, hi), 0.0, method, 0.0 if mc else None)
         if hi >= MU_CAP:
             raise NoPositiveRoot(
                 f"E(a^mu) stays below 1 up to mu = {MU_CAP:g}; "
@@ -293,29 +295,28 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
         if hi - lo < 1e-13 * max(1.0, hi):
             break
     mu_star = 0.5 * (lo + hi)
-    val, se = a_law.moment_with_stderr(mu_star)
-    residual = abs(val - 1.0)
-    # the sample moment function is strictly convex, so its slope at mu* is > 0
-    stderr = se / a_law.moment_slope(mu_star) if mc else None
-    return CramerSolution(mu_star, bracket, residual, method, stderr)
+    if mc:
+        val, se = a_law.moment_with_stderr(mu_star)
+        # the sample moment function is strictly convex, so its slope at mu* is > 0
+        stderr = se / a_law.moment_slope(mu_star)
+    else:
+        val, stderr = phi(mu_star), None
+    return CramerSolution(mu_star, bracket, abs(val - 1.0), method, stderr)
 
 
-def _expectation_case(
-    a_law: CoefficientLaw, tolerance: float = 1e-9
-) -> tuple[str, str, float]:
-    """Case A/B/C, its predicted regime, and E(a), with a 3-stderr band on E(a) = 1."""
-    mean_a, se = a_law.moment_with_stderr(1.0)
-    band = max(tolerance, 3.0 * se)
-    if abs(mean_a - 1.0) <= band:
+def _expectation_case(a_law: CoefficientLaw) -> tuple[str, str, float]:
+    """Case A/B/C, its predicted regime, and the exact E(a); case A within MEAN_TOL."""
+    mean_a = a_law.mean()
+    if abs(mean_a - 1.0) <= MEAN_TOL:
         return "A", "mu = 1", mean_a
     if mean_a > 1.0:
         return "B", "mu < 1", mean_a
     return "C", "mu > 1", mean_a
 
 
-def classify_regime(a_law: CoefficientLaw, tolerance: float = 1e-9) -> RegimeClassification:
+def classify_regime(a_law: CoefficientLaw) -> RegimeClassification:
     """Expectation-accuracy case from E(a), checked against the solved root."""
-    case, predicted, mean_a = _expectation_case(a_law, tolerance)
+    case, predicted, mean_a = _expectation_case(a_law)
     solution = cramer_root(a_law)
     mu = solution.mu_star
     slack = max(1e-5, 3.0 * (solution.stderr or 0.0))
@@ -334,7 +335,7 @@ def expected_acf(a_law: CoefficientLaw, h: int) -> float:
     Requires a finite stationary second moment, i.e. E(a^2) < 1.
     """
     if h < 0:
-        raise ValueError(f"lag must be nonnegative, got {h}")
+        raise InvalidConfig(f"lag must be nonnegative, got {h}")
     m2 = a_law.moment(2.0)
     if m2 >= 1.0:
         raise VarianceNotFinite(
@@ -352,7 +353,7 @@ def inverse_tail_prediction(a_law: CoefficientLaw, x: float) -> float:
     apply and 0 is returned with a warning.
     """
     if not x > 0:
-        raise ValueError(f"x must be positive, got {x}")
+        raise InvalidConfig(f"x must be positive, got {x}")
     if not a_law.has_density:
         raise NoDensity(f"{a_law.kind} law has no density")
     f1 = a_law.pdf(1.0)

@@ -404,6 +404,31 @@ class TestCommandLine:
         assert out == ""
         assert err == f"error: {path}: no data rows\n"
 
+    @pytest.mark.parametrize(
+        "argv, data, code, line",
+        [
+            (
+                ["acf", "--max-lag", "2"],
+                ("t,r\n" + "".join(f"{t},{(-1) ** t * 1e308!r}\n" for t in range(40))).encode(),
+                3,
+                None,
+            ),
+            (["ingest"], b"date,close\nd0,1e-300\nd1,1e300\n", 2, 3),
+            (["fit-tail"], b"t,r\n0,0.01\n1,0.\xe92\n", 2, 3),
+            (["ingest"], b"date,close\nd0,100\n\nd1,1\xe901\n", 2, 4),
+        ],
+        ids=["acf-variance-overflow", "ingest-return-overflow", "series-not-utf8", "prices-not-utf8"],
+    )
+    def test_bad_input_ends_in_one_error_line(self, tmp_path, argv, data, code, line):
+        path = tmp_path / "input.csv"
+        path.write_bytes(data)
+        res = _cli(argv[0], str(path), *argv[1:])
+        assert res.returncode == code
+        prefix = "error: " if line is None else f"error: {path}: line {line}: "
+        assert res.stderr.startswith(prefix)
+        assert res.stderr.count("\n") == 1  # no traceback and no numpy warning
+        assert "nan" not in res.stdout
+
     def test_cramer_subcommand(self):
         res = _cli("cramer", "--law", '{"kind": "exponential", "mean": 0.55}')
         assert res.returncode == 0, res.stderr

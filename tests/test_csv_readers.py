@@ -4,8 +4,10 @@
 fall back on a Python row scan.  The reference readers below are the pure
 row-scan versions they replaced, copied verbatim; on every generated file
 both must return bit-equal arrays or raise the same exception type with the
-same message.  The one intended difference: a series file with no data rows
-used to give an empty array and now raises ParseError.
+same message.  The intended differences: a series file with no data rows
+used to give an empty array and now raises ParseError, and a price whose
+relative return overflows now raises ParseError naming its line instead of
+the return series' own error.
 """
 
 import csv
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kestenlab.cli import ingest_prices
@@ -176,13 +178,41 @@ def test_series_reader_matches_reference(scratch, text):
         assert _bits(got) == _bits(want)
 
 
+# ReturnSeries' error for a non-finite value, which the reference ingest
+# raises when a relative return overflows
+RETURNS_NOT_FINITE = (
+    InvalidConfig,
+    "return series contains NaN/inf; the generating parameters "
+    "are likely outside the stationary regime",
+)
+
+
+def _overflowing_price(path: Path) -> tuple[int, float]:
+    """Line and value of the first close price whose relative return overflows."""
+    with path.open(newline="") as fh:
+        rows = csv.reader(fh)
+        col = next(rows).index("close")
+        kept = [(n, float(row[col])) for n, row in enumerate(rows, start=2) if any(c.strip() for c in row)]
+    lines, prices = zip(*kept)
+    with np.errstate(over="ignore"):
+        i = int(np.argmin(np.isfinite(returns_from_prices(prices)))) + 1
+    return lines[i], prices[i]
+
+
 @FUZZ
 @given(text=csv_files(["date,close", "close", "date,open,close"]))
+@example(text="date,close\nd0,1e-300\n\nd1,1e300\n")
 def test_price_reader_matches_reference(scratch, text):
     scratch.write_bytes(text.encode())
     got, got_exc = _outcome(ingest_prices, scratch)
-    want, want_exc = _outcome(reference_ingest_prices, scratch)
-    assert got_exc == want_exc
+    with np.errstate(over="ignore"):
+        want, want_exc = _outcome(reference_ingest_prices, scratch)
+    if want_exc == RETURNS_NOT_FINITE:
+        line, price = _overflowing_price(scratch)
+        message = f"{scratch}: line {line}: the return into price {price!r} is not finite"
+        assert got_exc == (ParseError, message)
+    else:
+        assert got_exc == want_exc
     if want is not None:
         assert got.spec_digest == want.spec_digest
         assert _bits(got.values) == _bits(want.values)

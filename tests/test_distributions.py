@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -245,6 +246,40 @@ class TestLawFacts:
             else:
                 assert law.collapsed() is law
             assert law.moment_method in ("closed-form", "monte-carlo")
+
+    @pytest.mark.parametrize(
+        "cls", CoefficientLaw.__subclasses__(), ids=lambda cls: cls.__name__
+    )
+    def test_only_the_monte_carlo_law_reports_a_stderr(self, cls):
+        stderr_methods = {"moment_with_stderr", "log_moment_with_stderr"}
+        log_params = inspect.signature(cls.log_moment).parameters
+        if cls.moment_method == "closed-form":
+            assert not any(hasattr(cls, name) for name in stderr_methods)
+            assert list(log_params) == ["self"]
+        else:
+            assert cls is GarchCoefficient
+            assert stderr_methods <= set(vars(cls))
+            assert list(log_params) == ["self", "n"]
+
+    @pytest.mark.parametrize("mu", [1.7, 2.0])
+    def test_monte_carlo_moment_matches_its_stderr_twin(self, mu):
+        law = GarchCoefficient(0.9, 0.09)
+        val, se = law.moment_with_stderr(mu)
+        assert val == law.moment(mu)
+        assert (se > 0) == (mu == 1.7)
+
+    @pytest.mark.parametrize(
+        "cls, facts",
+        [
+            (Exponential, {"nonnegative": True, "strictly_positive": True, "has_density": True}),
+            (Normal, {"nonnegative": False, "strictly_positive": False, "has_density": True}),
+            (Uniform, {"has_density": True}),
+            (GarchCoefficient, {"nonnegative": True}),
+        ],
+        ids=["exponential", "normal", "uniform", "garch"],
+    )
+    def test_parameter_free_facts_are_class_attributes(self, cls, facts):
+        assert {name: vars(cls)[name] for name in facts} == facts
 
     def test_constant_expect_inside_and_outside(self):
         law = Constant(2.5)

@@ -3,20 +3,29 @@ import pytest
 
 from conftest import FIG3_SPEC
 from kestenlab import (
+    AcfResult,
     Constant,
+    CramerSolution,
     Exponential,
     Garch11,
     GarchCoefficient,
     InverseMultiplier,
     KestenAR,
     KestenScalar,
+    LyapunovEstimate,
     Normal,
+    ReturnSeries,
     RngStream,
+    TailFit,
     Uniform,
     as_ar,
+    expected_acf,
     garch11_paths,
     garch_to_kesten,
+    inverse_tail_prediction,
     read_series_csv,
+    returns_from_prices,
+    simulate,
     simulate_garch11,
     simulate_inverse_multiplier,
     simulate_kesten_ar,
@@ -29,6 +38,7 @@ from kestenlab import (
 from kestenlab.errors import (
     DegenerateSpec,
     InvalidConfig,
+    KestenLabError,
     NumericalOverflow,
     ZeroWeightSum,
 )
@@ -268,3 +278,32 @@ class TestBurnInInsensitivity:
         se1 = f1.exponent * np.sqrt(2.0 / f1.n_tail)
         se2 = f2.exponent * np.sqrt(2.0 / f2.n_tail)
         assert abs(f1.exponent - f2.exponent) < 2 * np.hypot(se1, se2)
+
+
+SCALAR = KestenScalar(Exponential(0.55), Normal(0.0, 0.0065))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ReturnSeries(np.array([1.0, np.nan]), "digest"),
+        lambda: simulate_kesten_scalar(SCALAR, RngStream(0), 0),
+        lambda: simulate(object(), RngStream(0), 10),
+        lambda: TailFit(0.02, 3.0, 0.0, 5, 0.1),
+        lambda: AcfResult(np.arange(2), np.array([1.0, np.nan]), "raw"),
+        lambda: CramerSolution(0.0, (1.0, 1.0), 0.0, "closed-form"),
+        lambda: LyapunovEstimate(np.inf, 100, 10, 0.0),
+        lambda: RngStream(-1),
+        lambda: returns_from_prices([1.0]),
+        lambda: expected_acf(Exponential(0.55), -1),
+        lambda: inverse_tail_prediction(Uniform(0.5, 1.5), 0.0),
+    ],
+    ids=[
+        "series", "simulator-n", "unknown-spec", "tail-fit", "acf-nan", "cramer", "lyapunov",
+        "seed", "one-price", "negative-lag", "tail-at-zero",
+    ],
+)
+def test_invariant_errors_are_toolkit_value_errors(build):
+    with pytest.raises(KestenLabError) as info:
+        build()
+    assert isinstance(info.value, ValueError)

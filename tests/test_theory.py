@@ -62,6 +62,7 @@ class TestCramerRoot:
         sol = cramer_root(Exponential(1.0))
         assert sol.mu_star == 1.0
         assert sol.residual == 0.0
+        assert sol.stderr is None
 
     def test_case_b_exponential(self):
         # E(a) = 1.2 > 1 pushes the root below 1
@@ -110,6 +111,8 @@ class TestCramerRoot:
         # beta + alpha = 1 exactly, so mu = 1 solves the moment equation
         sol = cramer_root(GarchCoefficient(0.9, 0.1))
         assert sol.mu_star == 1.0
+        # an integer moment is exact even for the Monte Carlo law
+        assert (sol.method, sol.stderr) == ("monte-carlo", 0.0)
 
 
 class TestMonteCarloSample:
@@ -177,6 +180,10 @@ class TestClassifyRegime:
         with pytest.raises(NoPositiveRoot):
             classify_regime(Uniform(0.0, 0.5))
 
+    @pytest.mark.parametrize("excess, case", [(1e-10, "A"), (1e-8, "B"), (-1e-8, "C")])
+    def test_case_a_band_is_mean_tol(self, excess, case):
+        assert classify_regime(Exponential(1.0 + excess)).case == case
+
     @pytest.mark.parametrize("mean", [0.4, 0.55, 0.7, 1.0, 1.2, 1.5])
     def test_regime_sweep_sign_relation(self, mean):
         sol = cramer_root(Exponential(mean))
@@ -202,6 +209,13 @@ class TestStationarityCheck:
         res = stationarity_check(Exponential(2.0))
         assert res.verdict == "non-stationary"
         assert res.log_moment == pytest.approx(0.1159, abs=1e-4)
+
+    def test_stderr_only_for_the_monte_carlo_law(self):
+        law = GarchCoefficient(0.9, 0.1)
+        res = stationarity_check(law)
+        assert (res.log_moment, res.stderr) == law.log_moment_with_stderr()
+        assert res.stderr > 0
+        assert stationarity_check(Exponential(0.55)).stderr == 0.0
 
     def test_positivity_required(self):
         from kestenlab.errors import PositivityRequired
