@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import importlib.resources
+import itertools
 import json
 import math
 import os
@@ -36,6 +37,7 @@ from .errors import (
     NonPositivePrice,
     NonStationary,
     ParseError,
+    ReturnOverflow,
 )
 from .estimators import (
     acf,
@@ -559,33 +561,38 @@ def ingest_prices(csv_path: str | Path, column_spec: str | int = "close") -> Ret
             if not 0 <= col < len(header):
                 raise ParseError(f"{path}: column index {col} out of range")
             prices = _parse_rest(fh, raw, quotechar='"', usecols=col, ndmin=1)
-            lines = None
             if prices is None or not (
                 prices.size >= 2 and ((prices > 0) & (prices < math.inf)).all()
             ):
-                prices, lines = _scan_prices(fh, reader, path, col)
-            with np.errstate(over="ignore"):
+                prices, inf_line = [], None
+                for lineno, value in _price_rows(fh, reader, path, col):
+                    if value == math.inf and inf_line is None:
+                        inf_line = lineno
+                    prices.append(value)
+                if len(prices) < 2:
+                    raise ParseError(f"{path}: need at least two price rows, got {len(prices)}")
+                if inf_line is not None:  # the one non-finite value that passes value > 0
+                    raise ParseError(f"{path}: line {inf_line}: price inf is not finite")
+            try:
                 returns = returns_from_prices(prices)
-            if not np.isfinite(returns).all():  # p_t / p_{t-1} overflowed
-                i = int(np.argmin(np.isfinite(returns))) + 1
-                lines = lines or _scan_prices(fh, reader, path, col)[1]
+            except ReturnOverflow as exc:
+                rows = _price_rows(fh, reader, path, col)
+                lineno, value = next(itertools.islice(rows, exc.position, None))
                 raise ParseError(
-                    f"{path}: line {lines[i]}: the return into price "
-                    f"{float(prices[i])!r} is not finite"
-                )
+                    f"{path}: line {lineno}: the return into price {value!r} is not finite"
+                ) from None
     except UnicodeDecodeError:
         raise _not_utf8(path, raw) from None
     return ReturnSeries(returns, digest, None, 0, 0)
 
 
-def _scan_prices(fh, reader, path: Path, col: int) -> tuple[list[float], list[int]]:
-    """The prices after the header row and their line numbers, blank rows skipped.
+def _price_rows(fh, reader, path: Path, col: int):
+    """(line number, price) for each row after the header, blank rows skipped.
 
-    Scans the rows of ``fh`` with float() and raises at the first bad one.
+    Rescans ``fh`` from the start with float() and raises at the first bad row.
     """
     fh.seek(0)
     next(reader)
-    prices, lines = [], []
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -595,13 +602,7 @@ def _scan_prices(fh, reader, path: Path, col: int) -> tuple[list[float], list[in
             raise ParseError(f"{path}: line {lineno}: cannot parse price from {row!r}") from None
         if not value > 0:
             raise NonPositivePrice(f"{path}: line {lineno}: price {value!r} is not positive")
-        prices.append(value)
-        lines.append(lineno)
-    if len(prices) < 2:
-        raise ParseError(f"{path}: need at least two price rows, got {len(prices)}")
-    if math.inf in prices:  # the one non-finite value that passes value > 0
-        raise ParseError(f"{path}: line {lines[prices.index(math.inf)]}: price inf is not finite")
-    return prices, lines
+        yield lineno, value
 
 
 def report(manifest: RunManifest | str | Path) -> str:

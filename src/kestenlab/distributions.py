@@ -463,8 +463,7 @@ class GarchCoefficient(CoefficientLaw):
         return float(y.mean())
 
     def log_moment(self, n: int = MC_MOMENT_SAMPLES) -> float:
-        self._check_log_pre()
-        return float(np.log(self._mc_sample(n)).mean())
+        return self.log_moment_with_stderr(n)[0]
 
     def log_moment_with_stderr(self, n: int = MC_MOMENT_SAMPLES) -> tuple[float, float]:
         """E[log X] and the standard error of its Monte Carlo estimate."""

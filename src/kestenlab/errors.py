@@ -33,6 +33,14 @@ class NumericalOverflow(KestenLabError, OverflowError):
     """A simulated path (likely non-stationary) or a series statistic left the float range."""
 
 
+class ReturnOverflow(NumericalOverflow):
+    """A relative price return is not finite (a price ratio overflowed, or a price is inf)."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.position = position  # index of the price the return leads into
+
+
 class ZeroWeightSum(KestenLabError, ValueError):
     """Weight normalization requested but a drawn weight vector sums to ~0."""
 

@@ -19,6 +19,7 @@ from .errors import (
     InvalidConfig,
     NonPositivePrice,
     NumericalOverflow,
+    ReturnOverflow,
     SeriesTooShort,
 )
 from .processes import write_csv
@@ -101,7 +102,11 @@ class AcfResult:
 
 
 def returns_from_prices(prices) -> np.ndarray:
-    """Relative price changes (P_t - P_{t-1}) / P_{t-1}."""
+    """Relative price changes (P_t - P_{t-1}) / P_{t-1}.
+
+    Raises NonPositivePrice for a price <= 0 and ReturnOverflow, carrying the
+    position of the later price, for a return that is not finite.
+    """
     p = np.asarray(prices, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:
         raise InvalidConfig("need at least two prices")
@@ -110,7 +115,15 @@ def returns_from_prices(prices) -> np.ndarray:
         raise NonPositivePrice(
             f"price at position {int(bad[0])} is not positive: {p[bad[0]]!r}"
         )
-    return np.diff(p) / p[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        returns = np.diff(p) / p[:-1]
+    finite = np.isfinite(returns)
+    if not finite.all():
+        i = int(np.argmin(finite)) + 1
+        raise ReturnOverflow(
+            f"the return into the price at position {i} is not finite: {p[i]!r}", i
+        )
+    return returns
 
 
 def empirical_ccdf(series, absolute: bool = True) -> tuple[np.ndarray, np.ndarray]:

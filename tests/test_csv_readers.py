@@ -7,7 +7,7 @@ both must return bit-equal arrays or raise the same exception type with the
 same message.  The intended differences: a series file with no data rows
 used to give an empty array and now raises ParseError, and a price whose
 relative return overflows now raises ParseError naming its line instead of
-the return series' own error.
+``returns_from_prices``' ReturnOverflow.
 """
 
 import csv
@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kestenlab.cli import ingest_prices
-from kestenlab.errors import InvalidConfig, NonPositivePrice, ParseError
+from kestenlab.errors import InvalidConfig, NonPositivePrice, ParseError, ReturnOverflow
 from kestenlab.estimators import returns_from_prices
 from kestenlab.processes import ReturnSeries, read_series_csv
 
@@ -178,15 +178,6 @@ def test_series_reader_matches_reference(scratch, text):
         assert _bits(got) == _bits(want)
 
 
-# ReturnSeries' error for a non-finite value, which the reference ingest
-# raises when a relative return overflows
-RETURNS_NOT_FINITE = (
-    InvalidConfig,
-    "return series contains NaN/inf; the generating parameters "
-    "are likely outside the stationary regime",
-)
-
-
 def _overflowing_price(path: Path) -> tuple[int, float]:
     """Line and value of the first close price whose relative return overflows."""
     with path.open(newline="") as fh:
@@ -194,8 +185,9 @@ def _overflowing_price(path: Path) -> tuple[int, float]:
         col = next(rows).index("close")
         kept = [(n, float(row[col])) for n, row in enumerate(rows, start=2) if any(c.strip() for c in row)]
     lines, prices = zip(*kept)
+    p = np.asarray(prices)
     with np.errstate(over="ignore"):
-        i = int(np.argmin(np.isfinite(returns_from_prices(prices)))) + 1
+        i = int(np.argmin(np.isfinite(np.diff(p) / p[:-1]))) + 1
     return lines[i], prices[i]
 
 
@@ -205,9 +197,8 @@ def _overflowing_price(path: Path) -> tuple[int, float]:
 def test_price_reader_matches_reference(scratch, text):
     scratch.write_bytes(text.encode())
     got, got_exc = _outcome(ingest_prices, scratch)
-    with np.errstate(over="ignore"):
-        want, want_exc = _outcome(reference_ingest_prices, scratch)
-    if want_exc == RETURNS_NOT_FINITE:
+    want, want_exc = _outcome(reference_ingest_prices, scratch)
+    if want_exc is not None and want_exc[0] is ReturnOverflow:
         line, price = _overflowing_price(scratch)
         message = f"{scratch}: line {line}: the return into price {price!r} is not finite"
         assert got_exc == (ParseError, message)

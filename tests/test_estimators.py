@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from kestenlab.errors import (
     InsufficientTail,
     InvalidConfig,
     NonPositivePrice,
+    ReturnOverflow,
     SeriesTooShort,
 )
 
@@ -38,6 +42,17 @@ class TestReturnsFromPrices:
     def test_too_short(self):
         with pytest.raises(ValueError):
             returns_from_prices([100.0])
+
+    @pytest.mark.parametrize(
+        "prices, position",
+        [([1.0, 1e-300, 1e300], 2), ([1.0, math.inf, 2.0], 1)],
+    )
+    def test_non_finite_return_names_position(self, prices, position):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(ReturnOverflow, match=f"position {position} ") as info:
+                returns_from_prices(prices)
+        assert info.value.position == position
 
 
 class TestEmpiricalCcdf:
