@@ -15,12 +15,12 @@ from kestenlab import (
     Uniform,
     empirical_ccdf,
     inverse_tail_prediction,
-    simulate_inverse_multiplier,
+    simulate,
     tail_exponent_ls,
 )
 
 spec = InverseMultiplier(a_law=Uniform(0.0, 1.0), e_law=Normal(0.0, 1.0))
-series = simulate_inverse_multiplier(spec, RngStream(seed=1), n=200_000)
+series = simulate(spec, RngStream(seed=1), n=200_000)
 
 print("r = e / (1 - a) with a ~ U(0,1), e ~ N(0,1)")
 print(f"simulated {len(series)} draws; resampled {series.resamples} near-singular ones")

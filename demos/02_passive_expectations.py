@@ -16,7 +16,7 @@ from kestenlab import (
     cramer_root,
     expected_acf,
     kesten_conditions_report,
-    simulate_kesten_scalar,
+    simulate,
     stationarity_check,
     tail_exponent_ls,
 )
@@ -40,7 +40,7 @@ print(f"Kesten-theorem checklist: {'all conditions verified' if report.all_verif
 
 # --- then the simulation ----------------------------------------------------
 spec = KestenScalar(a_law, e_law)
-series = simulate_kesten_scalar(spec, RngStream(seed=42), n=500_000, burn_in=10_000)
+series = simulate(spec, RngStream(seed=42), n=500_000, burn_in=10_000)
 print(f"\nsimulated {len(series)} returns, sample std {series.values.std():.4f}")
 
 fit = tail_exponent_ls(series, threshold=0.02)

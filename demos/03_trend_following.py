@@ -19,7 +19,7 @@ from kestenlab import (
     acf,
     lyapunov_top,
     moment_lyapunov_root,
-    simulate_kesten_ar,
+    simulate,
     tail_exponent_ls,
 )
 
@@ -42,7 +42,7 @@ root = moment_lyapunov_root(
 print(f"moment-Lyapunov root: mu = {root.mu_star:.3f} +- {root.stderr:.3f} "
       f"(horizon-doubling drift {root.finite_t_bias:+.3f})")
 
-series = simulate_kesten_ar(spec, RngStream(101), n=500_000, burn_in=10_000)
+series = simulate(spec, RngStream(101), n=500_000, burn_in=10_000)
 fit = tail_exponent_ls(series, threshold=0.02)
 print(f"\nsimulated {len(series)} returns, std {series.values.std():.4f}")
 print(f"fitted tail exponent above 2%: {fit.exponent:.3f} +- {fit.stderr:.3f}")

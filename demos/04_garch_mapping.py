@@ -16,7 +16,7 @@ from kestenlab import (
     cramer_root,
     garch11_paths,
     garch_to_kesten,
-    simulate_garch11,
+    simulate,
     stationarity_check,
 )
 
@@ -46,6 +46,6 @@ for t in range(1, n):
 print(f"\nmax relative gap between the GARCH sigma^2 path and the rewritten "
       f"recursion over {n} steps: {np.max(np.abs(x - sigma2) / sigma2):.2e}")
 
-series = simulate_garch11(spec, RngStream(13), n=200_000, burn_in=2_000)
+series = simulate(spec, RngStream(13), n=200_000, burn_in=2_000)
 print(f"\nsimulated returns: std {series.values.std():.3f}, "
       f"ACF lag 1 = {acf(series, 1).at(1):+.4f} (uncorrelated, as it should be)")

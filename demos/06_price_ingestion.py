@@ -17,14 +17,14 @@ from kestenlab import (
     Normal,
     RngStream,
     acf,
-    simulate_kesten_scalar,
+    simulate,
     tail_exponent_ls,
 )
 from kestenlab.cli import ingest_prices
 
 # make a price history whose returns we know exactly
 spec = KestenScalar(Exponential(0.55), Normal(0.0, 0.0065))
-true_returns = simulate_kesten_scalar(spec, RngStream(2024), 50_000, 5_000).values
+true_returns = simulate(spec, RngStream(2024), 50_000, 5_000).values
 prices = 100.0 * np.cumprod(np.concatenate([[1.0], 1.0 + true_returns]))
 
 with tempfile.TemporaryDirectory() as td:

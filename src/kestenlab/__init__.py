@@ -41,10 +41,6 @@ from .processes import (
     garch_to_kesten,
     read_series_csv,
     simulate,
-    simulate_garch11,
-    simulate_inverse_multiplier,
-    simulate_kesten_ar,
-    simulate_kesten_scalar,
     spec_digest,
     spec_from_config,
     write_series_csv,
@@ -88,10 +84,6 @@ __all__ = [
     "garch_to_kesten",
     "read_series_csv",
     "simulate",
-    "simulate_garch11",
-    "simulate_inverse_multiplier",
-    "simulate_kesten_ar",
-    "simulate_kesten_scalar",
     "spec_digest",
     "spec_from_config",
     "write_series_csv",

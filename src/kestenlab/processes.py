@@ -3,8 +3,9 @@
 Three generative models for returns driven by a feedback coefficient:
 the one-shot inverse-multiplier process r = (1 - a)^{-1} e, the scalar
 feedback recursion r_t = a_t r_{t-1} + e_t, and its order-K version
-r_t = a_t * sum_k w_kt r_{t-k} + e_t, plus GARCH(1,1) and its exact
-rewrite as a feedback recursion on the squared volatility.
+r_t = a_t * sum_k w_kt r_{t-k} + e_t, plus GARCH(1,1), whose squared
+volatility is simulated as its exact rewrite in the scalar recursion.
+``simulate`` is the one entry point for every kind.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ class KestenScalar:
     r0: float = 0.0
     kind = "kesten_scalar"
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.r0):
+            raise InvalidConfig(f"kesten_scalar r0 must be finite, got {self.r0}")
+
     def to_config(self) -> dict:
         return {
             "kind": self.kind,
@@ -104,11 +109,34 @@ class KestenAR:
             raise InvalidConfig(
                 f"r_init has length {len(r_init)}, expected K={len(self.weight_laws)}"
             )
+        if not all(map(math.isfinite, r_init)):
+            raise InvalidConfig(f"kesten_ar r_init must be finite, got {list(r_init)}")
         object.__setattr__(self, "r_init", r_init)
 
     @property
     def order(self) -> int:
         return len(self.weight_laws)
+
+    def draw_coefficients(
+        self, gen: np.random.Generator, size: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``size`` draws of a, and the (K, size) weight columns drawn after them.
+
+        With ``normalize_weights`` each drawn weight vector is divided by
+        its sum; a sum within 1e-12 of zero raises ZeroWeightSum.
+        """
+        a = self.a_law.sample(gen, size)
+        w = np.array([law.sample(gen, size) for law in self.weight_laws])
+        if self.normalize_weights:
+            sums = w.sum(axis=0)
+            zero = np.abs(sums) < 1e-12
+            if zero.any():
+                raise ZeroWeightSum(
+                    f"drawn weight vector {int(np.argmax(zero))} sums to ~0; "
+                    "cannot normalize to unit sum"
+                )
+            w = w / sums
+        return a, w
 
     def to_config(self) -> dict:
         return {
@@ -132,6 +160,8 @@ class Garch11:
     kind = "garch11"
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.omega, self.alpha, self.beta, self.sigma0))):
+            raise InvalidConfig(f"garch11 parameters must be finite, got {self.to_config()}")
         if not self.omega > 0:
             raise InvalidConfig(f"garch11 omega must be positive, got {self.omega}")
         if self.alpha < 0 or self.beta < 0:
@@ -237,98 +267,38 @@ class ReturnSeries:
 
 def _raise_overflow(step: int) -> None:
     raise NumericalOverflow(
-        f"|r| exceeded {OVERFLOW_LIMIT:g} at step {step}; the coefficient "
-        "law is likely outside the stationary regime "
+        f"the recursion exceeded {OVERFLOW_LIMIT:g} in absolute value at step {step}; "
+        "the coefficient law is likely outside the stationary regime "
         "(see theory.stationarity_check / theory.lyapunov_top)"
     )
 
 
-def simulate_inverse_multiplier(
-    spec: InverseMultiplier, rng: RngStream, n: int
-) -> ReturnSeries:
-    """n iid draws of (1 - a)^{-1} e.
-
-    Draws with |1 - a| < 1e-12 are resampled (and counted) rather than
-    emitted as huge finite spikes; the asymptotics of interest concern
-    large-but-finite values.
-    """
-    if n < 1:
-        raise InvalidConfig(f"n must be >= 1, got {n}")
-    a_lo, a_hi = spec.a_law.collapsed().support
-    if a_lo == a_hi and abs(1.0 - a_lo) < NEAR_ONE_TOL:
-        raise DegenerateSpec("a == 1 surely: the multiplier (1 - a)^{-1} is undefined")
-    gen = rng.generator()
-    a = spec.a_law.sample(gen, n)
-    e = spec.e_law.sample(gen, n)
-    resamples = 0
-    for _ in range(128):
-        mask = np.abs(1.0 - a) < NEAR_ONE_TOL
-        bad = int(mask.sum())
-        if bad == 0:
-            break
-        resamples += bad
-        a[mask] = spec.a_law.sample(gen, bad)
-    else:
-        raise DegenerateSpec("a concentrates at 1: resampling did not terminate")
-    values = e / (1.0 - a)
-    return ReturnSeries(values, spec_digest(spec), rng, 0, resamples)
-
-
-def simulate_kesten_scalar(
-    spec: KestenScalar, rng: RngStream, n: int, burn_in: int = DEFAULT_BURN_IN
-) -> ReturnSeries:
-    """Iterate r_t = a_t r_{t-1} + e_t from r0, drop burn_in, return n values."""
-    if n < 1 or burn_in < 0:
-        raise InvalidConfig(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
-    gen = rng.generator()
-    total = burn_in + n
-    a = spec.a_law.sample(gen, total)
-    e = spec.e_law.sample(gen, total)
-    out = np.empty(total)
-    r = spec.r0
+def _kesten_path(a: list[float], b: list[float], x0: float) -> np.ndarray:
+    """x_t = a_t x_{t-1} + b_t for t = 0, 1, ... from x_{-1} = x0."""
+    out = np.empty(len(a))
+    x = x0
     lim = OVERFLOW_LIMIT
     i = 0
-    for ai, ei in zip(a.tolist(), e.tolist()):
-        r = ai * r + ei
-        if not -lim < r < lim:
+    for ai, bi in zip(a, b):
+        x = ai * x + bi
+        if not -lim < x < lim:
             _raise_overflow(i)
-        out[i] = r
+        out[i] = x
         i += 1
-    return ReturnSeries(out[burn_in:], spec_digest(spec), rng, burn_in)
+    return out
 
 
-def simulate_kesten_ar(
-    spec: KestenAR, rng: RngStream, n: int, burn_in: int = DEFAULT_BURN_IN
-) -> ReturnSeries:
-    """Iterate the order-K recursion with fresh (a_t, w_t, e_t) each step.
-
-    Draw order is a, then the K weight columns, then e, so the K = 1 case
-    with a constant unit weight consumes the stream exactly like
-    simulate_kesten_scalar and reproduces it bitwise.
-    """
-    if n < 1 or burn_in < 0:
-        raise InvalidConfig(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
-    gen = rng.generator()
-    total = burn_in + n
-    k = spec.order
-    a = spec.a_law.sample(gen, total)
-    cols = [w.sample(gen, total) for w in spec.weight_laws]
-    e = spec.e_law.sample(gen, total)
-    if spec.normalize_weights:
-        sums = np.sum(cols, axis=0)
-        if np.any(np.abs(sums) < 1e-12):
-            step = int(np.argmax(np.abs(sums) < 1e-12))
-            raise ZeroWeightSum(
-                f"drawn weight vector sums to ~0 at step {step}; "
-                "cannot normalize to unit sum"
-            )
-        cols = [c / sums for c in cols]
-    col_lists = [c.tolist() for c in cols]
+def _order_k_path(
+    a: np.ndarray, w: np.ndarray, e: np.ndarray, r_init: tuple[float, ...]
+) -> np.ndarray:
+    """r_t = a_t * sum_k w_kt r_{t-k} + e_t from r_init = (r_{-1}, ..., r_{-K})."""
+    k = len(r_init)
+    col_lists = w.tolist()
     a_list, e_list = a.tolist(), e.tolist()
-    state = list(spec.r_init)  # state[j] = r_{t-1-j}
-    out = np.empty(total)
+    state = list(r_init)  # state[j] = r_{t-1-j}
+    out = np.empty(a.size)
     lim = OVERFLOW_LIMIT
-    for t in range(total):
+    for t in range(a.size):
         acc = 0.0
         for j in range(k):
             acc += col_lists[j][t] * state[j]
@@ -338,50 +308,92 @@ def simulate_kesten_ar(
         out[t] = r
         state.pop()
         state.insert(0, r)
-    return ReturnSeries(out[burn_in:], spec_digest(spec), rng, burn_in)
+    return out
 
 
-def simulate_garch11(
-    spec: Garch11, rng: RngStream, n: int, burn_in: int = DEFAULT_BURN_IN
-) -> ReturnSeries:
-    """r_t = sigma_t z_t with the GARCH(1,1) variance recursion."""
-    returns, _sigma2, _z = garch11_paths(spec, rng, n, burn_in)
-    return ReturnSeries(returns, spec_digest(spec), rng, burn_in)
+def _paths(
+    spec: ProcessSpec, rng: RngStream, n: int, burn_in: int
+) -> tuple[tuple[np.ndarray, ...], int]:
+    """The spec's paths with the first burn_in steps dropped, and the resample count.
 
-
-def garch11_paths(
-    spec: Garch11, rng: RngStream, n: int, burn_in: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(returns, sigma2, z) paths after burn-in; diagnostic surface.
-
-    The z draws are a single up-front block, so a GarchCoefficient law
-    sampled from the same stream sees the identical normals: the squared
-    volatility then satisfies sigma2_t = a_{t-1} sigma2_{t-1} + omega
-    pathwise with a = beta + alpha z^2.
+    The first path is the returns; GARCH(1,1) adds sigma2 and z.  Every
+    kind draws its laws in one up-front block each, a before e, and the
+    order-K weights between them, so the K = 1 recursion with a constant
+    unit weight consumes the stream exactly like the scalar one.
     """
     if n < 1 or burn_in < 0:
         raise InvalidConfig(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
     gen = rng.generator()
     total = burn_in + n
-    z = gen.standard_normal(total)
-    returns = np.empty(total)
-    sigma2 = np.empty(total)
-    omega, alpha, beta = spec.omega, spec.alpha, spec.beta
-    s2 = spec.sigma0 * spec.sigma0
-    r = 0.0
-    lim = OVERFLOW_LIMIT
-    for t, zt in enumerate(z.tolist()):
-        if t > 0:
-            s2 = omega + alpha * r * r + beta * s2
-        if not s2 < lim:
-            raise NumericalOverflow(
-                f"sigma^2 exceeded {OVERFLOW_LIMIT:g} at step {t}; "
-                "the GARCH parameters are outside the stationary regime"
-            )
-        sigma2[t] = s2
-        r = math.sqrt(s2) * zt
-        returns[t] = r
-    return returns[burn_in:], sigma2[burn_in:], z[burn_in:]
+    resamples = 0
+    if isinstance(spec, InverseMultiplier):
+        a_lo, a_hi = spec.a_law.collapsed().support
+        if a_lo == a_hi and abs(1.0 - a_lo) < NEAR_ONE_TOL:
+            raise DegenerateSpec("a == 1 surely: the multiplier (1 - a)^{-1} is undefined")
+        a = spec.a_law.sample(gen, total)
+        e = spec.e_law.sample(gen, total)
+        # resample draws with |1 - a| < NEAR_ONE_TOL rather than emit huge
+        # finite spikes; the asymptotics concern large-but-finite values
+        for _ in range(128):
+            mask = np.abs(1.0 - a) < NEAR_ONE_TOL
+            bad = int(mask.sum())
+            if bad == 0:
+                break
+            resamples += bad
+            a[mask] = spec.a_law.sample(gen, bad)
+        else:
+            raise DegenerateSpec("a concentrates at 1: resampling did not terminate")
+        paths = (e / (1.0 - a),)
+    elif isinstance(spec, KestenScalar):
+        a = spec.a_law.sample(gen, total)
+        e = spec.e_law.sample(gen, total)
+        paths = (_kesten_path(a.tolist(), e.tolist(), spec.r0),)
+    elif isinstance(spec, KestenAR):
+        a, w = spec.draw_coefficients(gen, total)
+        e = spec.e_law.sample(gen, total)
+        paths = (_order_k_path(a, w, e, spec.r_init),)
+    elif isinstance(spec, Garch11):
+        z = gen.standard_normal(total)
+        # sigma2_t = (beta + alpha z_{t-1}^2) sigma2_{t-1} + omega, with a the
+        # GarchCoefficient draw of the same normal; the first step (a = 1,
+        # b = 0) puts sigma2_0 = sigma0^2 on the path
+        zp = z[:-1]
+        a = [1.0] + (spec.beta + spec.alpha * zp * zp).tolist()
+        b = [0.0] + [spec.omega] * (total - 1)
+        sigma2 = _kesten_path(a, b, spec.sigma0 * spec.sigma0)
+        paths = (np.sqrt(sigma2) * z, sigma2, z)
+    else:
+        raise InvalidConfig(f"unknown process spec {type(spec).__name__}")
+    return tuple(p[burn_in:] for p in paths), resamples
+
+
+def simulate(
+    spec: ProcessSpec, rng: RngStream, n: int, burn_in: int | None = None
+) -> ReturnSeries:
+    """n returns of the spec's process after dropping burn_in warm-up steps.
+
+    burn_in defaults to DEFAULT_BURN_IN for the recursions and to 0 for
+    the iid inverse-multiplier process.
+    """
+    if burn_in is None:
+        burn_in = 0 if isinstance(spec, InverseMultiplier) else DEFAULT_BURN_IN
+    paths, resamples = _paths(spec, rng, n, burn_in)
+    return ReturnSeries(paths[0], spec_digest(spec), rng, burn_in, resamples)
+
+
+def garch11_paths(
+    spec: Garch11, rng: RngStream, n: int, burn_in: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(returns, sigma2, z) paths after burn-in, as simulate draws them; diagnostic surface.
+
+    sigma2 is the feedback recursion sigma2_t = a_{t-1} sigma2_{t-1} + omega
+    with a = beta + alpha z^2, and the z draws are a single up-front block,
+    so a GarchCoefficient law sampled from the same stream sees the
+    identical normals and reproduces sigma2 bitwise.
+    """
+    if not isinstance(spec, Garch11):
+        raise InvalidConfig(f"garch11_paths needs a Garch11 spec, got {type(spec).__name__}")
+    return _paths(spec, rng, n, burn_in)[0]
 
 
 def garch_to_kesten(
@@ -407,20 +419,6 @@ def as_ar(spec: KestenScalar | KestenAR) -> KestenAR:
     return KestenAR(
         spec.a_law, spec.e_law, (Constant(1.0),), False, (spec.r0,)
     )
-
-
-def simulate(spec: ProcessSpec, rng: RngStream, n: int, burn_in: int | None = None) -> ReturnSeries:
-    """Dispatch to the simulator for the spec's kind."""
-    if isinstance(spec, InverseMultiplier):
-        return simulate_inverse_multiplier(spec, rng, n)
-    burn = DEFAULT_BURN_IN if burn_in is None else burn_in
-    if isinstance(spec, KestenScalar):
-        return simulate_kesten_scalar(spec, rng, n, burn)
-    if isinstance(spec, KestenAR):
-        return simulate_kesten_ar(spec, rng, n, burn)
-    if isinstance(spec, Garch11):
-        return simulate_garch11(spec, rng, n, burn)
-    raise InvalidConfig(f"unknown process spec {type(spec).__name__}")
 
 
 # CSV round trip -------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     TheoryError,
     VarianceNotFinite,
 )
-from .processes import KestenAR, KestenScalar, ZeroWeightSum, as_ar
+from .processes import KestenAR, KestenScalar, as_ar
 
 RESIDUAL_TOL = 1e-6
 MU_CAP = 64.0
@@ -535,21 +535,15 @@ def _batched_log_norms(
     steps = max(horizons)
     eye = np.eye(k)
     P = np.broadcast_to(eye, (trials, k, k)).copy()
+    # companion matrices: the shift below row 0 is fixed, row 0 is redrawn
+    A = np.zeros((trials, k, k))
+    for i in range(1, k):
+        A[:, i, i - 1] = 1.0
     acc = np.zeros(trials)
     out: dict[int, np.ndarray] = {}
     for step in range(1, steps + 1):
-        a = spec.a_law.sample(gen, trials)
-        cols = [w.sample(gen, trials) for w in spec.weight_laws]
-        W = np.column_stack(cols)
-        if spec.normalize_weights:
-            sums = W.sum(axis=1)
-            if np.any(np.abs(sums) < 1e-12):
-                raise ZeroWeightSum("drawn weight vector sums to ~0")
-            W = W / sums[:, None]
-        A = np.zeros((trials, k, k))
-        A[:, 0, :] = a[:, None] * W
-        for i in range(1, k):
-            A[:, i, i - 1] = 1.0
+        a, w = spec.draw_coefficients(gen, trials)
+        A[:, 0, :] = (a * w).T
         P = A @ P
         s = np.abs(P).sum(axis=2).max(axis=1)
         if np.any(s <= 0.0):
@@ -639,6 +633,8 @@ def moment_lyapunov_root(
         bracket = (lo, hi)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # lam(lo) < 0 <= lam(hi): no later step can move either end
             if lam(L, t, mid) < 0.0:
                 lo = mid
             else:

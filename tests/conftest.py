@@ -9,9 +9,7 @@ from kestenlab import (
     Normal,
     RngStream,
     Uniform,
-    simulate_inverse_multiplier,
-    simulate_kesten_ar,
-    simulate_kesten_scalar,
+    simulate,
 )
 
 # canonical process specs reused across tests (the three bundled figures)
@@ -32,14 +30,14 @@ def exact_pareto(mu: float, n: int, seed: int) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def fig2_series():
-    return simulate_inverse_multiplier(FIG2_SPEC, RngStream(1), 10**6)
+    return simulate(FIG2_SPEC, RngStream(1), 10**6)
 
 
 @pytest.fixture(scope="session")
 def fig3_series():
-    return simulate_kesten_scalar(FIG3_SPEC, RngStream(42), 10**6, 10**4)
+    return simulate(FIG3_SPEC, RngStream(42), 10**6, 10**4)
 
 
 @pytest.fixture(scope="session")
 def fig4_series():
-    return simulate_kesten_ar(FIG4_SPEC, RngStream(101), 10**6, 10**4)
+    return simulate(FIG4_SPEC, RngStream(101), 10**6, 10**4)

@@ -186,6 +186,24 @@ class TestRun:
         est = json.loads(capsys.readouterr().out)
         assert (est["t_horizon"], est["trials"]) == (1000, 100)
 
+    def test_inverse_multiplier_drops_its_burn_in(self, tmp_path):
+        cfg = config_from_dict(
+            {
+                **SMALL_CONFIG,
+                "process": {
+                    "kind": "inverse_multiplier",
+                    "a_law": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+                    "e_law": {"kind": "normal", "mean": 0.0, "sd": 1.0},
+                },
+                "analyses": {"tail_fit": {"threshold": None}},
+            }
+        )
+        run(cfg, output_dir=tmp_path / "out")
+        meta = json.loads((tmp_path / "out" / "series_meta.json").read_text())
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert meta["burn_in_dropped"] == summary["burn_in"] == 500
+        assert meta["n"] == summary["n_samples"] == 20000
+
     def test_report_missing_artifacts(self, tmp_path):
         cfg = config_from_dict(SMALL_CONFIG)
         manifest = run(cfg, output_dir=tmp_path / "out")
@@ -428,6 +446,34 @@ class TestCommandLine:
         assert res.stderr.startswith(prefix)
         assert res.stderr.count("\n") == 1  # no traceback and no numpy warning
         assert "nan" not in res.stdout
+
+    @pytest.mark.parametrize(
+        "process",
+        [
+            {**SMALL_CONFIG["process"], "r0": "nan"},
+            {**SMALL_CONFIG["process"], "r0": "inf"},
+            {
+                **SMALL_CONFIG["process"],
+                "kind": "kesten_ar",
+                "weight_laws": [{"kind": "constant", "value": 1.0}],
+                "r_init": ["nan"],
+            },
+            {"kind": "garch11", "omega": 0.01, "alpha": "nan", "beta": 0.9},
+            {"kind": "garch11", "omega": 0.01, "alpha": 0.09, "beta": "nan"},
+            {"kind": "garch11", "omega": "inf", "alpha": 0.09, "beta": 0.9},
+        ],
+        ids=["scalar-r0-nan", "scalar-r0-inf", "ar-r_init-nan", "garch-alpha-nan",
+             "garch-beta-nan", "garch-omega-inf"],
+    )
+    def test_non_finite_process_parameter_exit_code(self, tmp_path, process):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(json.dumps({**SMALL_CONFIG, "process": process}))
+        res = _cli("run", str(cfg_path), "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: ")
+        assert "finite" in res.stderr
+        assert res.stderr.count("\n") == 1  # one line, no traceback
+        assert not (tmp_path / "out").exists()
 
     def test_cramer_subcommand(self):
         res = _cli("cramer", "--law", '{"kind": "exponential", "mean": 0.55}')

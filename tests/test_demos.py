@@ -1,29 +1,43 @@
 """The demos and the public API agree, checked without running the demos."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import kestenlab
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
     assert len(DEMOS) >= 6
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_imports_are_public(demo):
-    tree = ast.parse(demo.read_text(), filename=str(demo))
-    imported = [
+def _public_imports(source: str, filename: str) -> list[str]:
+    """Names the Python source imports with ``from kestenlab import``."""
+    tree = ast.parse(source, filename=filename)
+    return [
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "kestenlab"
         for alias in node.names
     ]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_are_public(demo):
+    imported = _public_imports(demo.read_text(), str(demo))
     assert imported, f"{demo.name} imports nothing from kestenlab"
+    assert sorted(set(imported) - set(kestenlab.__all__)) == []
+
+
+def test_readme_imports_are_public():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    imported = [name for block in blocks for name in _public_imports(block, "README.md")]
+    assert imported, "the README's Python blocks import nothing from kestenlab"
     assert sorted(set(imported) - set(kestenlab.__all__)) == []
 
 

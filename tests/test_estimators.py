@@ -14,7 +14,7 @@ from kestenlab import (
     empirical_ccdf,
     hill_estimator,
     returns_from_prices,
-    simulate_kesten_scalar,
+    simulate,
     tail_exponent_ls,
 )
 from kestenlab.errors import (
@@ -143,7 +143,7 @@ class TestAcf:
 
     def test_ar1_with_constant_coefficient(self):
         spec = KestenScalar(Constant(0.5), Normal(0.0, 1.0))
-        s = simulate_kesten_scalar(spec, RngStream(6), 10**6, 1000)
+        s = simulate(spec, RngStream(6), 10**6, 1000)
         res = acf(s, 5)
         for h in range(1, 6):
             assert abs(res.at(h) - 0.5**h) < 0.01

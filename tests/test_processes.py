@@ -23,13 +23,10 @@ from kestenlab import (
     garch11_paths,
     garch_to_kesten,
     inverse_tail_prediction,
+    lyapunov_top,
     read_series_csv,
     returns_from_prices,
     simulate,
-    simulate_garch11,
-    simulate_inverse_multiplier,
-    simulate_kesten_ar,
-    simulate_kesten_scalar,
     spec_digest,
     spec_from_config,
     tail_exponent_ls,
@@ -47,34 +44,34 @@ from kestenlab.errors import (
 class TestInverseMultiplier:
     def test_constant_laws(self):
         spec = InverseMultiplier(Constant(0.0), Constant(1.0))
-        s = simulate_inverse_multiplier(spec, RngStream(0), 3)
+        s = simulate(spec, RngStream(0), 3)
         assert s.values.tolist() == [1.0, 1.0, 1.0]
 
     def test_exact_unit_tail(self):
         # P(1/(1-U) > 10) = P(U > 0.9) = 0.1; 3-sigma binomial band ~0.0009
         spec = InverseMultiplier(Uniform(0.0, 1.0), Constant(1.0))
-        s = simulate_inverse_multiplier(spec, RngStream(5), 10**6)
+        s = simulate(spec, RngStream(5), 10**6)
         assert abs((s.values > 10).mean() - 0.1) < 0.003
 
     def test_degenerate_unit_coefficient(self):
         # refused up front, also when the law only collapses to a == 1
         for a_law in (Constant(1.0), GarchCoefficient(1.0, 0.0)):
             with pytest.raises(DegenerateSpec, match="a == 1 surely"):
-                simulate_inverse_multiplier(
+                simulate(
                     InverseMultiplier(a_law, Normal(0.0, 1.0)), RngStream(0), 10
                 )
 
     def test_near_one_draws_are_resampled(self):
         # half of this sliver sits within 1e-12 of 1 and must be redrawn
         spec = InverseMultiplier(Uniform(1 - 2e-12, 1 + 2e-12), Constant(1.0))
-        s = simulate_inverse_multiplier(spec, RngStream(3), 1000)
+        s = simulate(spec, RngStream(3), 1000)
         assert s.resamples > 0
         assert np.isfinite(s.values).all()
 
     def test_concentrated_at_one_fails(self):
         spec = InverseMultiplier(Uniform(1 - 4e-13, 1 + 4e-13), Constant(1.0))
         with pytest.raises(DegenerateSpec):
-            simulate_inverse_multiplier(spec, RngStream(3), 100)
+            simulate(spec, RngStream(3), 100)
 
     def test_fig2_tail_exponent_near_one(self, fig2_series):
         fit = tail_exponent_ls(fig2_series)
@@ -85,25 +82,25 @@ class TestKestenScalar:
     def test_no_feedback_reduces_to_noise(self):
         spec = KestenScalar(Constant(0.0), Normal(0.0, 1.0))
         rng = RngStream(17)
-        s = simulate_kesten_scalar(spec, rng, 10**4, 0)
+        s = simulate(spec, rng, 10**4, 0)
         # constants consume no randomness, so the path is the raw noise block
         expected = Normal(0.0, 1.0).sample(rng.generator(), 10**4)
         assert np.array_equal(s.values, expected)
 
     def test_contraction_fixed_point(self):
         spec = KestenScalar(Constant(0.5), Constant(1.0), r0=0.0)
-        s = simulate_kesten_scalar(spec, RngStream(0), 50, 0)
+        s = simulate(spec, RngStream(0), 50, 0)
         assert abs(s.values[-1] - 2.0) < 1e-10
 
     def test_overflow_names_stationarity(self):
         spec = KestenScalar(Constant(2.0), Constant(1.0), r0=1.0)
         with pytest.raises(NumericalOverflow, match="stationar"):
-            simulate_kesten_scalar(spec, RngStream(0), 5000, 0)
+            simulate(spec, RngStream(0), 5000, 0)
 
     def test_seed_determinism(self):
-        a = simulate_kesten_scalar(FIG3_SPEC, RngStream(8), 5000, 100)
-        b = simulate_kesten_scalar(FIG3_SPEC, RngStream(8), 5000, 100)
-        c = simulate_kesten_scalar(FIG3_SPEC, RngStream(8, 1), 5000, 100)
+        a = simulate(FIG3_SPEC, RngStream(8), 5000, 100)
+        b = simulate(FIG3_SPEC, RngStream(8), 5000, 100)
+        c = simulate(FIG3_SPEC, RngStream(8, 1), 5000, 100)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
@@ -118,8 +115,8 @@ class TestKestenAR:
     def test_order_one_reduces_to_scalar_bitwise(self):
         scalar = KestenScalar(Exponential(0.55), Normal(0.0, 0.0065))
         ar = as_ar(scalar)
-        a = simulate_kesten_scalar(scalar, RngStream(21), 5000, 200)
-        b = simulate_kesten_ar(ar, RngStream(21), 5000, 200)
+        a = simulate(scalar, RngStream(21), 5000, 200)
+        b = simulate(ar, RngStream(21), 5000, 200)
         assert np.array_equal(a.values, b.values)
 
     def test_contraction_fixed_point(self):
@@ -127,7 +124,7 @@ class TestKestenAR:
             Constant(0.5), Constant(1.0), (Constant(0.5), Constant(0.5)),
             r_init=(0.0, 0.0),
         )
-        s = simulate_kesten_ar(spec, RngStream(0), 200, 0)
+        s = simulate(spec, RngStream(0), 200, 0)
         assert abs(s.values[-1] - 2.0) < 1e-10
 
     def test_normalization_rescales_to_unit_sum(self):
@@ -139,9 +136,11 @@ class TestKestenAR:
             Constant(0.5), Constant(1.0), (Constant(2.0), Constant(2.0)),
             normalize_weights=True,
         )
-        a = simulate_kesten_ar(base, RngStream(4), 500, 0)
-        b = simulate_kesten_ar(scaled, RngStream(4), 500, 0)
+        a = simulate(base, RngStream(4), 500, 0)
+        b = simulate(scaled, RngStream(4), 500, 0)
         assert np.array_equal(a.values, b.values)
+        # the matrix Monte Carlo draws its weights through the same rule
+        assert lyapunov_top(base, 100, 10) == lyapunov_top(scaled, 100, 10)
 
     def test_zero_weight_sum(self):
         spec = KestenAR(
@@ -149,7 +148,9 @@ class TestKestenAR:
             normalize_weights=True,
         )
         with pytest.raises(ZeroWeightSum):
-            simulate_kesten_ar(spec, RngStream(0), 10, 0)
+            simulate(spec, RngStream(0), 10, 0)
+        with pytest.raises(ZeroWeightSum):
+            lyapunov_top(spec, 100, 10)
 
     def test_r_init_length_mismatch(self):
         with pytest.raises(InvalidConfig):
@@ -163,7 +164,7 @@ class TestKestenAR:
 class TestGarch11:
     def test_constant_volatility_case(self):
         spec = Garch11(omega=0.04, alpha=0.0, beta=0.0, sigma0=0.2)
-        s = simulate_garch11(spec, RngStream(31), 10**6, 100)
+        s = simulate(spec, RngStream(31), 10**6, 100)
         # variance of the sample variance ~ 2 omega^2 / n
         band = 3 * 0.04 * np.sqrt(2 / 10**6)
         assert abs(s.values.var() - 0.04) < band
@@ -182,17 +183,29 @@ class TestGarch11:
             x[t] = a[t - 1] * x[t - 1] + e_law.value
         assert np.max(np.abs(x - sigma2) / sigma2) < 1e-12
 
+    def test_volatility_is_the_kesten_path_bitwise(self):
+        # sigma2 runs on the scalar recursion of the mapped coefficient law
+        spec = Garch11(0.01, 0.09, 0.9, sigma0=0.1)
+        n = 10**4
+        _returns, sigma2, _z = garch11_paths(spec, RngStream(77), n)
+        kesten = KestenScalar(
+            GarchCoefficient(spec.beta, spec.alpha), Constant(spec.omega), r0=spec.sigma0**2
+        )
+        s = simulate(kesten, RngStream(77), n - 1, 0)
+        assert sigma2[0] == spec.sigma0**2
+        assert np.array_equal(sigma2[1:], s.values)
+
     def test_returns_serially_uncorrelated(self):
         from kestenlab import acf
 
         spec = Garch11(0.01, 0.09, 0.9, sigma0=0.1)
-        s = simulate_garch11(spec, RngStream(13), 10**6, 1000)
+        s = simulate(spec, RngStream(13), 10**6, 1000)
         assert abs(acf(s, 1).at(1)) < 0.01
 
     def test_overflow_for_explosive_parameters(self):
         spec = Garch11(0.01, 2.5, 1.5, sigma0=1.0)
         with pytest.raises(NumericalOverflow):
-            simulate_garch11(spec, RngStream(0), 10**5, 0)
+            simulate(spec, RngStream(0), 10**5, 0)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidConfig):
@@ -228,7 +241,7 @@ class TestReturnSeries:
             ReturnSeries(np.array([1.0, np.inf]), "x")
 
     def test_csv_round_trip_exact(self, tmp_path):
-        s = simulate_kesten_scalar(FIG3_SPEC, RngStream(3), 1000, 10)
+        s = simulate(FIG3_SPEC, RngStream(3), 1000, 10)
         path = tmp_path / "series.csv"
         write_series_csv(s, path)
         back = read_series_csv(path)
@@ -287,8 +300,9 @@ SCALAR = KestenScalar(Exponential(0.55), Normal(0.0, 0.0065))
     "build",
     [
         lambda: ReturnSeries(np.array([1.0, np.nan]), "digest"),
-        lambda: simulate_kesten_scalar(SCALAR, RngStream(0), 0),
+        lambda: simulate(SCALAR, RngStream(0), 0),
         lambda: simulate(object(), RngStream(0), 10),
+        lambda: garch11_paths(SCALAR, RngStream(0), 10),
         lambda: TailFit(0.02, 3.0, 0.0, 5, 0.1),
         lambda: AcfResult(np.arange(2), np.array([1.0, np.nan]), "raw"),
         lambda: CramerSolution(0.0, (1.0, 1.0), 0.0, "closed-form"),
@@ -299,7 +313,7 @@ SCALAR = KestenScalar(Exponential(0.55), Normal(0.0, 0.0065))
         lambda: inverse_tail_prediction(Uniform(0.5, 1.5), 0.0),
     ],
     ids=[
-        "series", "simulator-n", "unknown-spec", "tail-fit", "acf-nan", "cramer", "lyapunov",
+        "series", "simulator-n", "unknown-spec", "garch-paths-spec", "tail-fit", "acf-nan", "cramer", "lyapunov",
         "seed", "one-price", "negative-lag", "tail-at-zero",
     ],
 )

@@ -387,10 +387,10 @@ class TestInverseTailPrediction:
     def test_two_sided_multiplier_matches_prediction(self):
         # with a ~ U(0, 2) the multiplier 1/(1-a) blows up from both sides
         # and P(|1/(1-a)| > x) = 2 f_a(1) / x exactly
-        from kestenlab import InverseMultiplier, simulate_inverse_multiplier
+        from kestenlab import InverseMultiplier, simulate
 
         spec = InverseMultiplier(Uniform(0.0, 2.0), Constant(1.0))
-        s = simulate_inverse_multiplier(spec, RngStream(19), 10**6)
+        s = simulate(spec, RngStream(19), 10**6)
         absr = np.abs(s.values)
         for x in (50.0, 100.0, 200.0):
             predicted = inverse_tail_prediction(spec.a_law, x)
