@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distributions import RngStream, law_from_config
+from .distributions import RngStream, check_keys, law_from_config
 from .errors import (
     InvalidConfig,
     KestenLabError,
@@ -86,11 +86,14 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
+        self.n_samples = _integral("n_samples", self.n_samples)
+        self.seed = _integral("seed", self.seed)
+        self.burn_in = _integral("burn_in", self.burn_in)
         if self.n_samples < 1:
             raise InvalidConfig(f"n_samples must be >= 1, got {self.n_samples}")
         if self.burn_in < 0:
             raise InvalidConfig(f"burn_in must be >= 0, got {self.burn_in}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise InvalidConfig(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if not self.analyses:
             raise InvalidConfig("config must request at least one analysis")
@@ -102,14 +105,17 @@ class ExperimentConfig:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "process": self.process.to_config(),
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "burn_in": self.burn_in,
-            "analyses": self.analyses,
-            "output_dir": self.output_dir,
-        }
+        return {**asdict(self), "process": self.process.to_config()}
+
+
+def _integral(name: str, value) -> int:
+    """An integer config value; a float must be finite and integral (1e6 is 1000000)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
 
 
 def _scalar_feedback_laws(process: ProcessSpec):
@@ -122,15 +128,15 @@ def _scalar_feedback_laws(process: ProcessSpec):
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Inverse of ``config.to_dict()``; a key that it would not write back is an error."""
     if not isinstance(data, dict):
         raise InvalidConfig("experiment config must be a JSON object")
     try:
-        process = spec_from_config(data["process"])
-        return ExperimentConfig(
-            process=process,
-            n_samples=int(data["n_samples"]),
-            seed=int(data["seed"]),
-            burn_in=int(data.get("burn_in", 0)),
+        config = ExperimentConfig(
+            process=spec_from_config(data["process"]),
+            n_samples=data["n_samples"],
+            seed=data["seed"],
+            burn_in=data.get("burn_in", 0),
             analyses=data.get("analyses", {}),
             output_dir=data.get("output_dir"),
         )
@@ -140,6 +146,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if isinstance(exc, InvalidConfig):
             raise
         raise InvalidConfig(str(exc)) from exc
+    check_keys(data, config.to_dict(), "experiment config")
+    return config
 
 
 def config_from_json(text: str) -> ExperimentConfig:
@@ -152,7 +160,7 @@ def config_from_json(text: str) -> ExperimentConfig:
 
 def config_to_json(config: ExperimentConfig) -> str:
     """Canonical serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
+    return _canonical_json(config.to_dict())
 
 
 def config_digest(config: ExperimentConfig) -> str:
@@ -183,33 +191,14 @@ class RunManifest:
     outputs: dict
     counters: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "config_digest": self.config_digest,
-            "toolkit_version": self.toolkit_version,
-            "seed": self.seed,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "output_dir": self.output_dir,
-            "outputs": self.outputs,
-            "counters": self.counters,
-        }
+    to_dict = asdict
 
 
 def manifest_from_dict(data: dict) -> RunManifest:
     try:
-        return RunManifest(
-            config_digest=data["config_digest"],
-            toolkit_version=data["toolkit_version"],
-            seed=int(data["seed"]),
-            started_at=data["started_at"],
-            finished_at=data["finished_at"],
-            output_dir=data["output_dir"],
-            outputs=dict(data["outputs"]),
-            counters=dict(data["counters"]),
-        )
-    except KeyError as exc:
-        raise InvalidConfig(f"manifest missing field {exc}") from None
+        return RunManifest(**data)
+    except TypeError as exc:
+        raise InvalidConfig(f"malformed manifest: {exc}") from None
 
 
 def _canonical_json(data) -> str:
@@ -393,7 +382,7 @@ def _report_moment_lyapunov(entry: dict, out_dir: Path) -> list[str]:
     bias_txt = "" if bias is None else f", finite-t drift {bias:+.3f}"
     return [
         f"moment-Lyapunov root: mu = {entry['mu_star']:.3f} "
-        f"+- {entry.get('stderr', float('nan')):.3f}{bias_txt}"
+        f"+- {entry['stderr']:.3f}{bias_txt}"
     ]
 
 
@@ -418,13 +407,14 @@ ANALYSES: dict[str, Analysis] = {
 }
 
 
-def _coerce(default, value):
-    """A config value takes its default's type; a None default means an optional float."""
+def _coerce(name: str, default, value):
+    """A config value takes its default's type: a list default a list of its
+    element type, a None default an optional float, an int default an integer."""
     if isinstance(default, list):
         return [type(default[0])(x) for x in value]
     if default is None:
         return None if value is None else float(value)
-    return type(default)(value)
+    return _integral(name, value)
 
 
 def _analysis_params(name: str, params, process: ProcessSpec) -> dict:
@@ -437,7 +427,11 @@ def _analysis_params(name: str, params, process: ProcessSpec) -> dict:
             f"{name!r} analysis needs a {' or '.join(analysis.processes)} process"
         )
     params = dict(params or {})
-    out = {key: _coerce(d, params.get(key, d)) for key, d in analysis.defaults.items()}
+    check_keys(params, analysis.defaults, f"{name!r} analysis")
+    out = {
+        key: _coerce(f"{name}.{key}", d, params.get(key, d))
+        for key, d in analysis.defaults.items()
+    }
     if analysis.check is not None:
         analysis.check(out)
     return out
@@ -456,7 +450,7 @@ def run(
     never a manifest.
     """
     if seed is not None:
-        config = config_from_dict({**config.to_dict(), "seed": int(seed)})
+        config = config_from_dict({**config.to_dict(), "seed": seed})
     digest = config_digest(config)
     started = _utcnow()
     out_dir = resolve_output_dir(config, None if output_dir is None else str(output_dir), name)

@@ -517,8 +517,20 @@ def _field(config: dict, name: str) -> float:
         raise InvalidConfig(f"law field {name!r} is not numeric: {config[name]!r}") from None
 
 
+def check_keys(config: dict, known, what: str) -> None:
+    """Raise InvalidConfig naming the first key of ``config`` that is not in ``known``."""
+    for key in config:
+        if key not in known:
+            raise InvalidConfig(
+                f"unknown key {key!r} in {what} (known: {', '.join(known) or 'none'})"
+            )
+
+
 def law_from_config(config: dict) -> CoefficientLaw:
-    """Build a law from a config fragment like {"kind": "exponential", "mean": 0.55}."""
+    """Build a law from a config fragment like {"kind": "exponential", "mean": 0.55}.
+
+    A key that the law's ``to_config()`` would not write back is an error.
+    """
     if not isinstance(config, dict) or "kind" not in config:
         raise InvalidConfig(f"law config must be a dict with a 'kind': {config!r}")
     try:
@@ -526,6 +538,8 @@ def law_from_config(config: dict) -> CoefficientLaw:
     except KeyError:
         raise InvalidConfig(f"unknown law kind {config['kind']!r}") from None
     try:
-        return builder(config)
+        law = builder(config)
     except LawError as exc:
         raise InvalidConfig(str(exc)) from exc
+    check_keys(config, law.to_config(), f"{config['kind']} law")
+    return law

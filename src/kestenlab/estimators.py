@@ -9,7 +9,7 @@ cross-check, never silently substituted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,14 +67,7 @@ class TailFit:
                 "the data shows no power-law decay above this threshold"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "threshold": float(self.threshold),
-            "exponent": float(self.exponent),
-            "intercept": float(self.intercept),
-            "n_tail": int(self.n_tail),
-            "stderr": float(self.stderr),
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)

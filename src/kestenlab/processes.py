@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .distributions import (
     Constant,
     GarchCoefficient,
     RngStream,
+    check_keys,
     law_from_config,
 )
 from .errors import (
@@ -46,24 +47,36 @@ DEFAULT_BURN_IN = 10_000
 NEAR_ONE_TOL = 1e-12
 
 
+def _config_value(value):
+    """A spec field as config: a law as its config, a tuple as a list."""
+    if isinstance(value, CoefficientLaw):
+        return value.to_config()
+    if isinstance(value, tuple):
+        return [_config_value(v) for v in value]
+    return value
+
+
+class _Spec:
+    """Base of the process specs: the config is ``kind``, then each field."""
+
+    def to_config(self) -> dict:
+        out = {"kind": self.kind}
+        for f in fields(self):
+            out[f.name] = _config_value(getattr(self, f.name))
+        return out
+
+
 @dataclass(frozen=True)
-class InverseMultiplier:
+class InverseMultiplier(_Spec):
     """Spec for the iid process r = (1 - a)^{-1} e."""
 
     a_law: CoefficientLaw
     e_law: CoefficientLaw
     kind = "inverse_multiplier"
 
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "a_law": self.a_law.to_config(),
-            "e_law": self.e_law.to_config(),
-        }
-
 
 @dataclass(frozen=True)
-class KestenScalar:
+class KestenScalar(_Spec):
     """Spec for the scalar feedback recursion r_t = a_t r_{t-1} + e_t."""
 
     a_law: CoefficientLaw
@@ -75,17 +88,9 @@ class KestenScalar:
         if not math.isfinite(self.r0):
             raise InvalidConfig(f"kesten_scalar r0 must be finite, got {self.r0}")
 
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "a_law": self.a_law.to_config(),
-            "e_law": self.e_law.to_config(),
-            "r0": self.r0,
-        }
-
 
 @dataclass(frozen=True)
-class KestenAR:
+class KestenAR(_Spec):
     """Spec for the order-K recursion r_t = a_t * sum_k w_kt r_{t-k} + e_t.
 
     One weight law per lag; each step draws a fresh weight vector.  With
@@ -138,19 +143,9 @@ class KestenAR:
             w = w / sums
         return a, w
 
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "a_law": self.a_law.to_config(),
-            "e_law": self.e_law.to_config(),
-            "weight_laws": [w.to_config() for w in self.weight_laws],
-            "normalize_weights": self.normalize_weights,
-            "r_init": list(self.r_init),
-        }
-
 
 @dataclass(frozen=True)
-class Garch11:
+class Garch11(_Spec):
     """GARCH(1,1): r_t = sigma_t z_t, sigma2_t = omega + alpha r_{t-1}^2 + beta sigma2_{t-1}."""
 
     omega: float
@@ -169,53 +164,47 @@ class Garch11:
         if not self.sigma0 > 0:
             raise InvalidConfig(f"garch11 sigma0 must be positive, got {self.sigma0}")
 
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "omega": self.omega,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "sigma0": self.sigma0,
-        }
-
 
 ProcessSpec = InverseMultiplier | KestenScalar | KestenAR | Garch11
 
 
 def spec_from_config(config: dict) -> ProcessSpec:
-    """Inverse of ``spec.to_config()``."""
+    """Inverse of ``spec.to_config()``; a key that it would not write back is an error."""
     if not isinstance(config, dict) or "kind" not in config:
         raise InvalidConfig(f"process config must be a dict with a 'kind': {config!r}")
     kind = config["kind"]
     try:
         if kind == "inverse_multiplier":
-            return InverseMultiplier(
+            spec = InverseMultiplier(
                 law_from_config(config["a_law"]), law_from_config(config["e_law"])
             )
-        if kind == "kesten_scalar":
-            return KestenScalar(
+        elif kind == "kesten_scalar":
+            spec = KestenScalar(
                 law_from_config(config["a_law"]),
                 law_from_config(config["e_law"]),
                 float(config.get("r0", 0.0)),
             )
-        if kind == "kesten_ar":
-            return KestenAR(
+        elif kind == "kesten_ar":
+            spec = KestenAR(
                 law_from_config(config["a_law"]),
                 law_from_config(config["e_law"]),
                 tuple(law_from_config(w) for w in config["weight_laws"]),
                 bool(config.get("normalize_weights", False)),
                 tuple(float(x) for x in config.get("r_init", ())),
             )
-        if kind == "garch11":
-            return Garch11(
+        elif kind == "garch11":
+            spec = Garch11(
                 float(config["omega"]),
                 float(config["alpha"]),
                 float(config["beta"]),
                 float(config.get("sigma0", 0.1)),
             )
+        else:
+            raise InvalidConfig(f"unknown process kind {kind!r}")
     except KeyError as exc:
         raise InvalidConfig(f"process config missing field {exc}") from None
-    raise InvalidConfig(f"unknown process kind {kind!r}")
+    check_keys(config, spec.to_config(), f"{kind} process")
+    return spec
 
 
 def spec_digest(spec: ProcessSpec) -> str:

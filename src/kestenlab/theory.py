@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -23,6 +23,7 @@ from .distributions import CoefficientLaw, RngStream
 from .errors import (
     DegenerateLaw,
     InvalidConfig,
+    LawError,
     NoDensity,
     NonnegativityRequired,
     NonStationary,
@@ -65,17 +66,7 @@ class CramerSolution:
             )
 
     def to_dict(self) -> dict:
-        out = {
-            "mu_star": float(self.mu_star),
-            "bracket": [float(self.bracket[0]), float(self.bracket[1])],
-            "residual": float(self.residual),
-            "method": self.method,
-        }
-        if self.stderr is not None:
-            out["stderr"] = float(self.stderr)
-        if self.finite_t_bias is not None:
-            out["finite_t_bias"] = float(self.finite_t_bias)
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -85,19 +76,14 @@ class StationarityCheck:
     log_moment: float
     verdict: str  # "stationary" | "non-stationary" | "boundary"
     stderr: float = 0.0
-    tolerance: float = BOUNDARY_TOL
+    tolerance = BOUNDARY_TOL
 
     @property
     def stationary(self) -> bool:
         return self.verdict == "stationary"
 
     def to_dict(self) -> dict:
-        return {
-            "log_moment": float(self.log_moment),
-            "verdict": self.verdict,
-            "stderr": float(self.stderr),
-            "tolerance": float(self.tolerance),
-        }
+        return {**asdict(self), "tolerance": self.tolerance}
 
 
 @dataclass(frozen=True)
@@ -115,14 +101,7 @@ class RegimeClassification:
     mu_star: float
     consistent: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "mean_a": float(self.mean_a),
-            "predicted": self.predicted,
-            "mu_star": float(self.mu_star),
-            "consistent": bool(self.consistent),
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -134,13 +113,7 @@ class ConditionCheck:
     evidence: float | None = None
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "status": self.status,
-            "evidence": None if self.evidence is None else float(self.evidence),
-            "note": self.note,
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -162,22 +135,7 @@ class TheoryReport:
     def all_verified(self) -> bool:
         return all(c.status == "verified" for c in self.conditions)
 
-    def to_dict(self) -> dict:
-        return {
-            "conditions": [c.to_dict() for c in self.conditions],
-            "regime_case": self.regime_case,
-            "predicted": self.predicted,
-            "mu_star": None if self.mu_star is None else float(self.mu_star),
-        }
-
-    def to_text(self) -> str:
-        lines = ["condition  status         evidence      note"]
-        for c in self.conditions:
-            ev = "" if c.evidence is None else f"{c.evidence:+.6g}"
-            lines.append(f"({c.condition})        {c.status:<14} {ev:<13} {c.note}")
-        mu = "n/a" if self.mu_star is None else f"{self.mu_star:.6g}"
-        lines.append(f"regime: case {self.regime_case} ({self.predicted}); mu* = {mu}")
-        return "\n".join(lines)
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -200,13 +158,7 @@ class LyapunovEstimate:
         return self.gamma_hat < 0
 
     def to_dict(self) -> dict:
-        return {
-            "gamma_hat": float(self.gamma_hat),
-            "t_horizon": int(self.t_horizon),
-            "trials": int(self.trials),
-            "stderr": float(self.stderr),
-            "norm": "inf",  # the matrix norm of _batched_log_norms
-        }
+        return {**asdict(self), "norm": "inf"}  # the matrix norm of _batched_log_norms
 
 
 def stationarity_check(a_law: CoefficientLaw) -> StationarityCheck:
@@ -397,9 +349,7 @@ def kesten_conditions_report(
             ConditionCheck("a", status, stat.log_moment, f"E[log a] {stat.verdict}")
         )
         log_a_ok = status == "verified"
-    except TheoryError:
-        raise
-    except Exception as exc:  # PositivityRequired and friends
+    except LawError as exc:  # PositivityRequired and friends
         entries.append(ConditionCheck("a", "not-checkable", None, str(exc)))
         log_a_ok = False
 
@@ -512,7 +462,7 @@ def kesten_conditions_report(
     # expectation-accuracy case from E(a) alone
     try:
         case, predicted, _ = _expectation_case(a_eff)
-    except Exception:
+    except LawError:
         case, predicted = "?", "unknown"
 
     return TheoryReport(tuple(entries), case, predicted, mu_star)
@@ -574,7 +524,7 @@ def lyapunov_top(
     log_norms = _batched_log_norms(spec, rng.generator(), (t_horizon,), trials)
     g = log_norms[t_horizon] / t_horizon
     stderr = float(g.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return LyapunovEstimate(float(g.mean()), t_horizon, trials, stderr)
+    return LyapunovEstimate(float(g.mean()), int(t_horizon), int(trials), stderr)
 
 
 def moment_lyapunov_root(

@@ -1,19 +1,35 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from kestenlab import RngStream
+from kestenlab import (
+    Exponential,
+    KestenScalar,
+    Normal,
+    RngStream,
+    classify_regime,
+    cramer_root,
+    kesten_conditions_report,
+    lyapunov_top,
+    moment_lyapunov_root,
+    simulate,
+    stationarity_check,
+    tail_exponent_ls,
+)
 from kestenlab.cli import (
     ExperimentConfig,
+    _canonical_json,
     config_from_dict,
     config_from_json,
     config_to_json,
     ingest_prices,
     load_config,
     main,
+    manifest_from_dict,
     report,
     run,
 )
@@ -91,6 +107,100 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(InvalidConfig):
             load_config("no-such-config.cfg")
+
+    def test_integral_floats_are_integers(self):
+        cfg = config_from_dict(
+            {**SMALL_CONFIG, "n_samples": 1e6, "seed": 7.0, "analyses": {"hill": {"k": 1e3}}}
+        )
+        got = (cfg.n_samples, cfg.seed, cfg.analyses["hill"]["k"])
+        assert got == (10**6, 7, 1000)
+        assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"n_sample": 1000}, "n_sample"),
+            ({"process": {**SMALL_CONFIG["process"], "r_0": 1.0}}, "r_0"),
+            (
+                {
+                    "process": {
+                        "kind": "inverse_multiplier",
+                        "a_law": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+                        "e_law": {"kind": "normal", "mean": 0.0, "sd": 1.0},
+                        "r0": 0.0,
+                    }
+                },
+                "r0",
+            ),
+            (
+                {
+                    "process": {
+                        **SMALL_CONFIG["process"],
+                        "a_law": {"kind": "exponential", "mean": 0.55, "sd": 1.0},
+                    }
+                },
+                "sd",
+            ),
+            ({"analyses": {"hill": {"K": 500}}}, "K"),
+            ({"analyses": {"tail_fit": {"treshold": 0.05}}}, "treshold"),
+            ({"analyses": {"cramer": {"mu": 3.0}}}, "mu"),
+        ],
+        ids=[
+            "experiment",
+            "process",
+            "process-field-of-another-kind",
+            "law",
+            "analysis-hill",
+            "analysis-tail_fit",
+            "analysis-without-parameters",
+        ],
+    )
+    def test_unknown_key_is_rejected(self, change, key):
+        with pytest.raises(InvalidConfig, match=f"unknown key {key!r}"):
+            config_from_dict({**SMALL_CONFIG, **change})
+
+    def test_manifest_keys_are_its_fields(self):
+        data = {
+            "config_digest": "0" * 64,
+            "toolkit_version": "0",
+            "seed": 1,
+            "started_at": "",
+            "finished_at": "",
+            "output_dir": "out",
+            "outputs": {"summary": ["summary.json"]},
+            "counters": {"resamples": 0},
+        }
+        assert manifest_from_dict(data).to_dict() == data
+        for bad in ({**data, "seeds": 1}, {k: v for k, v in data.items() if k != "seed"}):
+            with pytest.raises(InvalidConfig):
+                manifest_from_dict(bad)
+
+
+class TestRecords:
+    def test_numpy_inputs_serialize(self):
+        # every record's to_dict() holds plain JSON values, whatever numpy
+        # scalars the caller passed in
+        spec = KestenScalar(
+            Exponential(np.float64(0.55)), Normal(np.float64(0.0), np.float64(0.0065))
+        )
+        series = simulate(spec, RngStream(5), 20000, 500)
+        records = [
+            tail_exponent_ls(series, np.float64(0.01)),
+            stationarity_check(spec.a_law),
+            classify_regime(spec.a_law),
+            cramer_root(spec.a_law),
+            kesten_conditions_report(spec.a_law, spec.e_law),
+            lyapunov_top(spec, np.int64(100), np.int64(10), RngStream(3)),
+            moment_lyapunov_root(
+                spec, np.array([1.0, 6.0]), np.int64(2), np.int64(2000), RngStream(4)
+            ),
+            config_from_dict(
+                {**SMALL_CONFIG, "n_samples": np.int64(20000), "seed": np.uint64(7)}
+            ),
+        ]
+        for record in records:
+            text = _canonical_json(record.to_dict())
+            assert _canonical_json(json.loads(text)) == text, type(record).__name__
 
 
 class TestRun:
@@ -185,6 +295,22 @@ class TestRun:
         assert main(["lyapunov", "--config", str(cfg_path)]) == 0
         est = json.loads(capsys.readouterr().out)
         assert (est["t_horizon"], est["trials"]) == (1000, 100)
+
+    def test_json_files_are_canonical(self, tmp_path):
+        analyses = {
+            "tail_fit": {"threshold": None},
+            "hill": {"k": 500},
+            "cramer": {},
+            "conditions": {},
+            "lyapunov": {"t_horizon": 100, "trials": 10},
+            "moment_lyapunov": {"t_horizon": 2, "trials": 2000},
+        }
+        run(config_from_dict({**SMALL_CONFIG, "analyses": analyses}), output_dir=tmp_path / "out")
+        paths = sorted((tmp_path / "out").glob("*.json"))
+        assert len(paths) == 9  # the six analyses, series_meta, summary, manifest
+        for path in paths:
+            text = path.read_text()
+            assert text == _canonical_json(json.loads(text)), path.name
 
     def test_inverse_multiplier_drops_its_burn_in(self, tmp_path):
         cfg = config_from_dict(
@@ -472,6 +598,32 @@ class TestCommandLine:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error: ")
         assert "finite" in res.stderr
+        assert res.stderr.count("\n") == 1  # one line, no traceback
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n_samples": math.inf},
+            {"n_samples": 2000.7},
+            {"seed": math.nan},
+            {"burn_in": 0.5},
+            {"analyses": {"hill": {"k": math.inf}}},
+            {"analyses": {"hill": {"k": 100.9}}},
+            {"analyses": {"acf": {"max_lag": 10.5}}},
+            {"analyses": {"lyapunov": {"t_horizon": 200.5}}},
+        ],
+        ids=["n_samples-inf", "n_samples-fraction", "seed-nan", "burn_in-fraction",
+             "hill-k-inf", "hill-k-fraction", "acf-max_lag-fraction",
+             "lyapunov-t_horizon-fraction"],
+    )
+    def test_non_integral_config_value_exit_code(self, tmp_path, change):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(json.dumps({**SMALL_CONFIG, **change}))
+        res = _cli("run", str(cfg_path), "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: ")
+        assert "must be an integer" in res.stderr
         assert res.stderr.count("\n") == 1  # one line, no traceback
         assert not (tmp_path / "out").exists()
 

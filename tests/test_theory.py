@@ -339,11 +339,16 @@ class TestConditionsReport:
         rep = kesten_conditions_report(Constant(0.5), Normal(0.0, 1.0))
         assert rep.condition("c").status == "assumed"
 
-    def test_text_rendering(self):
-        rep = kesten_conditions_report(Exponential(0.55), Normal(0.0, 0.0065))
-        text = rep.to_text()
-        assert "verified" in text
-        assert "case C" in text
+    @pytest.mark.parametrize("method", ["log_moment", "mean"])
+    def test_law_bug_propagates(self, method):
+        # a LawError (the law cannot answer) is a report entry; any other
+        # exception from the law is a bug and must not become one
+        def bug(self):
+            raise RuntimeError(f"bug in {method}")
+
+        law = type("BuggyExponential", (Exponential,), {method: bug})(0.55)
+        with pytest.raises(RuntimeError, match=method):
+            kesten_conditions_report(law, Normal(0.0, 0.0065))
 
 
 class TestExpectedAcf:
