@@ -196,9 +196,18 @@ class RunManifest:
 
 def manifest_from_dict(data: dict) -> RunManifest:
     try:
-        return RunManifest(**data)
+        manifest = RunManifest(**data)
     except TypeError as exc:
         raise InvalidConfig(f"malformed manifest: {exc}") from None
+    outputs = manifest.outputs
+    if not isinstance(outputs, dict) or not all(
+        isinstance(files, list) and all(isinstance(f, str) for f in files)
+        for files in outputs.values()
+    ):
+        raise InvalidConfig(
+            f"malformed manifest: outputs must map names to file lists, got {outputs!r}"
+        )
+    return manifest
 
 
 def _canonical_json(data) -> str:
@@ -603,7 +612,11 @@ def report(manifest: RunManifest | str | Path) -> str:
     """One-screen human-readable summary of a completed run."""
     if not isinstance(manifest, RunManifest):
         mpath = Path(manifest)
-        manifest = manifest_from_dict(json.loads(mpath.read_text()))
+        try:
+            data = json.loads(mpath.read_text())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise InvalidConfig(f"{mpath}: manifest is not valid JSON: {exc}") from None
+        manifest = manifest_from_dict(data)
     out_dir = Path(manifest.output_dir)
     for files in manifest.outputs.values():
         for fname in files:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.integrate import quad
@@ -83,8 +83,31 @@ def _double_factorial_odd(j: int) -> float:
     return out
 
 
+class KindTagged:
+    """Base of the laws and process specs: the config is ``kind``, then each field.
+
+    A field's config key is its name, or its ``metadata["key"]``;
+    ``from_config`` reads the config back.
+    """
+
+    def to_config(self) -> dict:
+        out = {"kind": self.kind}
+        for f in fields(self):
+            out[f.metadata.get("key", f.name)] = _config_value(getattr(self, f.name))
+        return out
+
+
+def _config_value(value):
+    """A field as config: a law as its config, a tuple as a list."""
+    if isinstance(value, KindTagged):
+        return value.to_config()
+    if isinstance(value, tuple):
+        return [_config_value(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
-class CoefficientLaw:
+class CoefficientLaw(KindTagged):
     """Base law.  Subclasses implement sampling, moments, densities and support."""
 
     kind = "base"
@@ -152,9 +175,6 @@ class CoefficientLaw:
         """P(X > x)."""
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
     def _check_moment_pre(self, mu: float) -> None:
         if mu <= 0:
             raise LawError(f"moment order must be positive, got {mu}")
@@ -179,7 +199,7 @@ class CoefficientLaw:
 class Exponential(CoefficientLaw):
     """Exponential law with the given mean: E(X^mu) = Gamma(mu+1) * mean^mu."""
 
-    mean_value: float
+    mean_value: float = field(metadata={"key": "mean"})
     kind = "exponential"
     nonnegative = strictly_positive = has_density = True
 
@@ -211,9 +231,6 @@ class Exponential(CoefficientLaw):
         if x <= 0:
             return 1.0
         return math.exp(-x / self.mean_value)
-
-    def to_config(self) -> dict:
-        return {"kind": "exponential", "mean": self.mean_value}
 
 
 @dataclass(frozen=True)
@@ -278,15 +295,12 @@ class Uniform(CoefficientLaw):
             return 0.0
         return (self.hi - x) / (self.hi - self.lo)
 
-    def to_config(self) -> dict:
-        return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
 class Normal(CoefficientLaw):
     """Normal law; used for the noise term, never as a feedback coefficient."""
 
-    mean_value: float
+    mean_value: float = field(metadata={"key": "mean"})
     sd: float
     kind = "normal"
     nonnegative = strictly_positive = False
@@ -335,9 +349,6 @@ class Normal(CoefficientLaw):
         z = (x - self.mean_value) / self.sd
         return 0.5 * math.erfc(z / math.sqrt(2.0))
 
-    def to_config(self) -> dict:
-        return {"kind": "normal", "mean": self.mean_value, "sd": self.sd}
-
 
 @dataclass(frozen=True)
 class Constant(CoefficientLaw):
@@ -382,9 +393,6 @@ class Constant(CoefficientLaw):
 
     def survival(self, x: float) -> float:
         return 1.0 if self.value > x else 0.0
-
-    def to_config(self) -> dict:
-        return {"kind": "constant", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -495,27 +503,6 @@ class GarchCoefficient(CoefficientLaw):
             return 0.0
         return float(chi2.sf((x - self.beta) / self.alpha, 1))
 
-    def to_config(self) -> dict:
-        return {"kind": "garch_coeff", "beta": self.beta, "alpha": self.alpha}
-
-
-_LAW_BUILDERS = {
-    "exponential": lambda c: Exponential(_field(c, "mean")),
-    "uniform": lambda c: Uniform(_field(c, "lo"), _field(c, "hi")),
-    "normal": lambda c: Normal(_field(c, "mean"), _field(c, "sd")),
-    "constant": lambda c: Constant(_field(c, "value")),
-    "garch_coeff": lambda c: GarchCoefficient(_field(c, "beta"), _field(c, "alpha")),
-}
-
-
-def _field(config: dict, name: str) -> float:
-    try:
-        return float(config[name])
-    except KeyError:
-        raise InvalidConfig(f"law config {config!r} is missing field {name!r}") from None
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"law field {name!r} is not numeric: {config[name]!r}") from None
-
 
 def check_keys(config: dict, known, what: str) -> None:
     """Raise InvalidConfig naming the first key of ``config`` that is not in ``known``."""
@@ -526,20 +513,70 @@ def check_keys(config: dict, known, what: str) -> None:
             )
 
 
-def law_from_config(config: dict) -> CoefficientLaw:
-    """Build a law from a config fragment like {"kind": "exponential", "mean": 0.55}.
+def _float(value, name: str) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidConfig(f"{name} must be a number, got {value!r}")
 
-    A key that the law's ``to_config()`` would not write back is an error.
+
+def _typed(value, cls: type, name: str):
+    if not isinstance(value, cls):
+        raise InvalidConfig(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
+def _law(value, name: str) -> CoefficientLaw:
+    return law_from_config(_typed(value, dict, name))
+
+
+def _tuple_of(read):
+    return lambda value, name: tuple(read(v, name) for v in _typed(value, list, name))
+
+
+# How a config value is read, keyed by its field's annotation as text (PEP 563).
+_DECODERS = {
+    "float": _float,
+    "bool": lambda value, name: _typed(value, bool, name),
+    "CoefficientLaw": _law,
+    "tuple[CoefficientLaw, ...]": _tuple_of(_law),
+    "tuple[float, ...]": _tuple_of(_float),
+}
+
+
+def from_config(kinds: dict, config, what: str):
+    """The object that ``config`` describes: the inverse of ``to_config()``.
+
+    ``kinds`` maps each kind to its class, and each field is read by its
+    annotation.  A key that the object's ``to_config()`` would not write
+    back is an error, checked only after the object is built.
     """
     if not isinstance(config, dict) or "kind" not in config:
-        raise InvalidConfig(f"law config must be a dict with a 'kind': {config!r}")
+        raise InvalidConfig(f"{what} config must be a dict with a 'kind': {config!r}")
+    kind = config["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InvalidConfig(f"unknown {what} kind {kind!r}")
+    cls = kinds[kind]
+    args = {}
+    for f in fields(cls):
+        key = f.metadata.get("key", f.name)
+        if key in config:
+            args[f.name] = _DECODERS[f.type](config[key], f"{kind} {what} field {key!r}")
+        elif f.default is MISSING:
+            raise InvalidConfig(f"{kind} {what} config {config!r} is missing field {key!r}")
     try:
-        builder = _LAW_BUILDERS[config["kind"]]
-    except KeyError:
-        raise InvalidConfig(f"unknown law kind {config['kind']!r}") from None
-    try:
-        law = builder(config)
+        obj = cls(**args)
     except LawError as exc:
         raise InvalidConfig(str(exc)) from exc
-    check_keys(config, law.to_config(), f"{config['kind']} law")
-    return law
+    check_keys(config, obj.to_config(), f"{kind} {what}")
+    return obj
+
+
+_LAW_KINDS = {cls.kind: cls for cls in CoefficientLaw.__subclasses__()}
+
+
+def law_from_config(config: dict) -> CoefficientLaw:
+    """Build a law from a config fragment like {"kind": "exponential", "mean": 0.55}."""
+    return from_config(_LAW_KINDS, config, "law")

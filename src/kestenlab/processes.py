@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +23,9 @@ from .distributions import (
     CoefficientLaw,
     Constant,
     GarchCoefficient,
+    KindTagged,
     RngStream,
-    check_keys,
-    law_from_config,
+    from_config,
 )
 from .errors import (
     DegenerateSpec,
@@ -47,27 +47,8 @@ DEFAULT_BURN_IN = 10_000
 NEAR_ONE_TOL = 1e-12
 
 
-def _config_value(value):
-    """A spec field as config: a law as its config, a tuple as a list."""
-    if isinstance(value, CoefficientLaw):
-        return value.to_config()
-    if isinstance(value, tuple):
-        return [_config_value(v) for v in value]
-    return value
-
-
-class _Spec:
-    """Base of the process specs: the config is ``kind``, then each field."""
-
-    def to_config(self) -> dict:
-        out = {"kind": self.kind}
-        for f in fields(self):
-            out[f.name] = _config_value(getattr(self, f.name))
-        return out
-
-
 @dataclass(frozen=True)
-class InverseMultiplier(_Spec):
+class InverseMultiplier(KindTagged):
     """Spec for the iid process r = (1 - a)^{-1} e."""
 
     a_law: CoefficientLaw
@@ -76,7 +57,7 @@ class InverseMultiplier(_Spec):
 
 
 @dataclass(frozen=True)
-class KestenScalar(_Spec):
+class KestenScalar(KindTagged):
     """Spec for the scalar feedback recursion r_t = a_t r_{t-1} + e_t."""
 
     a_law: CoefficientLaw
@@ -90,7 +71,7 @@ class KestenScalar(_Spec):
 
 
 @dataclass(frozen=True)
-class KestenAR(_Spec):
+class KestenAR(KindTagged):
     """Spec for the order-K recursion r_t = a_t * sum_k w_kt r_{t-k} + e_t.
 
     One weight law per lag; each step draws a fresh weight vector.  With
@@ -145,7 +126,7 @@ class KestenAR(_Spec):
 
 
 @dataclass(frozen=True)
-class Garch11(_Spec):
+class Garch11(KindTagged):
     """GARCH(1,1): r_t = sigma_t z_t, sigma2_t = omega + alpha r_{t-1}^2 + beta sigma2_{t-1}."""
 
     omega: float
@@ -166,45 +147,12 @@ class Garch11(_Spec):
 
 
 ProcessSpec = InverseMultiplier | KestenScalar | KestenAR | Garch11
+_PROCESS_KINDS = {cls.kind: cls for cls in ProcessSpec.__args__}
 
 
 def spec_from_config(config: dict) -> ProcessSpec:
     """Inverse of ``spec.to_config()``; a key that it would not write back is an error."""
-    if not isinstance(config, dict) or "kind" not in config:
-        raise InvalidConfig(f"process config must be a dict with a 'kind': {config!r}")
-    kind = config["kind"]
-    try:
-        if kind == "inverse_multiplier":
-            spec = InverseMultiplier(
-                law_from_config(config["a_law"]), law_from_config(config["e_law"])
-            )
-        elif kind == "kesten_scalar":
-            spec = KestenScalar(
-                law_from_config(config["a_law"]),
-                law_from_config(config["e_law"]),
-                float(config.get("r0", 0.0)),
-            )
-        elif kind == "kesten_ar":
-            spec = KestenAR(
-                law_from_config(config["a_law"]),
-                law_from_config(config["e_law"]),
-                tuple(law_from_config(w) for w in config["weight_laws"]),
-                bool(config.get("normalize_weights", False)),
-                tuple(float(x) for x in config.get("r_init", ())),
-            )
-        elif kind == "garch11":
-            spec = Garch11(
-                float(config["omega"]),
-                float(config["alpha"]),
-                float(config["beta"]),
-                float(config.get("sigma0", 0.1)),
-            )
-        else:
-            raise InvalidConfig(f"unknown process kind {kind!r}")
-    except KeyError as exc:
-        raise InvalidConfig(f"process config missing field {exc}") from None
-    check_keys(config, spec.to_config(), f"{kind} process")
-    return spec
+    return from_config(_PROCESS_KINDS, config, "process")
 
 
 def spec_digest(spec: ProcessSpec) -> str:

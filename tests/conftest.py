@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from kestenlab import (
     Exponential,
@@ -20,6 +21,55 @@ FIG4_SPEC = KestenAR(
     Normal(0.0, 0.007),
     (Uniform(0.7, 0.8), Uniform(0.1, 0.2), Uniform(0.0, 0.2)),
 )
+
+
+# arbitrary JSON values, with the strings float() reads among them
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["", "1", "12", "nan", "-inf", "false", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "mean", "lo", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+_DROP = object()
+
+
+def _paths(value, path=()):
+    """The path of each value inside ``value``, and of a new key in each dict."""
+    if isinstance(value, dict):
+        yield path + ("extra",)
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, v in items:
+        yield path + (key,)
+        yield from _paths(v, path + (key,))
+
+
+def _replaced(value, path, new):
+    """A copy of ``value`` with the value at ``path`` replaced by ``new``, or removed."""
+    out = value.copy()
+    key, rest = path[0], path[1:]
+    if rest:
+        out[key] = _replaced(value[key], rest, new)
+    elif new is not _DROP:
+        out[key] = new
+    elif isinstance(out, list) or key in out:
+        del out[key]
+    return out
+
+
+def fuzzed(config):
+    """Strategy: ``config`` as is, or with one value at any depth replaced by
+    arbitrary JSON or removed, or with an unknown key added."""
+    new = JSON_VALUES | st.floats(0.0, 1.0) | st.just(_DROP)
+    change = st.tuples(st.sampled_from(list(_paths(config))), new)
+    return st.just(config) | change.map(lambda c: _replaced(config, *c))
 
 
 def exact_pareto(mu: float, n: int, seed: int) -> np.ndarray:

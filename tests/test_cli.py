@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,18 +7,25 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import fuzzed
 from kestenlab import (
+    Constant,
     Exponential,
+    GarchCoefficient,
     KestenScalar,
     Normal,
     RngStream,
+    Uniform,
     classify_regime,
     cramer_root,
     kesten_conditions_report,
     lyapunov_top,
     moment_lyapunov_root,
     simulate,
+    spec_from_config,
     stationarity_check,
     tail_exponent_ls,
 )
@@ -56,6 +65,24 @@ SMALL_CONFIG = {
         "cramer": {},
     },
     "output_dir": None,
+}
+
+MANIFEST = {
+    "config_digest": "0" * 64,
+    "toolkit_version": "0",
+    "seed": 1,
+    "started_at": "",
+    "finished_at": "",
+    "output_dir": "out",
+    "outputs": {"summary": ["summary.json"]},
+    "counters": {"resamples": 0},
+}
+
+AR_PROCESS = {
+    "kind": "kesten_ar",
+    "a_law": {"kind": "exponential", "mean": 0.6},
+    "e_law": {"kind": "normal", "mean": 0.0, "sd": 0.007},
+    "weight_laws": [{"kind": "constant", "value": 0.5}] * 2,
 }
 
 
@@ -160,18 +187,8 @@ class TestConfig:
             config_from_dict({**SMALL_CONFIG, **change})
 
     def test_manifest_keys_are_its_fields(self):
-        data = {
-            "config_digest": "0" * 64,
-            "toolkit_version": "0",
-            "seed": 1,
-            "started_at": "",
-            "finished_at": "",
-            "output_dir": "out",
-            "outputs": {"summary": ["summary.json"]},
-            "counters": {"resamples": 0},
-        }
-        assert manifest_from_dict(data).to_dict() == data
-        for bad in ({**data, "seeds": 1}, {k: v for k, v in data.items() if k != "seed"}):
+        assert manifest_from_dict(MANIFEST).to_dict() == MANIFEST
+        for bad in ({**MANIFEST, "seeds": 1}, {k: v for k, v in MANIFEST.items() if k != "seed"}):
             with pytest.raises(InvalidConfig):
                 manifest_from_dict(bad)
 
@@ -602,6 +619,43 @@ class TestCommandLine:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "via, config, field",
+        [
+            ("run", {**AR_PROCESS, "normalize_weights": "false"}, "normalize_weights"),
+            ("run", {**AR_PROCESS, "r_init": "12"}, "r_init"),
+            ("run", {**AR_PROCESS, "r_init": 5}, "r_init"),
+            (
+                "run",
+                {"kind": "garch11", "omega": 0.01, "alpha": 0.09, "beta": 0.9, "sigma0": None},
+                "sigma0",
+            ),
+            ("spec_from_config", {**SMALL_CONFIG["process"], "r0": "abc"}, "r0"),
+            ("cramer", {"kind": []}, "kind"),
+            ("cramer", {"kind": "exponential", "mean": True}, "mean"),
+        ],
+        ids=["normalize_weights-string", "r_init-string", "r_init-number", "sigma0-null",
+             "r0-text", "law-kind-array", "law-mean-boolean"],
+    )
+    def test_mistyped_config_value_is_named(self, tmp_path, capsys, via, config, field):
+        if via == "spec_from_config":
+            with pytest.raises(InvalidConfig, match=field):
+                spec_from_config(config)
+            return
+        if via == "run":
+            cfg_path = tmp_path / "bad.cfg"
+            cfg_path.write_text(json.dumps({**SMALL_CONFIG, "process": config}))
+            argv = ["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]
+        else:
+            argv = ["cramer", "--law", json.dumps(config)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "change",
         [
             {"n_samples": math.inf},
@@ -648,9 +702,42 @@ class TestCommandLine:
         assert "error:" in res.stderr
         assert "Traceback" not in res.stderr
 
+    # every law kind; a new garch_coeff parameter pair costs a 10^6-draw Monte Carlo
+    CRAMER_FUZZ_SEEDS = [
+        law.to_config()
+        for law in (Exponential(0.55), Uniform(0.7, 1.2), Normal(0.0, 1.0), Constant(0.5),
+                    GarchCoefficient(0.9, 0.09))
+    ]
+
+    @settings(max_examples=15, deadline=None)
+    @given(law=st.sampled_from(CRAMER_FUZZ_SEEDS).flatmap(fuzzed))
+    def test_fuzzed_cramer_law_exits_cleanly(self, law):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["cramer", "--law", json.dumps(law)])
+        assert code in (0, 2, 3, 4)
+        assert "nan" not in out.getvalue().lower()
+        if code:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+
     def test_cramer_thin_tail_exit_code(self):
         res = _cli("cramer", "--law", '{"kind": "uniform", "lo": 0.0, "hi": 0.5}')
         assert res.returncode == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        ["not json", json.dumps({**MANIFEST, "outputs": []})],
+        ids=["not-json", "outputs-not-a-mapping"],
+    )
+    def test_bad_manifest_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_lyapunov_subcommand(self, tmp_path):
         cfg = {

@@ -1,9 +1,15 @@
+import json
+import typing
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIG3_SPEC
+from conftest import FIG3_SPEC, fuzzed
 from kestenlab import (
     AcfResult,
+    CoefficientLaw,
     Constant,
     CramerSolution,
     Exponential,
@@ -14,6 +20,7 @@ from kestenlab import (
     KestenScalar,
     LyapunovEstimate,
     Normal,
+    ProcessSpec,
     ReturnSeries,
     RngStream,
     TailFit,
@@ -23,6 +30,7 @@ from kestenlab import (
     garch11_paths,
     garch_to_kesten,
     inverse_tail_prediction,
+    law_from_config,
     lyapunov_top,
     read_series_csv,
     returns_from_prices,
@@ -32,6 +40,7 @@ from kestenlab import (
     tail_exponent_ls,
     write_series_csv,
 )
+from kestenlab.distributions import KindTagged
 from kestenlab.errors import (
     DegenerateSpec,
     InvalidConfig,
@@ -250,25 +259,48 @@ class TestReturnSeries:
         assert "\r" not in path.read_text()
 
 
+ROUND_TRIP_SPECS = {
+    "inverse": InverseMultiplier(Uniform(0.0, 1.0), Normal(0.0, 1.0)),
+    "scalar": KestenScalar(Exponential(0.55), Normal(0.0, 0.0065), r0=0.1),
+    "ar": KestenAR(
+        Exponential(0.6),
+        Normal(0.0, 0.007),
+        (Uniform(0.7, 0.8), Uniform(0.1, 0.2), Uniform(0.0, 0.2)),
+        normalize_weights=True,
+        r_init=(0.0, 0.1, 0.2),
+    ),
+    "garch": Garch11(0.01, 0.09, 0.9, sigma0=0.1),
+}
+
+
 class TestSpecConfig:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            InverseMultiplier(Uniform(0.0, 1.0), Normal(0.0, 1.0)),
-            KestenScalar(Exponential(0.55), Normal(0.0, 0.0065), r0=0.1),
-            KestenAR(
-                Exponential(0.6),
-                Normal(0.0, 0.007),
-                (Uniform(0.7, 0.8), Uniform(0.1, 0.2), Uniform(0.0, 0.2)),
-                normalize_weights=True,
-                r_init=(0.0, 0.1, 0.2),
-            ),
-            Garch11(0.01, 0.09, 0.9, sigma0=0.1),
-        ],
-        ids=["inverse", "scalar", "ar", "garch"],
-    )
+    @pytest.mark.parametrize("spec", ROUND_TRIP_SPECS.values(), ids=list(ROUND_TRIP_SPECS))
     def test_round_trip(self, spec):
         assert spec_from_config(spec.to_config()) == spec
+
+    def test_every_kind_has_a_round_trip_case(self):
+        # a spec class left out of the reader's kind table fails its round trip
+        specs = set(KindTagged.__subclasses__()) - {CoefficientLaw}
+        assert {type(spec) for spec in ROUND_TRIP_SPECS.values()} == specs
+        assert specs == set(typing.get_args(ProcessSpec))
+
+    # every law kind, each with every field set, and every spec kind
+    FUZZ_SEEDS = [
+        Constant(1.0).to_config(),
+        GarchCoefficient(0.9, 0.09).to_config(),
+        *(spec.to_config() for spec in ROUND_TRIP_SPECS.values()),
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=st.sampled_from(FUZZ_SEEDS).flatmap(fuzzed))
+    def test_fuzzed_config_reads_back_or_is_invalid(self, config):
+        for read in (law_from_config, spec_from_config):
+            try:
+                obj = read(config)
+            except InvalidConfig:
+                continue
+            json.dumps(obj.to_config(), allow_nan=False)  # every value finite
+            assert read(obj.to_config()) == obj
 
     def test_digest_stable_and_distinct(self):
         a = KestenScalar(Exponential(0.55), Normal(0.0, 0.0065))
