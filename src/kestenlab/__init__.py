@@ -44,6 +44,7 @@ from .processes import (
     spec_digest,
     spec_from_config,
     write_series_csv,
+    write_series_npy,
 )
 from .theory import (
     CramerSolution,
@@ -87,6 +88,7 @@ __all__ = [
     "spec_digest",
     "spec_from_config",
     "write_series_csv",
+    "write_series_npy",
     # estimators
     "AcfResult",
     "TailFit",

@@ -2,8 +2,8 @@
 
 One JSON config describes a process, a sample size, a seed and a set of
 analyses; ``run`` simulates the path once, feeds every requested analysis
-from that same path and writes a reproducible result bundle (series CSV,
-CCDF/ACF tables, JSON summaries, manifest).  Identical configs produce
+from that same path and writes a reproducible result bundle (the series as
+``.npy``, CCDF/ACF tables, JSON summaries, manifest).  Identical configs produce
 byte-identical payloads; timestamps live only in the manifest.
 
 Subcommands: run, ingest, fit-tail, acf, cramer, lyapunov, report.
@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import typing
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -45,6 +46,7 @@ from .estimators import (
     hill_estimator,
     returns_from_prices,
     tail_exponent_ls,
+    thin_ccdf,
     write_acf_csv,
     write_ccdf_csv,
 )
@@ -61,6 +63,7 @@ from .processes import (
     simulate,
     spec_from_config,
     write_series_csv,
+    write_series_npy,
 )
 from .theory import (
     classify_regime,
@@ -199,8 +202,14 @@ def manifest_from_dict(data: dict) -> RunManifest:
         manifest = RunManifest(**data)
     except TypeError as exc:
         raise InvalidConfig(f"malformed manifest: {exc}") from None
+    for name, kind in typing.get_type_hints(RunManifest).items():
+        value = getattr(manifest, name)
+        if not isinstance(value, kind):
+            raise InvalidConfig(
+                f"malformed manifest: {name} must be a {kind.__name__}, got {value!r}"
+            )
     outputs = manifest.outputs
-    if not isinstance(outputs, dict) or not all(
+    if not all(
         isinstance(files, list) and all(isinstance(f, str) for f in files)
         for files in outputs.values()
     ):
@@ -208,6 +217,14 @@ def manifest_from_dict(data: dict) -> RunManifest:
             f"malformed manifest: outputs must map names to file lists, got {outputs!r}"
         )
     return manifest
+
+
+def _read_json(path: Path, what: str):
+    """The JSON value in ``path``; InvalidConfig if it is not UTF-8 JSON."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise InvalidConfig(f"{path}: {what} is not valid JSON: {exc}") from None
 
 
 def _canonical_json(data) -> str:
@@ -287,7 +304,7 @@ def _report_cramer(entry: dict, out_dir: Path) -> list[str]:
 
 def _tail_fit(series, config: ExperimentConfig, params: dict, write) -> dict:
     fit = tail_exponent_ls(series, params["threshold"])
-    x, p = empirical_ccdf(series, absolute=True)
+    x, p = thin_ccdf(*empirical_ccdf(series, absolute=True))
     write("ccdf.csv", lambda path: write_ccdf_csv(x, p, path))
     write("tail_fit.json", fit.to_dict())
     return fit.to_dict()
@@ -352,7 +369,7 @@ def _report_conditions(entry: dict, out_dir: Path) -> list[str]:
     lines = [f"Kesten-theorem conditions (a)-(h): {ok} (case {entry['regime_case']})"]
     report_json = out_dir / "conditions.json"
     if report_json.exists():
-        detail = json.loads(report_json.read_text())
+        detail = _read_json(report_json, "conditions report")
         for c in detail["conditions"]:
             ev = "" if c["evidence"] is None else f"{c['evidence']:+.6g}"
             lines.append(f"  ({c['condition']}) {c['status']:<13} {ev:<14} {c['note']}")
@@ -514,7 +531,7 @@ def run(
         if group is not None:
             outputs.setdefault(group, []).append(filename)
 
-    write("series", "series.csv", lambda p: write_series_csv(series, p))
+    write("series", "series.npy", lambda p: write_series_npy(series, p))
     write("series", "series_meta.json", series.metadata())
     for key, analysis in ANALYSES.items():
         if key in config.analyses:
@@ -611,18 +628,13 @@ def _price_rows(fh, reader, path: Path, col: int):
 def report(manifest: RunManifest | str | Path) -> str:
     """One-screen human-readable summary of a completed run."""
     if not isinstance(manifest, RunManifest):
-        mpath = Path(manifest)
-        try:
-            data = json.loads(mpath.read_text())
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise InvalidConfig(f"{mpath}: manifest is not valid JSON: {exc}") from None
-        manifest = manifest_from_dict(data)
+        manifest = manifest_from_dict(_read_json(Path(manifest), "manifest"))
     out_dir = Path(manifest.output_dir)
     for files in manifest.outputs.values():
         for fname in files:
             if not (out_dir / fname).exists():
                 raise MissingArtifacts(f"missing run artifact: {out_dir / fname}")
-    summary = json.loads((out_dir / "summary.json").read_text())
+    summary = _read_json(out_dir / "summary.json", "summary")
 
     lines = [
         f"kestenlab {manifest.toolkit_version} | run {manifest.config_digest[:12]} "
@@ -684,11 +696,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument("--price-col", default="close", help="column name or 0-based index")
     p_ing.add_argument("--out", default=None, help="output series CSV path")
 
-    p_fit = sub.add_parser("fit-tail", help="tail-exponent fit of a series CSV")
+    p_fit = sub.add_parser("fit-tail", help="tail-exponent fit of a series CSV or .npy file")
     p_fit.add_argument("series")
     p_fit.add_argument("--threshold", type=float, default=None)
 
-    p_acf = sub.add_parser("acf", help="autocorrelation of a series CSV")
+    p_acf = sub.add_parser("acf", help="autocorrelation of a series CSV or .npy file")
     p_acf.add_argument("series")
     p_acf.add_argument("--max-lag", type=int, required=True)
     p_acf.add_argument("--absolute", action="store_true")

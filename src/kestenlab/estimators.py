@@ -26,6 +26,10 @@ from .processes import write_csv
 
 MIN_TAIL_POINTS = 10
 
+# ccdf.csv keeps the survival points nearest above this many log-spaced
+# abscissae: enough to draw the log-log curve, a few hundred rows at most.
+CCDF_PLOT_POINTS = 512
+
 # When the caller gives no threshold, fit above the 95th percentile of |r|;
 # an absolute 2% cutoff only makes sense for series scaled to ~1% std.
 DEFAULT_TAIL_QUANTILE = 0.95
@@ -133,6 +137,23 @@ def empirical_ccdf(series, absolute: bool = True) -> tuple[np.ndarray, np.ndarra
     x, counts = np.unique(v, return_counts=True)
     p = (n - np.cumsum(counts)) / n
     return x, p
+
+
+def thin_ccdf(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of an absolute ``empirical_ccdf`` that ``ccdf.csv`` keeps.
+
+    At most ``CCDF_PLOT_POINTS`` distinct x are kept whole.  Otherwise the
+    rows are the first, the last, and the first x at or above each of
+    ``CCDF_PLOT_POINTS`` log-spaced points from the smallest positive x to
+    the largest: exact (x, p) pairs, at most ``CCDF_PLOT_POINTS`` of them
+    (one more when the first x is 0).
+    """
+    if x.size <= CCDF_PLOT_POINTS:
+        return x, p
+    smallest_positive = x[np.searchsorted(x, 0.0, side="right")]
+    grid = np.geomspace(smallest_positive, x[-1], CCDF_PLOT_POINTS)
+    rows = np.unique(np.concatenate(([0, x.size - 1], np.searchsorted(x, grid))))
+    return x[rows], p[rows]
 
 
 def tail_exponent_ls(series, threshold: float | None = None) -> TailFit:

@@ -358,7 +358,7 @@ def as_ar(spec: KestenScalar | KestenAR) -> KestenAR:
     )
 
 
-# CSV round trip -------------------------------------------------------------
+# series files: CSV and .npy round trips -------------------------------------
 
 # Rows formatted and written per block, so memory does not grow with the file.
 CSV_BLOCK_ROWS = 16_384
@@ -386,6 +386,53 @@ def write_csv(path: str | Path, header: str, *columns) -> None:
 def write_series_csv(series: ReturnSeries, path: str | Path) -> None:
     """Write header t,r with round-trip-exact decimal floats and LF endings."""
     write_csv(path, "t,r", range(len(series.values)), series.values)
+
+
+def write_series_npy(series: ReturnSeries, path: str | Path) -> None:
+    """Write the values as a 1-d float64 ``.npy`` array, bit for bit.
+
+    Saved through an open handle: ``np.save`` on a path would append ``.npy``.
+    """
+    with open(path, "wb") as fh:
+        np.save(fh, series.values, allow_pickle=False)
+
+
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _read_npy(path: Path) -> np.ndarray:
+    """The finite, nonempty, 1-d float64 array in a ``.npy`` file.
+
+    The header is checked against the file size before any data is read,
+    and no pickled data is ever loaded; anything else is a ParseError.
+    """
+    with path.open("rb") as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in _NPY_HEADER_READERS:
+                raise ValueError(f"unsupported format version {version}")
+            shape, _, dtype = _NPY_HEADER_READERS[version](fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not a .npy array: {exc}") from None
+        if dtype.kind != "f" or dtype.itemsize != 8 or len(shape) != 1:
+            raise ParseError(
+                f"{path}: expected a 1-d float64 array, got dtype {dtype} and shape {shape}"
+            )
+        if shape[0] == 0:
+            raise ParseError(f"{path}: empty array")
+        data_bytes = path.stat().st_size - fh.tell()
+        if data_bytes != 8 * shape[0]:
+            raise ParseError(
+                f"{path}: holds {data_bytes} data bytes, its header declares {8 * shape[0]}"
+            )
+        values = np.fromfile(fh, dtype=dtype).astype(np.float64, copy=False)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ParseError(f"{path}: element {bad[0]} is not finite: {float(values[bad[0]])!r}")
+    return values
 
 
 # numpy's float parser strips these around a field and float() does not,
@@ -421,8 +468,11 @@ def _not_utf8(path: Path, raw: bytes) -> ParseError:
 
 
 def read_series_csv(path: str | Path) -> np.ndarray:
-    """Read a t,r series file back into a value array of finite returns."""
+    """Read a t,r series CSV, or a ``.npy`` series by its suffix, into a
+    value array of finite returns."""
     path = Path(path)
+    if path.suffix == ".npy":
+        return _read_npy(path)
     raw = path.read_bytes()
     try:
         with path.open(encoding="utf-8") as fh:

@@ -227,11 +227,11 @@ def test_criterion_8_estimator_calibration():
 
 
 def _payload_files(out_dir):
-    """All CSV/JSON payloads of a run; the manifest holds the timestamps."""
+    """All CSV/JSON/NPY payloads of a run; the manifest holds the timestamps."""
     return sorted(
         p.name
         for p in out_dir.iterdir()
-        if p.suffix in (".csv", ".json") and p.name != "manifest.json"
+        if p.suffix in (".csv", ".json", ".npy") and p.name != "manifest.json"
     )
 
 
@@ -249,11 +249,11 @@ def test_criterion_9_determinism(
             ).read_bytes(), f"{a}/{name} differs between identical runs"
 
     # a different seed must change the numbers but keep criteria 1-2 green
-    assert (outroot / "fig3" / "series.csv").read_bytes() != (
-        outroot / "fig3-altseed" / "series.csv"
+    assert (outroot / "fig3" / "series.npy").read_bytes() != (
+        outroot / "fig3-altseed" / "series.npy"
     ).read_bytes()
-    assert (outroot / "fig2" / "series.csv").read_bytes() != (
-        outroot / "fig2-altseed" / "series.csv"
+    assert (outroot / "fig2" / "series.npy").read_bytes() != (
+        outroot / "fig2-altseed" / "series.npy"
     ).read_bytes()
 
     alt3 = fig3_altseed[1]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fuzzed
+from conftest import FIG3_SPEC, fuzzed
 from kestenlab import (
     Constant,
     Exponential,
@@ -28,6 +28,8 @@ from kestenlab import (
     spec_from_config,
     stationarity_check,
     tail_exponent_ls,
+    write_series_csv,
+    write_series_npy,
 )
 from kestenlab.cli import (
     ExperimentConfig,
@@ -226,7 +228,7 @@ class TestRun:
         manifest = run(cfg, output_dir=tmp_path / "out")
         out = tmp_path / "out"
         for fname in (
-            "series.csv",
+            "series.npy",
             "series_meta.json",
             "ccdf.csv",
             "tail_fit.json",
@@ -240,13 +242,13 @@ class TestRun:
         assert not list(out.glob("*.tmp"))
         assert manifest.seed == 7
         listed = {f for files in manifest.outputs.values() for f in files}
-        assert "series.csv" in listed and "summary.json" in listed
+        assert "series.npy" in listed and "summary.json" in listed
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = config_from_dict(SMALL_CONFIG)
         run(cfg, output_dir=tmp_path / "a")
         run(cfg, output_dir=tmp_path / "b")
-        for fname in ("series.csv", "tail_fit.json", "summary.json", "acf_raw.csv"):
+        for fname in ("series.npy", "ccdf.csv", "tail_fit.json", "summary.json", "acf_raw.csv"):
             assert (tmp_path / "a" / fname).read_bytes() == (
                 tmp_path / "b" / fname
             ).read_bytes(), fname
@@ -256,8 +258,8 @@ class TestRun:
         run(cfg, output_dir=tmp_path / "a")
         m = run(cfg, output_dir=tmp_path / "b", seed=8)
         assert m.seed == 8
-        assert (tmp_path / "a" / "series.csv").read_bytes() != (
-            tmp_path / "b" / "series.csv"
+        assert (tmp_path / "a" / "series.npy").read_bytes() != (
+            tmp_path / "b" / "series.npy"
         ).read_bytes()
 
     def test_output_root_env(self, tmp_path, monkeypatch):
@@ -370,7 +372,7 @@ class TestRun:
         out = tmp_path / "out"
         assert not (out / "manifest.json").exists()
         assert not list(out.glob("*.tmp"))
-        assert (out / "series.csv").exists()  # completed payloads stay valid
+        assert (out / "series.npy").exists()  # completed payloads stay valid
 
 
 class TestIngest:
@@ -554,6 +556,53 @@ class TestCommandLine:
         assert out == ""
         assert err.startswith(f"error: {path}: line {line}: ")
 
+    def test_npy_series_prints_as_its_csv(self, tmp_path, capsys):
+        series = simulate(FIG3_SPEC, RngStream(4), 5000)
+        write_series_csv(series, tmp_path / "series.csv")
+        write_series_npy(series, tmp_path / "series.npy")
+        for argv in (["fit-tail"], ["acf", "--max-lag", "10", "--absolute"]):
+            printed = []
+            for name in ("series.csv", "series.npy"):
+                assert main([argv[0], str(tmp_path / name), *argv[1:]]) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1] != ""
+
+    @staticmethod
+    def _npy_bytes(array, allow_pickle=False) -> bytes:
+        buf = io.BytesIO()
+        np.save(buf, array, allow_pickle=allow_pickle)
+        return buf.getvalue()
+
+    NPY_GOOD = np.linspace(-0.05, 0.05, 200)
+
+    @pytest.mark.parametrize("command", ["fit-tail", "acf"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            _npy_bytes(NPY_GOOD)[:-12],
+            _npy_bytes(NPY_GOOD)[:40],
+            b"t,r\n0,0.01\n",
+            _npy_bytes(np.array([0.01, "x"], dtype=object), allow_pickle=True),
+            _npy_bytes(NPY_GOOD.reshape(100, 2)),
+            _npy_bytes(np.arange(200)),
+            _npy_bytes(NPY_GOOD.astype(np.float32)),
+            _npy_bytes(np.array([], dtype=np.float64)),
+            _npy_bytes(np.concatenate([NPY_GOOD, [np.nan]])),
+            _npy_bytes(np.concatenate([NPY_GOOD, [-np.inf]])),
+        ],
+        ids=["truncated-data", "truncated-header", "not-npy", "pickled-objects", "2-d",
+             "int", "float32", "empty", "nan", "inf"],
+    )
+    def test_bad_npy_exit_code(self, tmp_path, capsys, command, data):
+        path = tmp_path / "series.npy"
+        path.write_bytes(data)
+        argv = [command, str(path)] + (["--max-lag", "1"] if command == "acf" else [])
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["fit-tail", "acf"])
     @pytest.mark.parametrize("text", ["t,r\n", "t,r\n\n \n"], ids=["header-only", "blank-rows"])
     def test_no_data_rows_exit_code(self, tmp_path, capsys, command, text):
@@ -727,10 +776,19 @@ class TestCommandLine:
 
     @pytest.mark.parametrize(
         "text",
-        ["not json", json.dumps({**MANIFEST, "outputs": []})],
-        ids=["not-json", "outputs-not-a-mapping"],
+        [
+            "not json",
+            json.dumps({**MANIFEST, "outputs": []}),
+            json.dumps({**MANIFEST, "output_dir": 5}),
+            json.dumps(MANIFEST),
+        ],
+        ids=["not-json", "outputs-not-a-mapping", "output_dir-not-a-string", "summary-not-json"],
     )
-    def test_bad_manifest_exit_code(self, tmp_path, capsys, text):
+    def test_bad_manifest_exit_code(self, tmp_path, capsys, monkeypatch, text):
+        # the bundle the manifest names holds a summary.json that is not JSON
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / MANIFEST["output_dir"]).mkdir()
+        (tmp_path / MANIFEST["output_dir"] / "summary.json").write_text("not json")
         path = tmp_path / "manifest.json"
         path.write_text(text)
         assert main(["report", str(path)]) == 2

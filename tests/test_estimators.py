@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import exact_pareto
+from conftest import FIG3_SPEC, exact_pareto
 from kestenlab import (
     Constant,
     KestenScalar,
@@ -17,6 +17,8 @@ from kestenlab import (
     simulate,
     tail_exponent_ls,
 )
+from kestenlab.estimators import CCDF_PLOT_POINTS, thin_ccdf
+from kestenlab.cli import config_from_dict, run
 from kestenlab.errors import (
     DegenerateTail,
     InsufficientTail,
@@ -76,6 +78,46 @@ class TestEmpiricalCcdf:
         xs, ps = empirical_ccdf(x, absolute=False)
         idx = np.searchsorted(xs, 10.0)
         assert abs(ps[idx] - 0.01) < 0.0005
+
+
+class TestThinCcdf:
+    def test_bundle_rows_are_exact_survival_points(self, tmp_path):
+        config = config_from_dict(
+            {
+                "process": FIG3_SPEC.to_config(),
+                "n_samples": 10**5,
+                "seed": 5,
+                "burn_in": 10**4,
+                "analyses": {"tail_fit": {"threshold": None}},
+            }
+        )
+        run(config, output_dir=tmp_path)
+        x, p = empirical_ccdf(np.load(tmp_path / "series.npy", allow_pickle=False))
+        exact = dict(zip(x.tolist(), p.tolist()))
+        lines = (tmp_path / "ccdf.csv").read_text().splitlines()
+        assert lines[0] == "x,p"
+        rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+        assert len(rows) <= CCDF_PLOT_POINTS
+        assert rows[0] == (x[0], p[0]) and rows[-1] == (x[-1], p[-1])
+        for xi, pi in rows:
+            assert exact[xi] == pi  # bit for bit: == on floats parsed from repr
+        xs, ps = np.array(rows).T
+        assert np.all(np.diff(xs) > 0) and np.all(np.diff(ps) < 0)
+
+    @pytest.mark.parametrize("distinct", [3, CCDF_PLOT_POINTS])
+    def test_few_distinct_values_keep_every_row(self, distinct):
+        values = RngStream(8).generator().choice(np.arange(1.0, distinct + 1), 10**4)
+        values[:distinct] = np.arange(1.0, distinct + 1)  # every value occurs
+        x, p = empirical_ccdf(values)
+        assert x.size == distinct
+        kept_x, kept_p = thin_ccdf(x, p)
+        assert kept_x.tobytes() == x.tobytes() and kept_p.tobytes() == p.tobytes()
+
+    def test_zero_is_kept_as_the_first_row(self):
+        values = np.concatenate([[0.0], exact_pareto(3.0, 10**4, seed=9)])
+        kept_x, kept_p = thin_ccdf(*empirical_ccdf(values))
+        assert kept_x[0] == 0.0 and kept_p[0] == 1.0 - 1.0 / values.size
+        assert kept_x.size <= CCDF_PLOT_POINTS + 1
 
 
 class TestTailExponentLs:

@@ -39,6 +39,7 @@ from kestenlab import (
     spec_from_config,
     tail_exponent_ls,
     write_series_csv,
+    write_series_npy,
 )
 from kestenlab.distributions import KindTagged
 from kestenlab.errors import (
@@ -257,6 +258,15 @@ class TestReturnSeries:
         assert np.array_equal(back, s.values)
         assert path.read_text().startswith("t,r\n")
         assert "\r" not in path.read_text()
+
+    def test_npy_round_trip_exact(self, tmp_path):
+        s = simulate(FIG3_SPEC, RngStream(3), 1000, 10)
+        path = tmp_path / "series.npy"
+        write_series_npy(s, path)
+        assert not (tmp_path / "series.npy.npy").exists()
+        back = read_series_csv(path)
+        assert back.dtype == np.float64 and back.tobytes() == s.values.tobytes()
+        assert np.load(path, allow_pickle=False).tobytes() == s.values.tobytes()
 
 
 ROUND_TRIP_SPECS = {
