@@ -12,7 +12,6 @@ Subcommands: run, ingest, fit-tail, acf, cramer, lyapunov, report.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import importlib.resources
 import itertools
@@ -56,9 +55,8 @@ from .processes import (
     KestenScalar,
     ProcessSpec,
     ReturnSeries,
-    _not_utf8,
-    _parse_rest,
     garch_to_kesten,
+    read_csv_column,
     read_series_csv,
     simulate,
     spec_from_config,
@@ -219,12 +217,21 @@ def manifest_from_dict(data: dict) -> RunManifest:
     return manifest
 
 
-def _read_json(path: Path, what: str):
-    """The JSON value in ``path``; InvalidConfig if it is not UTF-8 JSON."""
+def _read_json(path: Path, what: str, render: Callable = lambda data: data):
+    """``render`` of the JSON value in ``path``; InvalidConfig if it is not
+    UTF-8 JSON or ``render`` finds a value of the wrong shape in it."""
     try:
-        return json.loads(path.read_text())
+        data = json.loads(path.read_text())
     except ValueError as exc:  # not UTF-8, or not JSON
         raise InvalidConfig(f"{path}: {what} is not valid JSON: {exc}") from None
+    try:
+        return render(data)
+    except KestenLabError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise InvalidConfig(
+            f"{path}: {what} has the wrong shape ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 def _canonical_json(data) -> str:
@@ -369,10 +376,15 @@ def _report_conditions(entry: dict, out_dir: Path) -> list[str]:
     lines = [f"Kesten-theorem conditions (a)-(h): {ok} (case {entry['regime_case']})"]
     report_json = out_dir / "conditions.json"
     if report_json.exists():
-        detail = _read_json(report_json, "conditions report")
-        for c in detail["conditions"]:
-            ev = "" if c["evidence"] is None else f"{c['evidence']:+.6g}"
-            lines.append(f"  ({c['condition']}) {c['status']:<13} {ev:<14} {c['note']}")
+        lines += _read_json(report_json, "conditions report", _condition_lines)
+    return lines
+
+
+def _condition_lines(detail: dict) -> list[str]:
+    lines = []
+    for c in detail["conditions"]:
+        ev = "" if c["evidence"] is None else f"{c['evidence']:+.6g}"
+        lines.append(f"  ({c['condition']}) {c['status']:<13} {ev:<14} {c['note']}")
     return lines
 
 
@@ -560,69 +572,47 @@ def ingest_prices(csv_path: str | Path, column_spec: str | int = "close") -> Ret
     """
     path = Path(csv_path)
     raw = path.read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file")
-            col: int
-            try:
-                col = int(column_spec)
-            except (TypeError, ValueError):
-                names = [h.strip().lower() for h in header]
-                want = str(column_spec).strip().lower()
-                if want not in names:
-                    raise ParseError(
-                        f"{path}: no column named {column_spec!r} in header {header!r}"
-                    ) from None
-                col = names.index(want)
-            if not 0 <= col < len(header):
-                raise ParseError(f"{path}: column index {col} out of range")
-            prices = _parse_rest(fh, raw, quotechar='"', usecols=col, ndmin=1)
-            if prices is None or not (
-                prices.size >= 2 and ((prices > 0) & (prices < math.inf)).all()
-            ):
-                prices, inf_line = [], None
-                for lineno, value in _price_rows(fh, reader, path, col):
-                    if value == math.inf and inf_line is None:
-                        inf_line = lineno
-                    prices.append(value)
-                if len(prices) < 2:
-                    raise ParseError(f"{path}: need at least two price rows, got {len(prices)}")
-                if inf_line is not None:  # the one non-finite value that passes value > 0
-                    raise ParseError(f"{path}: line {inf_line}: price inf is not finite")
-            try:
-                returns = returns_from_prices(prices)
-            except ReturnOverflow as exc:
-                rows = _price_rows(fh, reader, path, col)
-                lineno, value = next(itertools.islice(rows, exc.position, None))
-                raise ParseError(
-                    f"{path}: line {lineno}: the return into price {value!r} is not finite"
-                ) from None
-    except UnicodeDecodeError:
-        raise _not_utf8(path, raw) from None
-    return ReturnSeries(returns, digest, None, 0, 0)
 
-
-def _price_rows(fh, reader, path: Path, col: int):
-    """(line number, price) for each row after the header, blank rows skipped.
-
-    Rescans ``fh`` from the start with float() and raises at the first bad row.
-    """
-    fh.seek(0)
-    next(reader)
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    def select(header: list[str] | None) -> int:
+        if header is None:
+            raise ParseError(f"{path}: empty file")
         try:
-            value = float(row[col])
-        except (IndexError, ValueError):
-            raise ParseError(f"{path}: line {lineno}: cannot parse price from {row!r}") from None
-        if not value > 0:
-            raise NonPositivePrice(f"{path}: line {lineno}: price {value!r} is not positive")
-        yield lineno, value
+            col = int(column_spec)
+        except (TypeError, ValueError):
+            names = [h.strip().lower() for h in header]
+            want = str(column_spec).strip().lower()
+            if want not in names:
+                raise ParseError(
+                    f"{path}: no column named {column_spec!r} in header {header!r}"
+                ) from None
+            col = names.index(want)
+        if not 0 <= col < len(header):
+            raise ParseError(f"{path}: column index {col} out of range")
+        return col
+
+    prices, rows = read_csv_column(path, raw, select)
+    if prices is None or not (prices.size >= 2 and ((prices > 0) & (prices < math.inf)).all()):
+        prices, inf_line = [], None
+        for line, cells, value in rows():
+            if value is None:
+                raise ParseError(f"{path}: line {line}: cannot parse price from {cells!r}")
+            if not value > 0:
+                raise NonPositivePrice(f"{path}: line {line}: price {value!r} is not positive")
+            if value == math.inf and inf_line is None:
+                inf_line = line
+            prices.append(value)
+        if len(prices) < 2:
+            raise ParseError(f"{path}: need at least two price rows, got {len(prices)}")
+        if inf_line is not None:  # the one non-finite value that passes value > 0
+            raise ParseError(f"{path}: line {inf_line}: price inf is not finite")
+    try:
+        returns = returns_from_prices(prices)
+    except ReturnOverflow as exc:
+        line, _, value = next(itertools.islice(rows(), exc.position, None))
+        raise ParseError(
+            f"{path}: line {line}: the return into price {value!r} is not finite"
+        ) from None
+    return ReturnSeries(returns, hashlib.sha256(raw).hexdigest(), None, 0, 0)
 
 
 def report(manifest: RunManifest | str | Path) -> str:
@@ -634,12 +624,18 @@ def report(manifest: RunManifest | str | Path) -> str:
         for fname in files:
             if not (out_dir / fname).exists():
                 raise MissingArtifacts(f"missing run artifact: {out_dir / fname}")
-    summary = _read_json(out_dir / "summary.json", "summary")
-
     lines = [
         f"kestenlab {manifest.toolkit_version} | run {manifest.config_digest[:12]} "
         f"| seed {manifest.seed}",
     ]
+    lines += _read_json(out_dir / "summary.json", "summary", partial(_summary_lines, out_dir))
+    n_files = sum(len(v) for v in manifest.outputs.values())
+    lines.append(f"outputs: {manifest.output_dir} ({n_files} files)")
+    return "\n".join(lines)
+
+
+def _summary_lines(out_dir: Path, summary: dict) -> list[str]:
+    lines = []
     proc = summary["process"]
     desc = f"process: {proc['kind']}"
     if "a_law" in proc:
@@ -670,9 +666,7 @@ def report(manifest: RunManifest | str | Path) -> str:
     for name, analysis in ANALYSES.items():
         if name in summary:
             lines.extend(analysis.report(summary[name], out_dir))
-    n_files = sum(len(v) for v in manifest.outputs.values())
-    lines.append(f"outputs: {manifest.output_dir} ({n_files} files)")
-    return "\n".join(lines)
+    return lines
 
 
 # command line ----------------------------------------------------------------

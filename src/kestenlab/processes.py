@@ -10,10 +10,13 @@ volatility is simulated as its exact rewrite in the scalar recursion.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -435,36 +438,65 @@ def _read_npy(path: Path) -> np.ndarray:
     return values
 
 
-# numpy's float parser strips these around a field and float() does not,
-# so a file holding one of them is parsed by the row scan.
-_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+def read_csv_column(path: Path, raw: bytes, select: Callable) -> tuple[np.ndarray | None, Callable]:
+    """Column ``select(header)`` of the CSV file ``path`` holding the bytes ``raw``.
 
-
-def _parse_rest(fh, raw: bytes, **kwargs) -> np.ndarray | None:
-    """The rest of the open CSV ``fh`` parsed by numpy's C reader.
-
-    ``raw`` is the file's bytes.  None when a row does not parse or the
-    file holds one of ``_NUMPY_ONLY_SPACE``: the caller then scans the rows
-    with float(), which names the bad line.
+    Returns numpy's C parse of the data rows (None where it fails) and the
+    row scan it stands for: a function yielding (line, cells, value) for
+    each data row whose cells are not all blank, where line is the row's
+    first physical line and value is float() of the column's cell (None
+    when that fails).  ``select`` gets None for an empty file.  Bytes that
+    are not UTF-8, and a row csv.reader refuses, raise ParseError naming
+    their line.
     """
-    if any(c in raw for c in _NUMPY_ONLY_SPACE):
-        return None
+
+    def scan(fh):
+        reader = csv.reader(fh)
+        line = 1
+        try:
+            for cells in reader:
+                yield line, cells
+                line = reader.line_num + 1
+        except csv.Error as exc:  # such as a cell over csv.field_size_limit()
+            raise ParseError(f"{path}: line {line}: {exc}") from None
+        except UnicodeDecodeError:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = raw.count(b"\n", 0, exc.start) + 1
+                raise ParseError(
+                    f"{path}: line {line}: byte {raw[exc.start]:#04x} is not valid UTF-8"
+                ) from None
+            raise
+
+    def rows():
+        data = scan(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+        next(data, None)
+        for line, cells in data:
+            if any(c.strip() for c in cells):
+                try:
+                    value = float(cells[col])
+                except (IndexError, ValueError):
+                    value = None
+                yield line, cells, value
+
+    # numpy parses faster from a handle that translates line endings; only
+    # the row scan needs them kept (newline="") to read quoted line breaks
+    fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    col = select(next(scan(fh), (1, None))[1])
+    # numpy's float parser strips these around a field and float() does not,
+    # so a file holding one of them is parsed by the row scan.
+    if any(c in raw for c in b"\x1c\x1d\x1e\x1f"):
+        return None, rows
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
-            return np.loadtxt(fh, delimiter=",", comments=None, **kwargs)
-    except ValueError:
-        return None
-
-
-def _not_utf8(path: Path, raw: bytes) -> ParseError:
-    """ParseError naming the first line of the file bytes ``raw`` that is not UTF-8."""
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        return ParseError(f"{path}: line {line}: byte {raw[exc.start]:#04x} is not valid UTF-8")
-    return ParseError(f"{path}: not valid UTF-8")
+            values = np.loadtxt(
+                fh, delimiter=",", comments=None, quotechar='"', usecols=col, ndmin=1
+            )
+    except ValueError:  # a row that does not parse, or bytes that are not UTF-8
+        return None, rows
+    return values, rows
 
 
 def read_series_csv(path: str | Path) -> np.ndarray:
@@ -473,31 +505,21 @@ def read_series_csv(path: str | Path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".npy":
         return _read_npy(path)
-    raw = path.read_bytes()
-    try:
-        with path.open(encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "t,r":
-                raise InvalidConfig(f"{path}: expected header 't,r', got {header!r}")
-            table = _parse_rest(fh, raw, ndmin=2)
-            if table is not None and table.shape[0] >= 1 and table.shape[1] >= 2:
-                values = np.ascontiguousarray(table[:, -1])
-                if np.isfinite(values).all():
-                    return values
-            fh.seek(0)
-            values = []
-            for lineno, line in enumerate(fh, start=1):
-                if lineno == 1 or not line.strip():
-                    continue
-                try:
-                    value = float(line.rsplit(",", 1)[1])
-                except (IndexError, ValueError):
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ParseError(f"{path}: line {lineno}: no finite return in {line.rstrip()!r}")
-                values.append(value)
-    except UnicodeDecodeError:
-        raise _not_utf8(path, raw) from None
-    if not values:
-        raise ParseError(f"{path}: no data rows")
+
+    def select(header: list[str] | None) -> int:
+        text = ",".join(header or []).strip()
+        if text != "t,r":
+            raise InvalidConfig(f"{path}: expected header 't,r', got {text!r}")
+        return 1
+
+    values, rows = read_csv_column(path, path.read_bytes(), select)
+    if values is None or not (values.size and np.isfinite(values).all()):
+        values = []
+        for line, cells, value in rows():
+            if value is None or not math.isfinite(value):
+                row = ",".join(cells).rstrip()
+                raise ParseError(f"{path}: line {line}: no finite return in {row!r}")
+            values.append(value)
+        if not values:
+            raise ParseError(f"{path}: no data rows")
     return np.asarray(values, dtype=np.float64)

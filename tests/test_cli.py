@@ -80,6 +80,16 @@ MANIFEST = {
     "counters": {"resamples": 0},
 }
 
+# a summary.json that report renders, with a conditions entry that reads conditions.json
+SUMMARY = {
+    "process": SMALL_CONFIG["process"],
+    "n_samples": 20000,
+    "burn_in": 500,
+    "seed": 1,
+    "sample_std": 0.01,
+    "conditions": {"all_verified": True, "regime_case": "A", "mu_star": 3.0},
+}
+
 AR_PROCESS = {
     "kind": "kesten_ar",
     "a_law": {"kind": "exponential", "mean": 0.6},
@@ -535,6 +545,11 @@ class TestCommandLine:
             ("acf", "t,r\n0,0.01\n100,nan\n", 3),
             ("ingest", "date,close\nd0,100\n\nd1,101\nd2,inf\n", 5),
             ("ingest", "date,close\nd0,100\nd1,inf\n\nd2,inf\n", 3),
+            # a quoted cell that spans two lines: the next row starts on line 4
+            ("ingest", 'date,close\n"a\nb",100\nd1,abc\n', 4),
+            ("ingest", 'date,close\n"a\nb",100\nd1,-5\n', 4),
+            ("fit-tail", 't,r\n"0\n1",0.01\n2,abc\n', 4),
+            ("ingest", "date,close\nd0,1\nd1," + "1" * 200_000 + "\n", 3),
         ],
         ids=[
             "fit-tail-text",
@@ -545,6 +560,10 @@ class TestCommandLine:
             "acf-nan",
             "ingest-inf-price",
             "ingest-first-of-two-inf-prices",
+            "ingest-text-after-multi-line-cell",
+            "ingest-negative-after-multi-line-cell",
+            "fit-tail-text-after-multi-line-cell",
+            "ingest-cell-over-csv-field-limit",
         ],
     )
     def test_bad_row_exit_code(self, tmp_path, capsys, command, text, line):
@@ -795,6 +814,29 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "fname, data",
+        [
+            ("summary.json", {}),
+            ("summary.json", [1, 2]),
+            ("summary.json", {**SUMMARY, "process": {"kind": "garch11", "alpha": 0.09, "beta": 0.9}}),
+            ("conditions.json", {"conditions": 5}),
+        ],
+        ids=["summary-empty", "summary-a-list", "garch-without-omega", "conditions-not-a-list"],
+    )
+    def test_wrong_shaped_bundle_exit_code(self, tmp_path, capsys, monkeypatch, fname, data):
+        monkeypatch.chdir(tmp_path)
+        out_dir = tmp_path / MANIFEST["output_dir"]
+        out_dir.mkdir()
+        (out_dir / "summary.json").write_text(json.dumps(SUMMARY))
+        (out_dir / fname).write_text(json.dumps(data))
+        (tmp_path / "manifest.json").write_text(json.dumps(MANIFEST))
+        assert main(["report", "manifest.json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {MANIFEST['output_dir']}/{fname}: ")
         assert err.count("\n") == 1
 
     def test_lyapunov_subcommand(self, tmp_path):

@@ -1,17 +1,20 @@
-"""Differential fuzz test of the two CSV readers.
+"""Differential fuzz test of the one CSV reader.
 
-``read_series_csv`` and ``ingest_prices`` parse with numpy's C reader and
-fall back on a Python row scan.  The reference readers below are the pure
-row-scan versions they replaced, copied verbatim; on every generated file
-both must return bit-equal arrays or raise the same exception type with the
-same message.  The intended differences: a series file with no data rows
-used to give an empty array and now raises ParseError, and a price whose
-relative return overflows now raises ParseError naming its line instead of
-``returns_from_prices``' ReturnOverflow.
+``read_series_csv`` and ``ingest_prices`` both read through
+``processes.read_csv_column``: numpy's C reader first, then one
+line-numbered ``csv.reader`` row scan.  The reference readers below are the
+pure row-scan versions they replaced, copied verbatim; on every generated
+file both must return bit-equal arrays or raise the same exception type
+with the same message.  The intended differences: a series file with no
+data rows used to give an empty array and now raises ParseError, a price
+whose relative return overflows now raises ParseError naming its line
+instead of ``returns_from_prices``' ReturnOverflow, and series rows follow
+the CSV rules price rows always followed (see ``series_expectation``).
 """
 
 import csv
 import hashlib
+import io
 import itertools
 import math
 import tempfile
@@ -163,12 +166,52 @@ def _bits(values: np.ndarray) -> tuple:
 FUZZ = settings(max_examples=300, deadline=None, database=None)
 
 
+def series_expectation(path: Path, text: str):
+    """The reference series reader's outcome on ``text`` with the three
+    differences of reading series rows by the CSV rules of price rows:
+
+    (a) a row with more than two fields is read at field ``r`` (index 1),
+        not at its last field;
+    (b) a row whose cells are all blank, such as ``,``, is skipped;
+    (c) a double-quoted cell is unquoted before it is parsed, and a bad
+        row's message shows the row's cells.
+
+    Each data line that any of them touches is rewritten to the line the
+    reference reads that way, line numbers kept; a file they do not touch
+    is compared with the reference as it is.
+    """
+    lines = io.StringIO(text, newline="").readlines()
+    rewritten = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        body = line.rstrip("\r\n")
+        cells = next(csv.reader([body]), [])
+        if all(not c.strip() for c in cells):
+            new = ""  # (b)
+        else:
+            new = ",".join(cells[:2])  # (a) and (c)
+        if new.rstrip() != body.rstrip():
+            rewritten[lineno] = cells
+            lines[lineno - 1] = new + line[len(body):]
+    path.write_text("".join(lines), newline="")
+    want, want_exc = _outcome(reference_read_series_csv, path)
+    path.write_text(text, newline="")
+    if want_exc is not None and want_exc[0] is ParseError:
+        lineno = int(want_exc[1].split(": line ")[1].split(":")[0])
+        if lineno in rewritten:  # (c): the message shows the cells
+            row = ",".join(rewritten[lineno]).rstrip()
+            want_exc = (ParseError, f"{path}: line {lineno}: no finite return in {row!r}")
+    return want, want_exc
+
+
 @FUZZ
 @given(text=csv_files(["t,r"]))
+@example(text="t,r\n0,1.5,abc\n1,-2.5,0.5\n")  # (a)
+@example(text="t,r\n0,0.01\n,\n1,0.02\n , \n")  # (b)
+@example(text='t,r\n0,"3.5"\n1,"abc"\n')  # (c)
 def test_series_reader_matches_reference(scratch, text):
     scratch.write_bytes(text.encode())
     got, got_exc = _outcome(read_series_csv, scratch)
-    want, want_exc = _outcome(reference_read_series_csv, scratch)
+    want, want_exc = series_expectation(scratch, text)
     if want is not None and want.size == 0:
         assert got_exc == (ParseError, f"{scratch}: no data rows")
     elif want_exc is not None:
@@ -176,6 +219,20 @@ def test_series_reader_matches_reference(scratch, text):
     else:
         assert got_exc is None, got_exc
         assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("t,r\n0,1.5,abc\n1,-2.5,0.5\n", [1.5, -2.5]),
+        ("t,r\n0,0.01\n,\n1,0.02\n , \n", [0.01, 0.02]),
+        ('t,r\n0,"3.5"\n', [3.5]),
+    ],
+    ids=["a-three-fields", "b-blank-cells", "c-quoted-cell"],
+)
+def test_series_reader_named_differences(scratch, text, values):
+    scratch.write_text(text)
+    assert read_series_csv(scratch).tolist() == values
 
 
 def _overflowing_price(path: Path) -> tuple[int, float]:
