@@ -19,9 +19,8 @@ import json
 import math
 import os
 import sys
-import typing
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distributions import RngStream, check_keys, law_from_config
+from .distributions import RngStream, check_keys, law_from_config, read_record, read_value
 from .errors import (
     InvalidConfig,
     KestenLabError,
@@ -40,6 +39,7 @@ from .errors import (
     ReturnOverflow,
 )
 from .estimators import (
+    TailFit,
     acf,
     empirical_ccdf,
     hill_estimator,
@@ -59,11 +59,15 @@ from .processes import (
     read_csv_column,
     read_series_csv,
     simulate,
-    spec_from_config,
     write_series_csv,
     write_series_npy,
 )
 from .theory import (
+    CramerSolution,
+    LyapunovEstimate,
+    RegimeClassification,
+    StationarityCheck,
+    TheoryReport,
     classify_regime,
     cramer_root,
     kesten_conditions_report,
@@ -87,9 +91,6 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
-        self.n_samples = _integral("n_samples", self.n_samples)
-        self.seed = _integral("seed", self.seed)
-        self.burn_in = _integral("burn_in", self.burn_in)
         if self.n_samples < 1:
             raise InvalidConfig(f"n_samples must be >= 1, got {self.n_samples}")
         if self.burn_in < 0:
@@ -98,8 +99,6 @@ class ExperimentConfig:
             raise InvalidConfig(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if not self.analyses:
             raise InvalidConfig("config must request at least one analysis")
-        if not isinstance(self.analyses, dict):
-            raise InvalidConfig("analyses must be a mapping of analysis name -> params")
         self.analyses = {
             name: _analysis_params(name, params, self.process)
             for name, params in self.analyses.items()
@@ -107,16 +106,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "process": self.process.to_config()}
-
-
-def _integral(name: str, value) -> int:
-    """An integer config value; a float must be finite and integral (1e6 is 1000000)."""
-    if isinstance(value, float) and not value.is_integer():
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
 
 
 def _scalar_feedback_laws(process: ProcessSpec):
@@ -130,33 +119,11 @@ def _scalar_feedback_laws(process: ProcessSpec):
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Inverse of ``config.to_dict()``; a key that it would not write back is an error."""
-    if not isinstance(data, dict):
-        raise InvalidConfig("experiment config must be a JSON object")
-    try:
-        config = ExperimentConfig(
-            process=spec_from_config(data["process"]),
-            n_samples=data["n_samples"],
-            seed=data["seed"],
-            burn_in=data.get("burn_in", 0),
-            analyses=data.get("analyses", {}),
-            output_dir=data.get("output_dir"),
-        )
-    except KeyError as exc:
-        raise InvalidConfig(f"experiment config missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidConfig):
-            raise
-        raise InvalidConfig(str(exc)) from exc
-    check_keys(data, config.to_dict(), "experiment config")
-    return config
+    return read_record([ExperimentConfig], data, "config")
 
 
-def config_from_json(text: str) -> ExperimentConfig:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+def config_from_json(text: str | bytes) -> ExperimentConfig:
+    return config_from_dict(_load_json(text, "config"))
 
 
 def config_to_json(config: ExperimentConfig) -> str:
@@ -174,9 +141,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not p.exists():
         bundled = importlib.resources.files("kestenlab") / "configs" / p.name
         if p.name == str(path) and bundled.is_file():
-            return config_from_json(bundled.read_text())
+            return config_from_json(bundled.read_bytes())
         raise InvalidConfig(f"config file not found: {path}")
-    return config_from_json(p.read_text())
+    return config_from_json(p.read_bytes())
 
 
 @dataclass
@@ -189,53 +156,36 @@ class RunManifest:
     started_at: str
     finished_at: str
     output_dir: str
-    outputs: dict
-    counters: dict
+    outputs: dict[str, list[str]]
+    counters: dict[str, int]
 
     to_dict = asdict
 
 
 def manifest_from_dict(data: dict) -> RunManifest:
-    try:
-        manifest = RunManifest(**data)
-    except TypeError as exc:
-        raise InvalidConfig(f"malformed manifest: {exc}") from None
-    for name, kind in typing.get_type_hints(RunManifest).items():
-        value = getattr(manifest, name)
-        if not isinstance(value, kind):
-            raise InvalidConfig(
-                f"malformed manifest: {name} must be a {kind.__name__}, got {value!r}"
-            )
-    outputs = manifest.outputs
-    if not all(
-        isinstance(files, list) and all(isinstance(f, str) for f in files)
-        for files in outputs.values()
-    ):
-        raise InvalidConfig(
-            f"malformed manifest: outputs must map names to file lists, got {outputs!r}"
-        )
-    return manifest
+    return read_record([RunManifest], data, "manifest")
 
 
-def _read_json(path: Path, what: str, render: Callable = lambda data: data):
-    """``render`` of the JSON value in ``path``; InvalidConfig if it is not
-    UTF-8 JSON or ``render`` finds a value of the wrong shape in it."""
+def _load_json(text: str | bytes, what: str):
+    """The JSON value in ``text``; InvalidConfig if it is not UTF-8 JSON or
+    nests too deep to decode."""
     try:
-        data = json.loads(path.read_text())
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise InvalidConfig(f"{path}: {what} is not valid JSON: {exc}") from None
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidConfig(f"{what} is not valid JSON: {exc}") from None
+
+
+def _read_json(path: Path, cls: type, what: str):
+    """The ``cls`` record in the JSON file ``path``; an InvalidConfig names the file."""
     try:
-        return render(data)
-    except KestenLabError:
-        raise
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        raise InvalidConfig(
-            f"{path}: {what} has the wrong shape ({type(exc).__name__}: {exc})"
-        ) from None
+        return read_record([cls], _load_json(path.read_bytes(), what), what)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{path}: {exc}") from None
 
 
 def _canonical_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Sorted keys, two-space indent, a trailing newline; a record is written as its to_dict()."""
+    return json.dumps(data, indent=2, sort_keys=True, default=lambda r: r.to_dict()) + "\n"
 
 
 def _utcnow() -> str:
@@ -269,18 +219,19 @@ def resolve_output_dir(
 
 @dataclass(frozen=True)
 class Analysis:
-    """One analysis a run can request; a config value takes its default's type.
+    """One analysis a run can request; a config value is read as its default's type.
 
     ``compute(series, config, params, write)`` writes the analysis files with
-    ``write(filename, payload)`` and returns its ``summary.json`` entry, which
+    ``write(filename, payload)`` and returns its ``summary.json`` entry: a
+    value of the ``RunSummary`` field named after the analysis, which
     ``report(entry, out_dir)`` renders as lines.  ``processes`` lists the
     accepted process kinds (None: any).
     """
 
     defaults: dict
     processes: tuple[str, ...] | None
-    compute: Callable[[ReturnSeries, ExperimentConfig, dict, Callable], dict]
-    report: Callable[[dict, Path], list[str]]
+    compute: Callable[[ReturnSeries, ExperimentConfig, dict, Callable], object]
+    report: Callable[[object, Path], list[str]]
     check: Callable[[dict], None] | None = None  # rejects bad parameter values
 
 
@@ -288,51 +239,66 @@ _SCALAR_FEEDBACK = ("kesten_scalar", "garch11")
 _MATRIX_PRODUCT = ("kesten_scalar", "kesten_ar")
 
 
-def _cramer(series, config: ExperimentConfig, params: dict, write) -> dict:
+@dataclass(frozen=True)
+class CramerReport:
+    """The moment-equation root of a scalar feedback law and the regime it predicts."""
+
+    solution: CramerSolution
+    regime: RegimeClassification
+
+    def to_dict(self) -> dict:
+        return {"solution": self.solution, "regime": self.regime}
+
+
+def _cramer(series, config: ExperimentConfig, params: dict, write) -> CramerReport:
     a_law, _ = _scalar_feedback_laws(config.process)
-    solution = cramer_root(a_law)
-    regime = classify_regime(a_law)
-    payload = {"solution": solution.to_dict(), "regime": regime.to_dict()}
-    write("cramer.json", payload)
-    return payload
+    entry = CramerReport(cramer_root(a_law), classify_regime(a_law))
+    write("cramer.json", entry)
+    return entry
 
 
-def _report_cramer(entry: dict, out_dir: Path) -> list[str]:
-    reg = entry["regime"]
-    sol = entry["solution"]
-    rel = "=" if reg["case"] == "A" else (">" if reg["case"] == "B" else "<")
+def _report_cramer(entry: CramerReport, out_dir: Path) -> list[str]:
+    reg, sol = entry.regime, entry.solution
+    rel = "=" if reg.case == "A" else (">" if reg.case == "B" else "<")
     return [
-        f"regime: {reg['case']} (E(a) = {reg['mean_a']:.4g} {rel} 1) "
-        f"-> predicted {reg['predicted']}",
-        f"predicted mu = {sol['mu_star']:.4f} "
-        f"(method {sol['method']}, residual {sol['residual']:.2g})",
+        f"regime: {reg.case} (E(a) = {reg.mean_a:.4g} {rel} 1) -> predicted {reg.predicted}",
+        f"predicted mu = {sol.mu_star:.4f} (method {sol.method}, residual {sol.residual:.2g})",
     ]
 
 
-def _tail_fit(series, config: ExperimentConfig, params: dict, write) -> dict:
+def _tail_fit(series, config: ExperimentConfig, params: dict, write) -> TailFit:
     fit = tail_exponent_ls(series, params["threshold"])
     x, p = thin_ccdf(*empirical_ccdf(series, absolute=True))
     write("ccdf.csv", lambda path: write_ccdf_csv(x, p, path))
-    write("tail_fit.json", fit.to_dict())
-    return fit.to_dict()
+    write("tail_fit.json", fit)
+    return fit
 
 
-def _report_tail_fit(entry: dict, out_dir: Path) -> list[str]:
+def _report_tail_fit(entry: TailFit, out_dir: Path) -> list[str]:
     return [
-        f"fitted mu = {entry['exponent']:.4f} +- {entry['stderr']:.4f} "
-        f"(log-log LS above {entry['threshold']:.4g}, n_tail {entry['n_tail']})"
+        f"fitted mu = {entry.exponent:.4f} +- {entry.stderr:.4f} "
+        f"(log-log LS above {entry.threshold:.4g}, n_tail {entry.n_tail})"
     ]
 
 
-def _hill(series, config: ExperimentConfig, params: dict, write) -> dict:
-    est = hill_estimator(series, params["k"])
-    payload = {"k": params["k"], "estimate": est}
-    write("hill.json", payload)
-    return payload
+@dataclass(frozen=True)
+class HillEstimate:
+    """The Hill tail index from the top k order statistics, a cross-check."""
+
+    k: int
+    estimate: float
+
+    to_dict = asdict
 
 
-def _report_hill(entry: dict, out_dir: Path) -> list[str]:
-    return [f"hill cross-check (k={entry['k']}): {entry['estimate']:.4f}"]
+def _hill(series, config: ExperimentConfig, params: dict, write) -> HillEstimate:
+    entry = HillEstimate(params["k"], hill_estimator(series, params["k"]))
+    write("hill.json", entry)
+    return entry
+
+
+def _report_hill(entry: HillEstimate, out_dir: Path) -> list[str]:
+    return [f"hill cross-check (k={entry.k}): {entry.estimate:.4f}"]
 
 
 def _acf(series, config: ExperimentConfig, params: dict, write) -> dict:
@@ -361,49 +327,50 @@ def _report_acf(entry: dict, out_dir: Path) -> list[str]:
     return ["acf: " + " | ".join(parts)]
 
 
-def _conditions(series, config: ExperimentConfig, params: dict, write) -> dict:
+@dataclass(frozen=True)
+class ConditionsSummary:
+    """The verdict of the (a)-(h) checklist; ``conditions.json`` holds the checklist."""
+
+    all_verified: bool
+    regime_case: str
+    mu_star: float | None
+
+    to_dict = asdict
+
+
+def _conditions(series, config: ExperimentConfig, params: dict, write) -> ConditionsSummary:
     report_ = kesten_conditions_report(*_scalar_feedback_laws(config.process))
-    write("conditions.json", report_.to_dict())
-    return {
-        "all_verified": report_.all_verified,
-        "regime_case": report_.regime_case,
-        "mu_star": report_.mu_star,
-    }
+    write("conditions.json", report_)
+    return ConditionsSummary(report_.all_verified, report_.regime_case, report_.mu_star)
 
 
-def _report_conditions(entry: dict, out_dir: Path) -> list[str]:
-    ok = "all verified" if entry["all_verified"] else "NOT all verified"
-    lines = [f"Kesten-theorem conditions (a)-(h): {ok} (case {entry['regime_case']})"]
-    report_json = out_dir / "conditions.json"
-    if report_json.exists():
-        lines += _read_json(report_json, "conditions report", _condition_lines)
+def _report_conditions(entry: ConditionsSummary, out_dir: Path) -> list[str]:
+    ok = "all verified" if entry.all_verified else "NOT all verified"
+    lines = [f"Kesten-theorem conditions (a)-(h): {ok} (case {entry.regime_case})"]
+    path = out_dir / "conditions.json"
+    if path.exists():
+        for c in _read_json(path, TheoryReport, "conditions report").conditions:
+            ev = "" if c.evidence is None else f"{c.evidence:+.6g}"
+            lines.append(f"  ({c.condition}) {c.status:<13} {ev:<14} {c.note}")
     return lines
 
 
-def _condition_lines(detail: dict) -> list[str]:
-    lines = []
-    for c in detail["conditions"]:
-        ev = "" if c["evidence"] is None else f"{c['evidence']:+.6g}"
-        lines.append(f"  ({c['condition']}) {c['status']:<13} {ev:<14} {c['note']}")
-    return lines
-
-
-def _lyapunov(series, config: ExperimentConfig, params: dict, write) -> dict:
+def _lyapunov(series, config: ExperimentConfig, params: dict, write) -> LyapunovEstimate:
     est = lyapunov_top(
         config.process, params["t_horizon"], params["trials"], RngStream(config.seed, 1)
     )
-    write("lyapunov.json", est.to_dict())
-    return est.to_dict()
+    write("lyapunov.json", est)
+    return est
 
 
-def _report_lyapunov(entry: dict, out_dir: Path) -> list[str]:
+def _report_lyapunov(entry: LyapunovEstimate, out_dir: Path) -> list[str]:
     return [
-        f"top Lyapunov exponent: {entry['gamma_hat']:+.4f} +- {entry['stderr']:.4f} "
-        f"({'stationary' if entry['gamma_hat'] < 0 else 'non-stationary'})"
+        f"top Lyapunov exponent: {entry.gamma_hat:+.4f} +- {entry.stderr:.4f} "
+        f"({'stationary' if entry.gamma_hat < 0 else 'non-stationary'})"
     ]
 
 
-def _moment_lyapunov(series, config: ExperimentConfig, params: dict, write) -> dict:
+def _moment_lyapunov(series, config: ExperimentConfig, params: dict, write) -> CramerSolution:
     sol = moment_lyapunov_root(
         config.process,
         params["grid"],
@@ -411,17 +378,15 @@ def _moment_lyapunov(series, config: ExperimentConfig, params: dict, write) -> d
         params["trials"],
         RngStream(config.seed, 2),
     )
-    write("moment_lyapunov.json", sol.to_dict())
-    return sol.to_dict()
+    write("moment_lyapunov.json", sol)
+    return sol
 
 
-def _report_moment_lyapunov(entry: dict, out_dir: Path) -> list[str]:
-    bias = entry.get("finite_t_bias")
+def _report_moment_lyapunov(entry: CramerSolution, out_dir: Path) -> list[str]:
+    se = "" if entry.stderr is None else f" +- {entry.stderr:.3f}"
+    bias = entry.finite_t_bias
     bias_txt = "" if bias is None else f", finite-t drift {bias:+.3f}"
-    return [
-        f"moment-Lyapunov root: mu = {entry['mu_star']:.3f} "
-        f"+- {entry['stderr']:.3f}{bias_txt}"
-    ]
+    return [f"moment-Lyapunov root: mu = {entry.mu_star:.3f}{se}{bias_txt}"]
 
 
 # in report order; a run computes the requested analyses in this order too
@@ -445,18 +410,9 @@ ANALYSES: dict[str, Analysis] = {
 }
 
 
-def _coerce(name: str, default, value):
-    """A config value takes its default's type: a list default a list of its
-    element type, a None default an optional float, an int default an integer."""
-    if isinstance(default, list):
-        return [type(default[0])(x) for x in value]
-    if default is None:
-        return None if value is None else float(value)
-    return _integral(name, value)
-
-
 def _analysis_params(name: str, params, process: ProcessSpec) -> dict:
-    """Validated parameters of one analysis, with its defaults filled in."""
+    """Validated parameters of one analysis, with its defaults filled in; a value is
+    read as its default's type, where a None default stands for an optional float."""
     if name not in ANALYSES:
         raise InvalidConfig(f"unknown analysis {name!r}; known: {', '.join(ANALYSES)}")
     analysis = ANALYSES[name]
@@ -464,15 +420,54 @@ def _analysis_params(name: str, params, process: ProcessSpec) -> dict:
         raise InvalidConfig(
             f"{name!r} analysis needs a {' or '.join(analysis.processes)} process"
         )
-    params = dict(params or {})
-    check_keys(params, analysis.defaults, f"{name!r} analysis")
-    out = {
-        key: _coerce(f"{name}.{key}", d, params.get(key, d))
-        for key, d in analysis.defaults.items()
-    }
+    what = f"config.analyses.{name}"
+    params = read_value(dict, {} if params is None else params, what)
+    check_keys(params, analysis.defaults, what)
+    out = {}
+    for key, default in analysis.defaults.items():
+        tp = float | None if default is None else type(default)
+        tp = list[type(default[0])] if tp is list else tp
+        out[key] = read_value(tp, params.get(key, default), f"{what}.{key}")
     if analysis.check is not None:
         analysis.check(out)
     return out
+
+
+@dataclass(frozen=True)
+class UnitExponentPrediction:
+    """The unit-exponent tail 2 f_a(1) / x of an inverse-multiplier process."""
+
+    density_at_one: float
+    predicted_mu: float | None  # 1 where the density of a at 1 is positive
+    tail_constant: float
+
+    to_dict = asdict
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    """``summary.json``: the run's headline numbers and one entry per analysis run."""
+
+    process: ProcessSpec
+    n_samples: int
+    burn_in: int
+    seed: int
+    sample_mean: float
+    sample_std: float
+    stationarity: StationarityCheck | None = None
+    unit_exponent_prediction: UnitExponentPrediction | None = None
+    cramer: CramerReport | None = None
+    tail_fit: TailFit | None = None
+    hill: HillEstimate | None = None
+    acf: dict[str, dict[str, float]] | None = None
+    conditions: ConditionsSummary | None = None
+    lyapunov: LyapunovEstimate | None = None
+    moment_lyapunov: CramerSolution | None = None
+
+    def to_dict(self) -> dict:
+        entries = {f.name: getattr(self, f.name) for f in fields(self)}
+        entries["process"] = self.process.to_config()
+        return {k: v for k, v in entries.items() if v is not None}
 
 
 def run(
@@ -496,16 +491,11 @@ def run(
 
     process = config.process
     feedback = _scalar_feedback_laws(process)
-    summary: dict = {
-        "process": process.to_config(),
-        "n_samples": config.n_samples,
-        "burn_in": config.burn_in,
-        "seed": config.seed,
-    }
+    entries: dict = {}  # the optional RunSummary fields
 
     if feedback is not None:
         stat = stationarity_check(feedback[0])
-        summary["stationarity"] = stat.to_dict()
+        entries["stationarity"] = stat
         # fail fast on a provably non-stationary scalar recursion
         if stat.verdict == "non-stationary" and isinstance(process, KestenScalar):
             raise NonStationary(
@@ -516,18 +506,14 @@ def run(
     if isinstance(process, InverseMultiplier):
         try:
             f1 = process.a_law.pdf(1.0)
-            summary["unit_exponent_prediction"] = {
-                "density_at_one": f1,
-                "predicted_mu": 1.0 if f1 > 0 else None,
-                "tail_constant": 2.0 * f1,
-            }
+            entries["unit_exponent_prediction"] = UnitExponentPrediction(
+                f1, 1.0 if f1 > 0 else None, 2.0 * f1
+            )
         except KestenLabError:
             pass
 
     sim_rng = RngStream(config.seed, 0)
     series = simulate(process, sim_rng, config.n_samples, config.burn_in)
-    summary["sample_mean"] = float(series.values.mean())
-    summary["sample_std"] = float(series.values.std())
 
     outputs: dict[str, list[str]] = {}
 
@@ -548,7 +534,11 @@ def run(
     for key, analysis in ANALYSES.items():
         if key in config.analyses:
             params = config.analyses[key]
-            summary[key] = analysis.compute(series, config, params, partial(write, key))
+            entries[key] = analysis.compute(series, config, params, partial(write, key))
+    mean, std = float(series.values.mean()), float(series.values.std())
+    summary = RunSummary(
+        process, config.n_samples, config.burn_in, config.seed, mean, std, **entries
+    )
     write("summary", "summary.json", summary)
 
     manifest = RunManifest(
@@ -561,7 +551,7 @@ def run(
         outputs=outputs,
         counters={"resamples": series.resamples},
     )
-    write(None, "manifest.json", manifest.to_dict())
+    write(None, "manifest.json", manifest)
     return manifest
 
 
@@ -618,55 +608,43 @@ def ingest_prices(csv_path: str | Path, column_spec: str | int = "close") -> Ret
 def report(manifest: RunManifest | str | Path) -> str:
     """One-screen human-readable summary of a completed run."""
     if not isinstance(manifest, RunManifest):
-        manifest = manifest_from_dict(_read_json(Path(manifest), "manifest"))
+        manifest = _read_json(Path(manifest), RunManifest, "manifest")
     out_dir = Path(manifest.output_dir)
     for files in manifest.outputs.values():
         for fname in files:
             if not (out_dir / fname).exists():
                 raise MissingArtifacts(f"missing run artifact: {out_dir / fname}")
+    summary = _read_json(out_dir / "summary.json", RunSummary, "summary")
+    proc = summary.process
+    desc = f"process: {proc.kind}"
+    if isinstance(proc, Garch11):
+        desc += f" | omega={proc.omega} alpha={proc.alpha} beta={proc.beta}"
+    else:
+        desc += f" | a ~ {_law_text(proc.a_law)} | e ~ {_law_text(proc.e_law)}"
     lines = [
         f"kestenlab {manifest.toolkit_version} | run {manifest.config_digest[:12]} "
         f"| seed {manifest.seed}",
+        desc,
+        f"samples: {summary.n_samples} after {summary.burn_in} burn-in "
+        f"| sample std {summary.sample_std:.4g}",
     ]
-    lines += _read_json(out_dir / "summary.json", "summary", partial(_summary_lines, out_dir))
+    st = summary.stationarity
+    if st is not None:
+        lines.append(f"stationarity: E[log a] = {st.log_moment:+.4f} -> {st.verdict}")
+    up = summary.unit_exponent_prediction
+    if up is not None and up.predicted_mu is not None:
+        lines.append(
+            "tail regime: inverse-multiplier amplification "
+            f"(unit-exponent law, predicted mu = {up.predicted_mu:g}, "
+            f"tail constant {up.tail_constant:.4g})"
+        )
+    for name, analysis in ANALYSES.items():
+        entry = getattr(summary, name)
+        if entry is not None:
+            lines.extend(analysis.report(entry, out_dir))
     n_files = sum(len(v) for v in manifest.outputs.values())
     lines.append(f"outputs: {manifest.output_dir} ({n_files} files)")
     return "\n".join(lines)
-
-
-def _summary_lines(out_dir: Path, summary: dict) -> list[str]:
-    lines = []
-    proc = summary["process"]
-    desc = f"process: {proc['kind']}"
-    if "a_law" in proc:
-        desc += f" | a ~ {_law_text(law_from_config(proc['a_law']))}"
-        desc += f" | e ~ {_law_text(law_from_config(proc['e_law']))}"
-    elif proc["kind"] == "garch11":
-        desc += (
-            f" | omega={proc['omega']} alpha={proc['alpha']} beta={proc['beta']}"
-        )
-    lines.append(desc)
-    lines.append(
-        f"samples: {summary['n_samples']} after {summary['burn_in']} burn-in "
-        f"| sample std {summary['sample_std']:.4g}"
-    )
-    if "stationarity" in summary:
-        st = summary["stationarity"]
-        lines.append(
-            f"stationarity: E[log a] = {st['log_moment']:+.4f} -> {st['verdict']}"
-        )
-    if "unit_exponent_prediction" in summary:
-        up = summary["unit_exponent_prediction"]
-        if up["predicted_mu"] is not None:
-            lines.append(
-                "tail regime: inverse-multiplier amplification "
-                f"(unit-exponent law, predicted mu = {up['predicted_mu']:g}, "
-                f"tail constant {up['tail_constant']:.4g})"
-            )
-    for name, analysis in ANALYSES.items():
-        if name in summary:
-            lines.extend(analysis.report(summary[name], out_dir))
-    return lines
 
 
 # command line ----------------------------------------------------------------
@@ -731,7 +709,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_fit_tail(args) -> int:
     values = read_series_csv(args.series)
     fit = tail_exponent_ls(values, args.threshold)
-    print(_canonical_json(fit.to_dict()), end="")
+    print(_canonical_json(fit), end="")
     return 0
 
 
@@ -745,13 +723,8 @@ def _cmd_acf(args) -> int:
 
 
 def _cmd_cramer(args) -> int:
-    try:
-        law_cfg = json.loads(args.law)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"--law is not valid JSON: {exc}") from exc
-    law = law_from_config(law_cfg)
-    solution = cramer_root(law)
-    print(_canonical_json(solution.to_dict()), end="")
+    law = law_from_config(_load_json(args.law, "--law"))
+    print(_canonical_json(cramer_root(law)), end="")
     return 0
 
 

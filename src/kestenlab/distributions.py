@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import MISSING, dataclass, field, fields
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -22,6 +24,7 @@ from scipy.stats import chi2
 
 from .errors import (
     InvalidConfig,
+    KestenLabError,
     LawError,
     NoDensity,
     NonnegativityRequired,
@@ -87,7 +90,7 @@ class KindTagged:
     """Base of the laws and process specs: the config is ``kind``, then each field.
 
     A field's config key is its name, or its ``metadata["key"]``;
-    ``from_config`` reads the config back.
+    ``read_record`` reads the config back.
     """
 
     def to_config(self) -> dict:
@@ -513,70 +516,90 @@ def check_keys(config: dict, known, what: str) -> None:
             )
 
 
-def _float(value, name: str) -> float:
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise InvalidConfig(f"{name} must be a number, got {value!r}")
-
-
 def _typed(value, cls: type, name: str):
     if not isinstance(value, cls):
         raise InvalidConfig(f"{name} must be a {cls.__name__}, got {value!r}")
     return value
 
 
-def _law(value, name: str) -> CoefficientLaw:
-    return law_from_config(_typed(value, dict, name))
+def read_value(tp, value, name: str):
+    """The JSON value ``value`` read as the annotation ``tp``; errors name it ``name``.
 
-
-def _tuple_of(read):
-    return lambda value, name: tuple(read(v, name) for v in _typed(value, list, name))
-
-
-# How a config value is read, keyed by its field's annotation as text (PEP 563).
-_DECODERS = {
-    "float": _float,
-    "bool": lambda value, name: _typed(value, bool, name),
-    "CoefficientLaw": _law,
-    "tuple[CoefficientLaw, ...]": _tuple_of(_law),
-    "tuple[float, ...]": _tuple_of(_float),
-}
-
-
-def from_config(kinds: dict, config, what: str):
-    """The object that ``config`` describes: the inverse of ``to_config()``.
-
-    ``kinds`` maps each kind to its class, and each field is read by its
-    annotation.  A key that the object's ``to_config()`` would not write
-    back is an error, checked only after the object is built.
+    A float or int is a JSON number or a numeric string, never a bool, and an
+    int must be integral.  ``X | None``, ``tuple[...]``, ``list[...]`` and
+    ``dict[str, ...]`` are read part by part, a dataclass by ``read_record``
+    (a law by its kind), and any other class must be the value's own type.
     """
-    if not isinstance(config, dict) or "kind" not in config:
-        raise InvalidConfig(f"{what} config must be a dict with a 'kind': {config!r}")
-    kind = config["kind"]
-    if not isinstance(kind, str) or kind not in kinds:
-        raise InvalidConfig(f"unknown {what} kind {kind!r}")
-    cls = kinds[kind]
+    if isinstance(tp, types.UnionType):
+        options = [t for t in typing.get_args(tp) if t is not type(None)]
+        if value is None and len(options) < len(typing.get_args(tp)):
+            return None
+        if len(options) > 1:
+            return read_record(options, value, name)
+        tp = options[0]
+    if tp is float or tp is int:
+        try:
+            number = None if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = None
+        if tp is float and number is not None:
+            return number
+        if number is not None and number.is_integer():
+            return int(value) if isinstance(value, (int, np.integer)) else int(number)
+        kind = "a number" if tp is float else "an integer"
+        raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is list or origin is tuple:
+        items = _typed(value, list, name)
+        parts = args if origin is tuple and args[-1] is not ... else args[:1] * len(items)
+        if len(parts) != len(items):
+            raise InvalidConfig(f"{name} must hold {len(parts)} values, got {value!r}")
+        return origin(
+            read_value(t, v, f"{name}[{i}]") for i, (t, v) in enumerate(zip(parts, items))
+        )
+    if origin is dict:
+        items = _typed(value, dict, name).items()
+        return {k: read_value(args[1], v, f"{name}.{k}") for k, v in items}
+    if is_dataclass(tp):
+        return read_record(tp.__subclasses__() or [tp], value, name)
+    return _typed(value, tp, name)
+
+
+def read_record(classes, data, what: str):
+    """The record that the JSON object ``data`` describes: the inverse of its
+    ``to_config()`` or ``to_dict()``.
+
+    Of classes with a ``kind``, the one named by ``data["kind"]``.  Each field
+    is read by ``read_value`` as its annotation, under its ``metadata["key"]``
+    or its name, and ``what.key`` names it in errors.  A key that the record
+    would not write back is an error, checked only after the record is built;
+    so is a value that the record's own checks refuse.
+    """
+    _typed(data, dict, what)
+    cls = classes[0]
+    if hasattr(cls, "kind"):
+        kinds = {c.kind: c for c in classes}
+        kind = data.get("kind")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise InvalidConfig(f"unknown {what} kind {kind!r} (known: {', '.join(kinds)})")
+        cls = kinds[kind]
+    hints = typing.get_type_hints(cls)
     args = {}
     for f in fields(cls):
         key = f.metadata.get("key", f.name)
-        if key in config:
-            args[f.name] = _DECODERS[f.type](config[key], f"{kind} {what} field {key!r}")
-        elif f.default is MISSING:
-            raise InvalidConfig(f"{kind} {what} config {config!r} is missing field {key!r}")
+        if key in data:
+            args[f.name] = read_value(hints[f.name], data[key], f"{what}.{key}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise InvalidConfig(f"{what} is missing field {key!r}")
     try:
-        obj = cls(**args)
-    except LawError as exc:
+        record = cls(**args)
+    except KestenLabError as exc:
         raise InvalidConfig(str(exc)) from exc
-    check_keys(config, obj.to_config(), f"{kind} {what}")
-    return obj
-
-
-_LAW_KINDS = {cls.kind: cls for cls in CoefficientLaw.__subclasses__()}
+    written = record.to_config() if isinstance(record, KindTagged) else record.to_dict()
+    check_keys(data, written, what)
+    return record
 
 
 def law_from_config(config: dict) -> CoefficientLaw:
     """Build a law from a config fragment like {"kind": "exponential", "mean": 0.55}."""
-    return from_config(_LAW_KINDS, config, "law")
+    return read_value(CoefficientLaw, config, "law")

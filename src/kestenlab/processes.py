@@ -28,7 +28,7 @@ from .distributions import (
     GarchCoefficient,
     KindTagged,
     RngStream,
-    from_config,
+    read_value,
 )
 from .errors import (
     DegenerateSpec,
@@ -150,12 +150,11 @@ class Garch11(KindTagged):
 
 
 ProcessSpec = InverseMultiplier | KestenScalar | KestenAR | Garch11
-_PROCESS_KINDS = {cls.kind: cls for cls in ProcessSpec.__args__}
 
 
 def spec_from_config(config: dict) -> ProcessSpec:
     """Inverse of ``spec.to_config()``; a key that it would not write back is an error."""
-    return from_config(_PROCESS_KINDS, config, "process")
+    return read_value(ProcessSpec, config, "process")
 
 
 def spec_digest(spec: ProcessSpec) -> str:

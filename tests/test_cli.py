@@ -18,6 +18,7 @@ from kestenlab import (
     KestenScalar,
     Normal,
     RngStream,
+    TheoryReport,
     Uniform,
     classify_regime,
     cramer_root,
@@ -33,6 +34,8 @@ from kestenlab import (
 )
 from kestenlab.cli import (
     ExperimentConfig,
+    RunManifest,
+    RunSummary,
     _canonical_json,
     config_from_dict,
     config_from_json,
@@ -44,6 +47,7 @@ from kestenlab.cli import (
     report,
     run,
 )
+from kestenlab.distributions import read_record
 from kestenlab.errors import (
     InvalidConfig,
     MissingArtifacts,
@@ -86,6 +90,7 @@ SUMMARY = {
     "n_samples": 20000,
     "burn_in": 500,
     "seed": 1,
+    "sample_mean": 0.0,
     "sample_std": 0.01,
     "conditions": {"all_verified": True, "regime_case": "A", "mu_star": 3.0},
 }
@@ -154,6 +159,25 @@ class TestConfig:
         got = (cfg.n_samples, cfg.seed, cfg.analyses["hill"]["k"])
         assert got == (10**6, 7, 1000)
         assert all(type(v) is int for v in got)
+
+    def test_numeric_strings_are_numbers_at_every_level(self):
+        cfg = config_from_dict(
+            {
+                **SMALL_CONFIG,
+                "seed": "7",
+                "process": {**SMALL_CONFIG["process"], "r0": "0.5"},
+                "analyses": {
+                    "hill": {"k": "1e3"},
+                    "tail_fit": {"threshold": "0.05"},
+                    "moment_lyapunov": {"grid": ["1", "6"]},
+                },
+            }
+        )
+        params = cfg.analyses
+        got = (cfg.seed, cfg.process.r0, params["hill"]["k"], params["tail_fit"]["threshold"])
+        assert got == (7, 0.5, 1000, 0.05)
+        assert params["moment_lyapunov"]["grid"] == [1.0, 6.0]
+        assert type(cfg.seed) is type(params["hill"]["k"]) is int
 
     @pytest.mark.parametrize(
         "change, key",
@@ -383,6 +407,110 @@ class TestRun:
         assert not (out / "manifest.json").exists()
         assert not list(out.glob("*.tmp"))
         assert (out / "series.npy").exists()  # completed payloads stay valid
+
+
+# small bundles of each process kind, each with every analysis the kind accepts
+BUNDLE_CONFIGS = {
+    "fig2-type": (
+        {
+            "kind": "inverse_multiplier",
+            "a_law": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+            "e_law": {"kind": "normal", "mean": 0.0, "sd": 1.0},
+        },
+        {"tail_fit": {}, "hill": {"k": 100}, "acf": {"max_lag": 10}},
+    ),
+    "fig3-type": (
+        SMALL_CONFIG["process"],
+        {
+            "cramer": {},
+            "tail_fit": {"threshold": 0.01},
+            "hill": {"k": 100},
+            "acf": {"max_lag": 10, "kinds": ["raw", "absolute"]},
+            "conditions": {},
+            "lyapunov": {"t_horizon": 100, "trials": 10},
+            "moment_lyapunov": {"grid": [1.0, 6.0], "trials": 20000},
+        },
+    ),
+    "fig4-type": (
+        {
+            "kind": "kesten_ar",
+            "a_law": {"kind": "exponential", "mean": 0.6},
+            "e_law": {"kind": "normal", "mean": 0.0, "sd": 0.007},
+            "weight_laws": [
+                {"kind": "uniform", "lo": 0.7, "hi": 0.8},
+                {"kind": "uniform", "lo": 0.1, "hi": 0.2},
+                {"kind": "uniform", "lo": 0.0, "hi": 0.2},
+            ],
+        },
+        {
+            "tail_fit": {},
+            "acf": {"max_lag": 10},
+            "lyapunov": {"t_horizon": 100, "trials": 10},
+            "moment_lyapunov": {"grid": [1.0, 6.0], "trials": 20000},
+        },
+    ),
+    "garch-type": (
+        {"kind": "garch11", "omega": 0.01, "alpha": 0.09, "beta": 0.9},
+        {"cramer": {}, "tail_fit": {}, "conditions": {}},
+    ),
+}
+
+# the bundle files that report decodes, with their record types
+BUNDLE_RECORDS = {
+    "manifest.json": RunManifest,
+    "summary.json": RunSummary,
+    "conditions.json": TheoryReport,
+}
+
+
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory):
+    """name -> (bundle directory, {file name: text}) for each decoded file it holds."""
+    root = tmp_path_factory.mktemp("bundles")
+    out = {}
+    for name, (process, analyses) in BUNDLE_CONFIGS.items():
+        cfg = {**SMALL_CONFIG, "process": process, "n_samples": 5000, "analyses": analyses}
+        run(config_from_dict(cfg), output_dir=root / name)
+        texts = {
+            fname: (root / name / fname).read_text()
+            for fname in BUNDLE_RECORDS
+            if (root / name / fname).exists()
+        }
+        out[name] = (root / name, texts)
+    return out
+
+
+class TestBundleFiles:
+    @pytest.mark.parametrize("name", ["fig3-type", "fig4-type"])
+    def test_files_read_back_to_their_bytes(self, bundles, name):
+        _, texts = bundles[name]
+        no_conditions = {"conditions.json"} if name == "fig4-type" else set()
+        assert set(texts) == set(BUNDLE_RECORDS) - no_conditions
+        for fname, text in texts.items():
+            record = read_record([BUNDLE_RECORDS[fname]], json.loads(text), fname)
+            assert _canonical_json(record) == text, fname
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_file_reports_or_exits_2(self, bundles, data):
+        out_dir, texts = bundles[data.draw(st.sampled_from(sorted(bundles)))]
+        fname = data.draw(st.sampled_from(sorted(texts)))
+        changed = data.draw(fuzzed(json.loads(texts[fname])))
+        for f, text in texts.items():
+            (out_dir / f).write_text(json.dumps(changed) if f == fname else text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["report", str(out_dir / "manifest.json")])
+        if code == 0:
+            assert out.getvalue().startswith("kestenlab ") and err.getvalue() == ""
+            return
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+        if code == 2:
+            assert err.getvalue().startswith(f"error: {out_dir / fname}: ")
+        else:
+            # a manifest that names a bundle file or directory that is not there
+            assert (code, fname) == (4, "manifest.json")
 
 
 class TestIngest:
@@ -700,18 +828,30 @@ class TestCommandLine:
             ("spec_from_config", {**SMALL_CONFIG["process"], "r0": "abc"}, "r0"),
             ("cramer", {"kind": []}, "kind"),
             ("cramer", {"kind": "exponential", "mean": True}, "mean"),
+            # experiment and analysis levels: ``config`` is merged into the whole config
+            ("config", {"seed": True}, "config.seed"),
+            ("config", {"output_dir": 5}, "config.output_dir"),
+            ("config", {"analyses": {"moment_lyapunov": {"grid": "16"}}},
+             "analyses.moment_lyapunov.grid"),
+            ("config", {"analyses": {"tail_fit": {"threshold": True}}},
+             "analyses.tail_fit.threshold"),
+            ("config", {"analyses": {"acf": {"kinds": "raw"}}}, "analyses.acf.kinds"),
+            ("config", {"analyses": {"hill": [1]}}, "analyses.hill"),
         ],
         ids=["normalize_weights-string", "r_init-string", "r_init-number", "sigma0-null",
-             "r0-text", "law-kind-array", "law-mean-boolean"],
+             "r0-text", "law-kind-array", "law-mean-boolean", "seed-boolean",
+             "output_dir-number", "moment_lyapunov-grid-string",
+             "tail_fit-threshold-boolean", "acf-kinds-string", "hill-parameters-list"],
     )
     def test_mistyped_config_value_is_named(self, tmp_path, capsys, via, config, field):
         if via == "spec_from_config":
             with pytest.raises(InvalidConfig, match=field):
                 spec_from_config(config)
             return
-        if via == "run":
+        if via in ("run", "config"):
+            data = {**SMALL_CONFIG, **(config if via == "config" else {"process": config})}
             cfg_path = tmp_path / "bad.cfg"
-            cfg_path.write_text(json.dumps({**SMALL_CONFIG, "process": config}))
+            cfg_path.write_text(json.dumps(data))
             argv = ["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]
         else:
             argv = ["cramer", "--law", json.dumps(config)]
@@ -823,8 +963,15 @@ class TestCommandLine:
             ("summary.json", [1, 2]),
             ("summary.json", {**SUMMARY, "process": {"kind": "garch11", "alpha": 0.09, "beta": 0.9}}),
             ("conditions.json", {"conditions": 5}),
+            # well typed, but TailFit itself refuses a fit to 3 exceedances
+            (
+                "summary.json",
+                {**SUMMARY, "tail_fit": {"threshold": 0.02, "exponent": 3.0,
+                                         "intercept": -10.0, "n_tail": 3, "stderr": 0.1}},
+            ),
         ],
-        ids=["summary-empty", "summary-a-list", "garch-without-omega", "conditions-not-a-list"],
+        ids=["summary-empty", "summary-a-list", "garch-without-omega", "conditions-not-a-list",
+             "tail_fit-refuses-its-values"],
     )
     def test_wrong_shaped_bundle_exit_code(self, tmp_path, capsys, monkeypatch, fname, data):
         monkeypatch.chdir(tmp_path)
@@ -838,6 +985,48 @@ class TestCommandLine:
         assert out == ""
         assert err.startswith(f"error: {MANIFEST['output_dir']}/{fname}: ")
         assert err.count("\n") == 1
+
+    # 10^5 nested lists: deeper than the interpreter's recursion limit
+    DEEP_JSON = b"[" * 10**5 + b"]" * 10**5
+
+    @pytest.mark.parametrize(
+        "where, data",
+        [
+            ("config", DEEP_JSON),
+            ("law", DEEP_JSON),
+            ("manifest.json", DEEP_JSON),
+            ("summary.json", DEEP_JSON),
+            ("conditions.json", DEEP_JSON),
+            ("config", b'{"seed": "\xe9"}'),
+        ],
+        ids=["config-too-deep", "law-too-deep", "manifest-too-deep", "summary-too-deep",
+             "conditions-too-deep", "config-not-utf8"],
+    )
+    def test_undecodable_json_exit_code(self, tmp_path, capsys, monkeypatch, where, data):
+        # in process: a --law argument this long exceeds the OS limit on one argument
+        monkeypatch.chdir(tmp_path)
+        out_dir = tmp_path / MANIFEST["output_dir"]
+        out_dir.mkdir()
+        (out_dir / "summary.json").write_text(json.dumps(SUMMARY))
+        (tmp_path / "manifest.json").write_text(json.dumps(MANIFEST))
+        prefix = "error: "
+        if where == "config":
+            (tmp_path / "bad.cfg").write_bytes(data)
+            argv = ["run", "bad.cfg", "--output-dir", "run-out"]
+        elif where == "law":
+            argv = ["cramer", "--law", data.decode()]
+        else:
+            path = tmp_path / where if where == "manifest.json" else out_dir / where
+            path.write_bytes(data)
+            argv = ["report", "manifest.json"]
+            prefix = f"error: {path.relative_to(tmp_path)}: "
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(prefix)
+        assert "not valid JSON" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run-out").exists()
 
     def test_lyapunov_subcommand(self, tmp_path):
         cfg = {
