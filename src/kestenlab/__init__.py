@@ -1,6 +1,6 @@
 """kestenlab: feedback-driven return processes and their power-law tails.
 
-A small numpy/scipy toolkit that simulates return processes driven by a
+A small numpy toolkit that simulates return processes driven by a
 random feedback coefficient (inverse-multiplier, scalar and order-K
 feedback recursions, GARCH(1,1)), solves the moment equations that pin
 down their tail exponents, checks stationarity conditions, and reproduces

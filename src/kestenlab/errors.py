@@ -21,6 +21,10 @@ class NoDensity(LawError):
     """Density value requested for a law without a density (e.g. a constant)."""
 
 
+class QuadratureError(LawError):
+    """An expectation's quadrature did not converge: its two step sizes disagree."""
+
+
 class InvalidConfig(KestenLabError, ValueError):
     """Malformed config (law, process spec, experiment file), analysis parameter or input series."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import numpy.ma  # np.quantile loads it on first use; load it with the package instead
 
 from .errors import (
     DegenerateTail,

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from kestenlab import (
     CoefficientLaw,
@@ -20,6 +22,7 @@ from kestenlab.errors import (
     LawError,
     NonnegativityRequired,
     PositivityRequired,
+    QuadratureError,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -307,6 +310,78 @@ class TestLawFacts:
         assert Uniform(-3.0, 2.0).abs_moment(2.0) == pytest.approx(35.0 / 15.0, rel=1e-8)
         assert Constant(-2.0).abs_moment(1.5) == 2.0**1.5
         assert Exponential(0.55).abs_moment(3.0) == Exponential(0.55).moment(3.0)
+
+
+# scipy's own frozen law of each kind with a density: the independent reference
+SCIPY_LAWS = {
+    "exponential": lambda law: stats.expon(scale=law.mean_value),
+    "uniform": lambda law: stats.uniform(law.lo, law.hi - law.lo),
+    "normal": lambda law: stats.norm(law.mean_value, law.sd),
+    "garch_coeff": lambda law: stats.chi2(1, loc=law.beta, scale=law.alpha),
+}
+
+
+class TestScipyReference:
+    """The closed forms and the quadrature rule that replace scipy, against scipy."""
+
+    def test_chi2_density_and_survival(self):
+        law = GarchCoefficient(0.0, 0.5)
+        for y in np.geomspace(1e-12, 700.0, 400).tolist():
+            assert law.pdf(0.5 * y) == pytest.approx(stats.chi2.pdf(y, 1) / 0.5, rel=1e-13)
+            assert law.survival(0.5 * y) == pytest.approx(stats.chi2.sf(y, 1), rel=1e-13)
+
+    def test_lgamma_moments(self):
+        for mu in np.linspace(0.01, 70.0, 400).tolist():
+            assert math.lgamma(mu) == pytest.approx(gammaln(mu), abs=1e-12)
+            exp_moment = math.exp(gammaln(mu + 1.0) + mu * math.log(0.55))
+            assert Exponential(0.55).moment(mu) == pytest.approx(exp_moment, rel=1e-12)
+            # E|X|^mu = sd^mu 2^(mu/2) Gamma((mu+1)/2) / sqrt(pi)
+            abs_moment = 2.0**mu * 2.0 ** (mu / 2) * math.exp(gammaln((mu + 1.0) / 2.0))
+            abs_moment /= math.sqrt(math.pi)
+            assert Normal(0.0, 2.0).abs_moment(mu) == pytest.approx(abs_moment, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "law",
+        [law for laws in LAW_EXAMPLES.values() for law in laws if law.has_density],
+        ids=str,
+    )
+    @pytest.mark.parametrize(
+        "fn, lo",
+        [(lambda v: 1.0, -math.inf), (lambda v: abs(v) ** 1.5, -math.inf), (math.log, 1.0)],
+        ids=["mass", "abs-moment-1.5", "log-above-1"],
+    )
+    def test_expect_matches_quad(self, law, fn, lo):
+        reference = SCIPY_LAWS[law.kind](law)
+        a, b = max(lo, law.support[0]), law.support[1]
+        cuts = sorted({a, b, *(c for c in (0.0, law.location) if a < c < b)})
+        oracle = sum(
+            quad(lambda x: fn(x) * reference.pdf(x), left, right, limit=200)[0]
+            for left, right in zip(cuts, cuts[1:])
+        )
+        assert law.expect(fn, lo=lo) == pytest.approx(oracle, rel=1e-10)
+
+
+class TestExpect:
+    @pytest.mark.parametrize(
+        "law",
+        [Normal(1e3, 1.0), Exponential(1e-4), GarchCoefficient(0.01, 1e-5)],
+        ids=["normal-far-from-0", "narrow-exponential", "narrow-garch"],
+    )
+    def test_mass(self, law):
+        assert law.expect(lambda v: 1.0) == pytest.approx(1.0, rel=1e-7)
+
+    def test_narrow_law_away_from_zero(self):
+        # E|X|^3 = m^3 + 3 m s^2 for a normal law that puts no mass below 0
+        assert Normal(5.0, 0.01).abs_moment(3.0) == pytest.approx(
+            5.0**3 + 3 * 5.0 * 0.01**2, rel=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "fn", [lambda v: math.cos(1e4 * v), lambda v: math.nan], ids=["oscillating", "nan"]
+    )
+    def test_unresolved_integrand_raises(self, fn):
+        with pytest.raises(QuadratureError, match=r"steps h and h/2 differ by"):
+            Uniform(0.0, 1.0).expect(fn)
 
 
 ROUND_TRIP_LAWS = {

@@ -1,7 +1,11 @@
-"""Each module of the package uses only the public names of the others, and
-JSON text and type annotations are each read in one place."""
+"""Each module of the package uses only the public names of the others, JSON
+text and type annotations are each read in one place, and the package runs on
+numpy alone."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import kestenlab
@@ -56,3 +60,59 @@ def test_one_function_parses_json():
 
 def test_only_the_record_reader_resolves_annotations():
     assert _callers({"typing.get_type_hints", "get_type_hints"}) == ["distributions.read_record"]
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.stem}: {m}" for m in modules if m.split(".")[0] == "scipy"]
+    assert found == []
+
+
+# A fresh interpreter imports the command line, then runs fig3.cfg and a GARCH
+# config at 20,000 steps in process.  It prints the scipy modules loaded by the
+# import, then the numpy modules that only the runs loaded.
+IMPORT_THEN_RUN = """
+import contextlib, io, json, sys
+import kestenlab.cli as cli
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+before = set(sys.modules)
+for config in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", config, "--output-dir", config + ".out"]) == 0
+print(json.dumps(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy")))
+"""
+
+
+def test_cli_loads_no_scipy_and_runs_load_no_numpy_module(tmp_path):
+    fig3 = json.loads((SRC / "configs" / "fig3.cfg").read_text())
+    garch = {
+        "process": {"kind": "garch11", "omega": 0.01, "alpha": 0.09, "beta": 0.9, "sigma0": 0.1},
+        "seed": 131,
+        "burn_in": 1000,
+        "analyses": {
+            "tail_fit": {"threshold": None},
+            "hill": {"k": 2000},
+            "acf": {"max_lag": 50, "kinds": ["raw", "absolute"]},
+            "cramer": {},
+            "conditions": {},
+        },
+    }
+    configs = []
+    for name, config in (("fig3", fig3), ("garch", garch)):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(json.dumps({**config, "n_samples": 20_000, "output_dir": None}))
+        configs.append(str(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_THEN_RUN, *configs], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    scipy_modules, new_numpy_modules = map(json.loads, proc.stdout.splitlines())
+    assert (scipy_modules, new_numpy_modules) == ([], [])

@@ -238,7 +238,7 @@ CONDITION_PINS = [
             ("e", "verified", 0.999470643454803, "E(a^0.001) = 0.999471 < 1"),
             ("f", "verified", 1.3107200000000003, "E(a^4) = 1.31072 >= 1"),
             ("g", "verified", 0.3788991569249707, "tilted log moment at 4"),
-            ("h", "verified", 4.454298535978506, "E|e|^mu* at mu* = 2.89"),
+            ("h", "verified", 4.454298535987781, "E|e|^mu* at mu* = 2.89"),
         ],
         ("C", "mu > 1", 2.8904633450493975),
     ),
@@ -314,6 +314,31 @@ class TestConditionsReport:
         case, predicted, mu_star = regime
         assert (rep["regime_case"], rep["predicted"]) == (case, predicted)
         assert rep["mu_star"] == _approx(mu_star)
+
+    def test_narrow_noise_law_away_from_zero(self):
+        # E|e|^mu for e ~ N(m, s^2) with s << m: m^mu (1 + mu (mu - 1) s^2 / (2 m^2))
+        rep = kesten_conditions_report(Exponential(0.55), Normal(5.0, 0.01))
+        mu = rep.mu_star
+        h = rep.condition("h")
+        assert h.status == "verified"
+        assert h.evidence == pytest.approx(
+            5.0**mu * (1.0 + mu * (mu - 1.0) / 2.0 * (0.01 / 5.0) ** 2), rel=1e-9
+        )
+
+    def test_unconverged_quadrature_is_not_checkable(self, monkeypatch):
+        # densities that oscillate faster than the rule resolves, under (b), (g) and (h)
+        for cls in (Exponential, Normal):
+            density = cls.standard_pdf
+            monkeypatch.setattr(
+                cls, "standard_pdf",
+                lambda self, z, density=density: density(self, z) * (1.0 + math.cos(1e4 * z)),
+            )
+        rep = kesten_conditions_report(Exponential(0.55), Normal(0.3, 2.0))
+        for cid in "bgh":
+            c = rep.condition(cid)
+            assert (c.status, c.evidence) == ("not-checkable", None)
+            assert "did not converge: steps h and h/2 differ by" in c.note
+        assert [c.status for c in rep.conditions if c.condition not in "bgh"] == ["verified"] * 5
 
     def test_fig3_pair_all_verified(self):
         rep = kesten_conditions_report(Exponential(0.55), Normal(0.0, 0.0065))
