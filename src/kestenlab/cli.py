@@ -715,10 +715,7 @@ def _cmd_fit_tail(args) -> int:
 
 def _cmd_acf(args) -> int:
     values = read_series_csv(args.series)
-    res = acf(values, args.max_lag, absolute=args.absolute)
-    print("lag,acf")
-    for lag, v in zip(res.lags, res.values):
-        print(f"{int(lag)},{repr(float(v))}")
+    write_acf_csv(acf(values, args.max_lag, absolute=args.absolute), sys.stdout)
     return 0
 
 

@@ -44,6 +44,8 @@ _MC_STREAM_ID = 0xA11
 # CoefficientLaw.expect: absolute and relative tolerance of its error estimate
 QUAD_EPSABS = 1e-8
 QUAD_EPSREL = 1.49e-8
+# ... and where it cuts either side of a law's location, in scales, to hold a far bulk
+QUAD_CUT = 8.0
 
 # The double-exponential rule: trapezoid sums in t at step h/2 = 1/64 over
 # |t| <= 5, after a map that makes the integrand decay double-exponentially.
@@ -192,11 +194,12 @@ class CoefficientLaw(KindTagged):
     def expect(self, fn, lo: float = -math.inf, hi: float = math.inf) -> float:
         """E[fn(X); lo <= X <= hi], by double-exponential quadrature of fn * pdf.
 
-        The support is cut at 0 and at ``location``.  Each node's density is
-        read from its offset to its piece's end, so the mass at a singular end
-        (chi2 at ``beta``) is not lost to rounding in x - end.  The result is the
-        sum at step h/2; if the sum at step h differs from it by more than
-        max(QUAD_EPSABS, QUAD_EPSREL * |result|), QuadratureError names the gap.
+        The support is cut at 0, at ``location`` and QUAD_CUT ``scale``s either
+        side of it.  Each node's density is read from its offset to its piece's
+        end, so the mass at a singular end (chi2 at ``beta``) is not lost to
+        rounding in x - end.  The result is the sum at step h/2; if the sum at
+        step h differs from it by more than max(QUAD_EPSABS, QUAD_EPSREL *
+        |result|), QuadratureError names the gap.
         """
         s_lo, s_hi = self.support
         a, b = max(s_lo, lo), min(s_hi, hi)
@@ -205,7 +208,8 @@ class CoefficientLaw(KindTagged):
         if not self.has_density:
             raise NoDensity(f"{self.kind} law has no density")
         loc, scale = self.location, self.scale
-        cuts = sorted({a, b, *(c for c in (0.0, loc) if a < c < b)})
+        near = (0.0, loc, loc - QUAD_CUT * scale, loc + QUAD_CUT * scale)
+        cuts = sorted({a, b, *(c for c in near if a < c < b)})
         fine = coarse = 0.0
         for left, right in zip(cuts, cuts[1:]):
             ends, offsets, weights = _de_nodes(left, right, scale)

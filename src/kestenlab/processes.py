@@ -1,10 +1,11 @@
 """Return-path generators.
 
 Three generative models for returns driven by a feedback coefficient:
-the one-shot inverse-multiplier process r = (1 - a)^{-1} e, the scalar
-feedback recursion r_t = a_t r_{t-1} + e_t, and its order-K version
-r_t = a_t * sum_k w_kt r_{t-k} + e_t, plus GARCH(1,1), whose squared
-volatility is simulated as its exact rewrite in the scalar recursion.
+the one-shot inverse-multiplier process r = (1 - a)^{-1} e, the order-K
+feedback recursion r_t = a_t * sum_k w_kt r_{t-k} + e_t with the scalar
+r_t = a_t r_{t-1} + e_t as its K = 1 case, and GARCH(1,1), whose squared
+volatility is the scalar recursion.  Every recursion runs on one blocked
+kernel over ``companion_step``, the step theory's matrix products share.
 ``simulate`` is the one entry point for every kind.
 """
 
@@ -38,8 +39,11 @@ from .errors import (
     ZeroWeightSum,
 )
 
-# Raise before IEEE infinities can propagate through a diverging path.
+# A path that reaches this in absolute value raises NumericalOverflow.
 OVERFLOW_LIMIT = 1e300
+
+# Steps per block of the path kernel; a block is never shorter than the order K.
+PATH_BLOCK = 1024
 
 # Warm-up dropped by default before any statistic is computed; far beyond
 # the mixing time of every stationary configuration used here.
@@ -204,50 +208,62 @@ class ReturnSeries:
         return meta
 
 
-def _raise_overflow(step: int) -> None:
-    raise NumericalOverflow(
-        f"the recursion exceeded {OVERFLOW_LIMIT:g} in absolute value at step {step}; "
-        "the coefficient law is likely outside the stationary regime "
-        "(see theory.stationarity_check / theory.lyapunov_top)"
-    )
+def companion_step(a, w, rows: list) -> list:
+    """The rows of M P from the rows of P, where M is the companion matrix with
+    first row a * w: the top row becomes a * (w[0] rows[0] + ... + w[K-1] rows[K-1]),
+    summed left to right, and the other rows shift down by one."""
+    acc = w[0] * rows[0]
+    for wj, row in zip(w[1:], rows[1:]):
+        acc += wj * row
+    return [a * acc, *rows[:-1]]
 
 
-def _kesten_path(a: list[float], b: list[float], x0: float) -> np.ndarray:
-    """x_t = a_t x_{t-1} + b_t for t = 0, 1, ... from x_{-1} = x0."""
-    out = np.empty(len(a))
-    x = x0
-    lim = OVERFLOW_LIMIT
-    i = 0
-    for ai, bi in zip(a, b):
-        x = ai * x + bi
-        if not -lim < x < lim:
-            _raise_overflow(i)
-        out[i] = x
-        i += 1
+def _run_blocks(a, w, e, rows: list, block: int, out=None) -> list:
+    """Run step t of all blocks at once from the draws a[t::block]: rows[i][r, b]
+    is lag i of run r in block b, e enters run 0 only, and ``out`` gets run 0."""
+    for t in range(min(block, a.size)):
+        at = a[t::block]
+        rows = companion_step(at, [wj[t::block] for wj in w], [r[:, : at.size] for r in rows])
+        rows[0][0] += e[t::block]
+        if out is not None:
+            out[t::block] = rows[0][0]
+    return rows
+
+
+def _companion_path(a: np.ndarray, w: np.ndarray, e: np.ndarray, r_init: tuple) -> np.ndarray:
+    """r_t = a_t * sum_k w_kt r_{t-k} + e_t from r_init = (r_{-1}, ..., r_{-K}).
+
+    The steps are cut into blocks of max(PATH_BLOCK, K).  A first pass runs
+    every block from a zero start and from the K unit starts and keeps the
+    block ends, from which a loop over the blocks finds each true start; a
+    second pass reruns every block from its start with the plain loop's
+    arithmetic.  A diverging path comes back holding inf or NaN.
+    """
+    k, total, block = len(r_init), a.size, max(PATH_BLOCK, len(r_init))
+    blocks = max(-(-total // block), 1)
+    cut = (blocks - 1) * block  # the last block's end is not needed
+    with np.errstate(all="ignore"):
+        unit = np.broadcast_to(np.eye(k, k + 1, 1)[:, :, None], (k, k + 1, blocks - 1))
+        ends = _run_blocks(a[:cut], w[:, :cut], e[:cut], list(unit), block)
+        starts = np.full((blocks, k), r_init, dtype=np.float64)  # row b: block b's start
+        for b in range(blocks - 1):  # a zero lag adds nothing, even through an inf response
+            live = starts[b] != 0.0
+            starts[b + 1] = [end[0, b] + end[1:, b][live] @ starts[b][live] for end in ends]
+        out = np.empty(total)
+        _run_blocks(a, w, e, list(starts.T[:, None, :]), block, out)
     return out
 
 
-def _order_k_path(
-    a: np.ndarray, w: np.ndarray, e: np.ndarray, r_init: tuple[float, ...]
-) -> np.ndarray:
-    """r_t = a_t * sum_k w_kt r_{t-k} + e_t from r_init = (r_{-1}, ..., r_{-K})."""
-    k = len(r_init)
-    col_lists = w.tolist()
-    a_list, e_list = a.tolist(), e.tolist()
-    state = list(r_init)  # state[j] = r_{t-1-j}
-    out = np.empty(a.size)
-    lim = OVERFLOW_LIMIT
-    for t in range(a.size):
-        acc = 0.0
-        for j in range(k):
-            acc += col_lists[j][t] * state[j]
-        r = a_list[t] * acc + e_list[t]
-        if not -lim < r < lim:
-            _raise_overflow(t)
-        out[t] = r
-        state.pop()
-        state.insert(0, r)
-    return out
+def _checked(path: np.ndarray) -> np.ndarray:
+    """The path, or NumericalOverflow at its first step not inside +-OVERFLOW_LIMIT."""
+    inside = np.abs(path) < OVERFLOW_LIMIT
+    if not inside.all():
+        raise NumericalOverflow(
+            f"the recursion exceeded {OVERFLOW_LIMIT:g} in absolute value at step "
+            f"{int(np.argmin(inside))}; the coefficient law is likely outside the "
+            "stationary regime (see theory.stationarity_check / theory.lyapunov_top)"
+        )
+    return path
 
 
 def _paths(
@@ -257,8 +273,7 @@ def _paths(
 
     The first path is the returns; GARCH(1,1) adds sigma2 and z.  Every
     kind draws its laws in one up-front block each, a before e, and the
-    order-K weights between them, so the K = 1 recursion with a constant
-    unit weight consumes the stream exactly like the scalar one.
+    order-K weights between them; a scalar spec runs as its order-1 embedding.
     """
     if n < 1 or burn_in < 0:
         raise InvalidConfig(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
@@ -283,23 +298,17 @@ def _paths(
         else:
             raise DegenerateSpec("a concentrates at 1: resampling did not terminate")
         paths = (e / (1.0 - a),)
-    elif isinstance(spec, KestenScalar):
-        a = spec.a_law.sample(gen, total)
-        e = spec.e_law.sample(gen, total)
-        paths = (_kesten_path(a.tolist(), e.tolist(), spec.r0),)
-    elif isinstance(spec, KestenAR):
-        a, w = spec.draw_coefficients(gen, total)
-        e = spec.e_law.sample(gen, total)
-        paths = (_order_k_path(a, w, e, spec.r_init),)
+    elif isinstance(spec, (KestenScalar, KestenAR)):
+        ar = as_ar(spec)
+        a, w = ar.draw_coefficients(gen, total)
+        e = ar.e_law.sample(gen, total)
+        paths = (_checked(_companion_path(a, w, e, ar.r_init)),)
     elif isinstance(spec, Garch11):
         z = gen.standard_normal(total)
-        # sigma2_t = (beta + alpha z_{t-1}^2) sigma2_{t-1} + omega, with a the
-        # GarchCoefficient draw of the same normal; the first step (a = 1,
-        # b = 0) puts sigma2_0 = sigma0^2 on the path
-        zp = z[:-1]
-        a = [1.0] + (spec.beta + spec.alpha * zp * zp).tolist()
-        b = [0.0] + [spec.omega] * (total - 1)
-        sigma2 = _kesten_path(a, b, spec.sigma0 * spec.sigma0)
+        # sigma2_t = a_{t-1} sigma2_{t-1} + omega, a = beta + alpha z^2 as GarchCoefficient draws it
+        zp, s0, ones = z[:-1], spec.sigma0 * spec.sigma0, np.ones((1, total - 1))
+        path = _companion_path(spec.beta + spec.alpha * zp * zp, ones, spec.omega * ones[0], (s0,))
+        sigma2 = _checked(np.concatenate(([s0], path)))
         paths = (np.sqrt(sigma2) * z, sigma2, z)
     else:
         raise InvalidConfig(f"unknown process spec {type(spec).__name__}")
@@ -325,10 +334,9 @@ def garch11_paths(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(returns, sigma2, z) paths after burn-in, as simulate draws them; diagnostic surface.
 
-    sigma2 is the feedback recursion sigma2_t = a_{t-1} sigma2_{t-1} + omega
-    with a = beta + alpha z^2, and the z draws are a single up-front block,
-    so a GarchCoefficient law sampled from the same stream sees the
-    identical normals and reproduces sigma2 bitwise.
+    sigma2_t = a_{t-1} sigma2_{t-1} + omega with a = beta + alpha z^2 from one
+    up-front block of z draws, so a GarchCoefficient law sampled from the
+    same stream reproduces sigma2 bitwise.
     """
     if not isinstance(spec, Garch11):
         raise InvalidConfig(f"garch11_paths needs a Garch11 spec, got {type(spec).__name__}")
@@ -355,9 +363,7 @@ def as_ar(spec: KestenScalar | KestenAR) -> KestenAR:
     """Order-1 embedding of a scalar spec (identity on KestenAR)."""
     if isinstance(spec, KestenAR):
         return spec
-    return KestenAR(
-        spec.a_law, spec.e_law, (Constant(1.0),), False, (spec.r0,)
-    )
+    return KestenAR(spec.a_law, spec.e_law, (Constant(1.0),), False, (spec.r0,))
 
 
 # series files: CSV and .npy round trips -------------------------------------
@@ -366,23 +372,25 @@ def as_ar(spec: KestenScalar | KestenAR) -> KestenAR:
 CSV_BLOCK_ROWS = 16_384
 
 
-def write_csv(path: str | Path, header: str, *columns) -> None:
-    """Write a header and one row per index of the equal-length columns.
+def write_csv(path, header: str, *columns) -> None:
+    """Write a header and one row per index of the equal-length columns to a
+    path, or to an open text file such as sys.stdout.
 
     Each column is a numpy array or a range.  Cells are written with repr,
     so floats round-trip exactly and integers stay integers; lines end in LF.
     """
-    n = len(columns[0])
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for start in range(0, n, CSV_BLOCK_ROWS):
-            cells = []
-            for column in columns:
-                part = column[start : start + CSV_BLOCK_ROWS]
-                if isinstance(part, np.ndarray):
-                    part = part.tolist()
-                cells.append(map(repr, part))
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    if not hasattr(path, "write"):
+        with open(path, "w", newline="\n") as fh:
+            return write_csv(fh, header, *columns)
+    path.write(header + "\n")
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        cells = []
+        for column in columns:
+            part = column[start : start + CSV_BLOCK_ROWS]
+            if isinstance(part, np.ndarray):
+                part = part.tolist()
+            cells.append(map(repr, part))
+        path.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_series_csv(series: ReturnSeries, path: str | Path) -> None:

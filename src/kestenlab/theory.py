@@ -31,7 +31,7 @@ from .errors import (
     TheoryError,
     VarianceNotFinite,
 )
-from .processes import KestenAR, KestenScalar, as_ar
+from .processes import KestenAR, KestenScalar, as_ar, companion_step
 
 RESIDUAL_TOL = 1e-6
 MU_CAP = 64.0
@@ -490,28 +490,23 @@ def _batched_log_norms(
 ) -> dict[int, np.ndarray]:
     """log ||A_1 ... A_t|| (inf-norm) per trial at each requested horizon.
 
-    The running product is renormalized every step, so the accumulated log
+    The product is held as K rows of shape (K, trials), advanced by
+    ``companion_step`` and renormalized every step, so the accumulated log
     norms are exact: ||A_t ... A_1|| = prod of the per-step scale factors.
     """
-    k = spec.order
     steps = max(horizons)
-    eye = np.eye(k)
-    P = np.broadcast_to(eye, (trials, k, k)).copy()
-    # companion matrices: the shift below row 0 is fixed, row 0 is redrawn
-    A = np.zeros((trials, k, k))
-    for i in range(1, k):
-        A[:, i, i - 1] = 1.0
+    rows = list(np.repeat(np.eye(spec.order)[:, :, None], trials, axis=2))
     acc = np.zeros(trials)
     out: dict[int, np.ndarray] = {}
     for step in range(1, steps + 1):
         a, w = spec.draw_coefficients(gen, trials)
-        A[:, 0, :] = (a * w).T
-        P = A @ P
-        s = np.abs(P).sum(axis=2).max(axis=1)
+        rows = companion_step(a, w, rows)
+        s = np.max([np.abs(row).sum(axis=0) for row in rows], axis=0)
         if np.any(s <= 0.0):
             raise TheoryError("matrix product collapsed to zero norm")
         acc += np.log(s)
-        P /= s[:, None, None]
+        for row in rows:
+            row /= s
         if step in horizons:
             out[step] = acc.copy()
     return out

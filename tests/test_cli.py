@@ -20,6 +20,7 @@ from kestenlab import (
     RngStream,
     TheoryReport,
     Uniform,
+    acf,
     classify_regime,
     cramer_root,
     kesten_conditions_report,
@@ -48,6 +49,7 @@ from kestenlab.cli import (
     run,
 )
 from kestenlab.distributions import read_record
+from kestenlab.estimators import write_acf_csv
 from kestenlab.errors import (
     InvalidConfig,
     MissingArtifacts,
@@ -661,6 +663,22 @@ class TestCommandLine:
         lines = res.stdout.strip().splitlines()
         assert lines[0] == "lag,acf"
         assert len(lines) == 7
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["raw", "absolute"])
+    def test_acf_prints_the_acf_csv(self, tmp_path, absolute):
+        # the command's stdout is the file write_acf_csv writes, byte for byte
+        series = simulate(FIG3_SPEC, RngStream(9), 2000, 0)
+        write_series_csv(series, tmp_path / "r.csv")
+        flag = ["--absolute"] if absolute else []
+        res = subprocess.run(
+            [sys.executable, "-m", "kestenlab", "acf", str(tmp_path / "r.csv"), "--max-lag", "7"]
+            + flag,
+            capture_output=True,
+        )
+        assert res.returncode == 0, res.stderr
+        write_acf_csv(acf(series, 7, absolute=absolute), tmp_path / "acf.csv")
+        assert res.stdout == (tmp_path / "acf.csv").read_bytes()
+        assert res.stdout.startswith(b"lag,acf\n0,1.0\n1,")
 
     @pytest.mark.parametrize(
         "command, text, line",

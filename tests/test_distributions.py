@@ -370,6 +370,14 @@ class TestExpect:
     def test_mass(self, law):
         assert law.expect(lambda v: 1.0) == pytest.approx(1.0, rel=1e-7)
 
+    @pytest.mark.parametrize("mean", [1e4, 3e4, 1e6, 1e8, 1e10, 1e12, -3e4, -1e8])
+    def test_bulk_far_from_zero(self, mean):
+        # the cuts QUAD_CUT scales either side of the location hold the bulk;
+        # without them Normal(3e4, 1) raised QuadratureError
+        law = Normal(mean, 1.0)
+        assert abs(law.expect(lambda v: 1.0) - 1.0) <= 2.3e-16  # one ulp above 1
+        assert law.expect(lambda v: v) == pytest.approx(mean, rel=1e-15)
+
     def test_narrow_law_away_from_zero(self):
         # E|X|^3 = m^3 + 3 m s^2 for a normal law that puts no mass below 0
         assert Normal(5.0, 0.01).abs_moment(3.0) == pytest.approx(

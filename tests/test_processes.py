@@ -1,12 +1,13 @@
 import json
 import typing
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG3_SPEC, fuzzed
+from conftest import FIG3_SPEC, FIG4_SPEC, fuzzed
 from kestenlab import (
     AcfResult,
     CoefficientLaw,
@@ -41,6 +42,7 @@ from kestenlab import (
     write_series_csv,
     write_series_npy,
 )
+from kestenlab import processes
 from kestenlab.distributions import KindTagged
 from kestenlab.errors import (
     DegenerateSpec,
@@ -333,6 +335,109 @@ class TestBurnInInsensitivity:
         se1 = f1.exponent * np.sqrt(2.0 / f1.n_tail)
         se2 = f2.exponent * np.sqrt(2.0 / f2.n_tail)
         assert abs(f1.exponent - f2.exponent) < 2 * np.hypot(se1, se2)
+
+
+def _loop_path(a: list, w: list, e: list, r_init: tuple) -> np.ndarray:
+    """r_t = a_t * sum_k w_kt r_{t-k} + e_t, one step at a time in Python floats."""
+    state, out = list(r_init), []
+    for t in range(len(a)):
+        r = a[t] * sum(w[j][t] * state[j] for j in range(len(state))) + e[t]
+        out.append(r)
+        state = [r] + state[:-1]
+    return np.array(out)
+
+
+class TestCompanionKernel:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # blocks of 4 steps: hundreds of blocks per path, and K = 6 longer than a block
+        monkeypatch.setattr(processes, "PATH_BLOCK", 4)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FIG3_SPEC,
+            KestenScalar(Uniform(0.0, 1.9), Normal(0.0, 1.0), r0=5.0),
+            FIG4_SPEC,
+            KestenAR(
+                Exponential(0.9), Normal(0.3, 1.0), (Uniform(0.0, 0.3),) * 6,
+                r_init=(1.0, -2.0, 3.0, 0.5, 0.0, 4.0),
+            ),
+        ],
+        ids=["scalar-fig3", "scalar-slow-mixing", "order-3-fig4", "order-6"],
+    )
+    def test_path_matches_plain_loop(self, spec):
+        n = 3001
+        s = simulate(spec, RngStream(5), n, 0)
+        ar = as_ar(spec)
+        gen = RngStream(5).generator()
+        a, w = ar.draw_coefficients(gen, n)
+        e = ar.e_law.sample(gen, n)
+        ref = _loop_path(a.tolist(), w.tolist(), e.tolist(), ar.r_init)
+        assert np.max(np.abs(s.values - ref)) <= 1e-12 * ref.std()
+
+    def test_garch_volatility_matches_plain_loop(self):
+        spec = Garch11(0.01, 0.09, 0.9, sigma0=0.1)
+        n = 3001
+        _returns, sigma2, z = garch11_paths(spec, RngStream(5), n)
+        ref = [spec.sigma0**2]
+        for zt in z[:-1].tolist():
+            ref.append((spec.beta + spec.alpha * zt * zt) * ref[-1] + spec.omega)
+        ref = np.array(ref)
+        assert np.max(np.abs(sigma2 - ref)) <= 1e-12 * ref.std()
+
+    @pytest.mark.parametrize("spec", [FIG3_SPEC, FIG4_SPEC], ids=["scalar", "order-3"])
+    def test_lyapunov_matches_dense_product(self, spec):
+        t, trials = 200, 16
+        est = lyapunov_top(spec, t, trials, RngStream(3))
+        ar = as_ar(spec)
+        k = ar.order
+        gen = RngStream(3).generator()
+        P = np.broadcast_to(np.eye(k), (trials, k, k)).copy()
+        A = np.zeros((trials, k, k))
+        A[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        log_norm = np.zeros(trials)
+        for _ in range(t):
+            a, w = ar.draw_coefficients(gen, trials)
+            A[:, 0, :] = (a * w).T
+            P = A @ P
+            norm = np.abs(P).sum(axis=2).max(axis=1)
+            log_norm += np.log(norm)
+            P /= norm[:, None, None]
+        g = log_norm / t
+        assert est.gamma_hat == pytest.approx(g.mean(), rel=1e-12)
+        assert est.stderr == pytest.approx(g.std(ddof=1) / np.sqrt(trials), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "spec, n, step",
+    [
+        (KestenScalar(Constant(2.0), Constant(1.0), r0=1.0), 5000, 995),
+        (Garch11(0.01, 2.5, 1.5, sigma0=1.0), 10**5, 626),
+        (
+            KestenAR(
+                Constant(1.5), Constant(1.0), (Constant(0.9), Constant(0.9)),
+                r_init=(1.0, 1.0),
+            ),
+            5000,
+            982,
+        ),
+    ],
+    ids=["scalar", "garch", "order-2"],
+)
+def test_overflow_names_its_step(spec, n, step):
+    # the first step out of range, and no numpy warning from the inf and NaN past it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow, match=f" at step {step};"):
+            simulate(spec, RngStream(0), n, 0)
+
+
+def test_zero_path_under_an_explosive_coefficient_stays_zero():
+    # a zero state adds nothing to the next block's start, though the block's
+    # response to a unit start overflows
+    s = simulate(KestenScalar(Constant(2.0), Constant(0.0)), RngStream(0), 5000, 0)
+    assert not s.values.any()
 
 
 SCALAR = KestenScalar(Exponential(0.55), Normal(0.0, 0.0065))

@@ -325,6 +325,15 @@ class TestConditionsReport:
             5.0**mu * (1.0 + mu * (mu - 1.0) / 2.0 * (0.01 / 5.0) ** 2), rel=1e-9
         )
 
+    def test_noise_law_far_from_zero(self):
+        # E|e|^mu ~ m^mu for e ~ N(1e6, 1); the quadrature could not resolve it
+        # before expect cut the support either side of the location
+        rep = kesten_conditions_report(Exponential(0.55), Normal(1e6, 1.0))
+        h = rep.condition("h")
+        assert h.status == "verified"
+        assert h.evidence == pytest.approx((1e6) ** rep.mu_star, rel=1e-9)
+        assert h.evidence == pytest.approx(1.0374e18, rel=1e-4)
+
     def test_unconverged_quadrature_is_not_checkable(self, monkeypatch):
         # densities that oscillate faster than the rule resolves, under (b), (g) and (h)
         for cls in (Exponential, Normal):
