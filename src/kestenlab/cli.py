@@ -41,10 +41,10 @@ from .errors import (
 from .estimators import (
     TailFit,
     acf,
-    empirical_ccdf,
     hill_estimator,
     returns_from_prices,
     tail_exponent_ls,
+    tail_fit_with_ccdf,
     thin_ccdf,
     write_acf_csv,
     write_ccdf_csv,
@@ -267,8 +267,8 @@ def _report_cramer(entry: CramerReport, out_dir: Path) -> list[str]:
 
 
 def _tail_fit(series, config: ExperimentConfig, params: dict, write) -> TailFit:
-    fit = tail_exponent_ls(series, params["threshold"])
-    x, p = thin_ccdf(*empirical_ccdf(series, absolute=True))
+    fit, x, p = tail_fit_with_ccdf(series, params["threshold"])
+    x, p = thin_ccdf(x, p)
     write("ccdf.csv", lambda path: write_ccdf_csv(x, p, path))
     write("tail_fit.json", fit)
     return fit

@@ -586,6 +586,12 @@ class GarchCoefficient(CoefficientLaw):
     def log_moment_with_stderr(self, n: int = MC_MOMENT_SAMPLES) -> tuple[float, float]:
         """E[log X] and the standard error of its Monte Carlo estimate."""
         self._check_log_pre()
+        return self._mc_log_moment(n)
+
+    # The two floats, memoized like the sample they come from; the log array
+    # itself (as large as the sample) is dropped at once.
+    @functools.lru_cache(maxsize=32)
+    def _mc_log_moment(self, n: int) -> tuple[float, float]:
         y = np.log(self._mc_sample(n))
         return float(y.mean()), float(y.std(ddof=1) / math.sqrt(n))
 

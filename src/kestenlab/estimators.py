@@ -164,6 +164,14 @@ def tail_exponent_ls(series, threshold: float | None = None) -> TailFit:
     above the threshold enter the regression, and the largest observation
     (survival 0) is excluded to avoid log(0).
     """
+    return tail_fit_with_ccdf(series, threshold)[0]
+
+
+def tail_fit_with_ccdf(
+    series, threshold: float | None = None
+) -> tuple[TailFit, np.ndarray, np.ndarray]:
+    """``tail_exponent_ls`` and the absolute ``empirical_ccdf`` (x, p) it regresses
+    on, from one sort of |r|."""
     absv = np.abs(_values(series))
     if threshold is None:
         threshold = float(np.quantile(absv, DEFAULT_TAIL_QUANTILE))
@@ -188,7 +196,7 @@ def tail_exponent_ls(series, threshold: float | None = None) -> TailFit:
     intercept = float(lp.mean() - slope * lx_mean)
     resid = lp - (slope * lx + intercept)
     stderr = float(np.sqrt(resid @ resid / max(m - 2, 1) / sxx))
-    return TailFit(float(threshold), -slope, intercept, n_tail, stderr)
+    return TailFit(float(threshold), -slope, intercept, n_tail, stderr), x, p
 
 
 def hill_estimator(series, k: int) -> float:

@@ -235,7 +235,8 @@ def _companion_path(a: np.ndarray, w: np.ndarray, e: np.ndarray, r_init: tuple) 
 
     The steps are cut into blocks of max(PATH_BLOCK, K).  A first pass runs
     every block from a zero start and from the K unit starts and keeps the
-    block ends, from which a loop over the blocks finds each true start; a
+    block ends, from which a loop over the blocks finds each true start (a
+    block whose end overflows from a finite start is rerun from it); a
     second pass reruns every block from its start with the plain loop's
     arithmetic.  A diverging path comes back holding inf or NaN.
     """
@@ -249,6 +250,13 @@ def _companion_path(a: np.ndarray, w: np.ndarray, e: np.ndarray, r_init: tuple) 
         for b in range(blocks - 1):  # a zero lag adds nothing, even through an inf response
             live = starts[b] != 0.0
             starts[b + 1] = [end[0, b] + end[1:, b][live] @ starts[b][live] for end in ends]
+            if np.isfinite(starts[b]).all() and not np.isfinite(starts[b + 1]).all():
+                # a unit response overflowed, but a tiny start can keep the true end
+                # finite: rerun this block from its start, as the second pass will
+                span = slice(b * block, (b + 1) * block)
+                rows = list(starts[b][:, None, None])
+                rows = _run_blocks(a[span], w[:, span], e[span], rows, block)
+                starts[b + 1] = [row[0, 0] for row in rows]
         out = np.empty(total)
         _run_blocks(a, w, e, list(starts.T[:, None, :]), block, out)
     return out

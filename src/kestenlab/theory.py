@@ -175,6 +175,39 @@ def stationarity_check(a_law: CoefficientLaw) -> StationarityCheck:
     return StationarityCheck(val, verdict, se)
 
 
+def _increasing_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Zero of f in [lo, hi], given f_lo = f(lo) < 0 <= f_hi = f(hi).
+
+    Illinois steps (Dowell and Jarratt 1971): regula falsi, with the value
+    kept at an end halved whenever that end survives a second step in a
+    row, so a convex f cannot pin one end while the other creeps up on the
+    root.  A point not strictly inside (lo, hi) is replaced by the
+    midpoint.  Stops at an exact zero or once hi - lo < 1e-13 max(1, hi),
+    within 100 steps, and returns the midpoint of the last bracket.
+    """
+    kept = 0  # +1 when hi survived the last step, -1 when lo did
+    for _ in range(100):
+        if f_hi == 0.0:
+            return hi
+        if hi - lo < 1e-13 * max(1.0, hi):
+            break
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, fx
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    return 0.5 * (lo + hi)
+
+
 @functools.lru_cache(maxsize=32)
 def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
     """Unique positive root of E(a^mu) = 1.
@@ -183,7 +216,7 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
     there is E[log a] < 0) and is convex, so it crosses 1 exactly once on
     the increasing branch.  The bracket is found by doubling mu from 1
     until the moment exceeds 1 (halving instead when it already does) and
-    refined by bisection.  For a Monte Carlo law, ``stderr`` is the
+    refined by ``_increasing_root``.  For a Monte Carlo law, ``stderr`` is the
     delta-method standard error of mu*: se(E(a^mu*)) / E[a^mu* log a].
 
     Laws are frozen values, so the solution is memoized on the law's
@@ -237,15 +270,7 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
         val_lo = phi(lo)
 
     bracket = (lo, hi)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, hi):
-            break
-    mu_star = 0.5 * (lo + hi)
+    mu_star = _increasing_root(lambda mu: phi(mu) - 1.0, lo, hi, val_lo - 1.0, val_hi - 1.0)
     if mc:
         val, se = a_law.moment_with_stderr(mu_star)
         # the sample moment function is strictly convex, so its slope at mu* is > 0
@@ -547,7 +572,7 @@ def moment_lyapunov_root(
     per-trial log product norms L_j, which tames the heavy-tailed summands;
     the same L_j serve every mu, so the estimate is a smooth convex
     function of mu with Lambda(0) = 0 and the grid sign change is refined
-    by bisection.
+    by ``_increasing_root``.
 
     The horizon must stay small: the summands exp(mu * L_j) concentrate on
     exponentially rare paths as t grows, and beyond mu * std(L_j) ~ log m
@@ -588,17 +613,11 @@ def moment_lyapunov_root(
                 break
         if idx is None:
             return None
-        lo, hi = mus[idx], mus[idx + 1]
-        bracket = (lo, hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # lam(lo) < 0 <= lam(hi): no later step can move either end
-            if lam(L, t, mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi), bracket
+        bracket = (mus[idx], mus[idx + 1])
+        return (
+            _increasing_root(lambda mu: lam(L, t, mu), *bracket, vals[idx], vals[idx + 1]),
+            bracket,
+        )
 
     L_t = log_norms[t_horizon]
     result = refine(L_t, t_horizon)

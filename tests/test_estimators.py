@@ -17,7 +17,8 @@ from kestenlab import (
     simulate,
     tail_exponent_ls,
 )
-from kestenlab.estimators import CCDF_PLOT_POINTS, thin_ccdf
+from kestenlab import estimators
+from kestenlab.estimators import CCDF_PLOT_POINTS, tail_fit_with_ccdf, thin_ccdf
 from kestenlab.cli import config_from_dict, run
 from kestenlab.errors import (
     DegenerateTail,
@@ -143,6 +144,34 @@ class TestTailExponentLs:
         fit = tail_exponent_ls(x)
         d = fit.to_dict()
         assert set(d) == {"threshold", "exponent", "intercept", "n_tail", "stderr"}
+
+    def test_fit_and_ccdf_from_one_sort(self):
+        x = exact_pareto(3.0, 10**5, seed=15) * np.where(np.arange(10**5) % 3, 1.0, -1.0)
+        fit, cx, cp = tail_fit_with_ccdf(x)
+        assert fit == tail_exponent_ls(x)
+        ex, ep = empirical_ccdf(x, absolute=True)
+        assert np.array_equal(cx, ex) and np.array_equal(cp, ep)
+
+    def test_tail_fit_analysis_sorts_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = estimators.empirical_ccdf
+
+        def counting(series, absolute=True):
+            calls.append(absolute)
+            return original(series, absolute)
+
+        monkeypatch.setattr(estimators, "empirical_ccdf", counting)
+        config = config_from_dict(
+            {
+                "process": FIG3_SPEC.to_config(),
+                "n_samples": 10**4,
+                "seed": 5,
+                "burn_in": 10**3,
+                "analyses": {"tail_fit": {"threshold": None}},
+            }
+        )
+        run(config, output_dir=tmp_path)
+        assert len(calls) == 1
 
 
 class TestHillEstimator:

@@ -62,6 +62,13 @@ def test_only_the_record_reader_resolves_annotations():
     assert _callers({"typing.get_type_hints", "get_type_hints"}) == ["distributions.read_record"]
 
 
+def test_one_root_step_serves_both_moment_equations():
+    assert _callers({"_increasing_root"}) == [
+        "theory.cramer_root",
+        "theory.moment_lyapunov_root.refine",
+    ]
+
+
 def test_no_module_imports_scipy():
     found = []
     for path in sorted(SRC.glob("*.py")):

@@ -433,6 +433,22 @@ def test_overflow_names_its_step(spec, n, step):
             simulate(spec, RngStream(0), n, 0)
 
 
+@pytest.mark.parametrize("n", [1500, 3000])
+def test_tiny_start_under_an_explosive_coefficient_matches_plain_loop(n):
+    # 2^1024 overflows, so the first block's response to a unit start is inf,
+    # yet 1e-300 * 2^1024 is about 1.8e8: the path leaves 1e300 only at step 1993
+    ref = _loop_path([2.0] * n, [[1.0] * n], [0.0] * n, (1e-300,))
+    spec = KestenScalar(Constant(2.0), Constant(0.0), r0=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if n < 1993:
+            assert np.array_equal(simulate(spec, RngStream(0), n, 0).values, ref)
+        else:
+            assert int(np.argmax(np.abs(ref) >= 1e300)) == 1993
+            with pytest.raises(NumericalOverflow, match=" at step 1993;"):
+                simulate(spec, RngStream(0), n, 0)
+
+
 def test_zero_path_under_an_explosive_coefficient_stays_zero():
     # a zero state adds nothing to the next block's start, though the block's
     # response to a unit start overflows

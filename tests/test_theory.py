@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
@@ -26,6 +28,7 @@ from kestenlab import (
     stationarity_check,
 )
 from kestenlab.distributions import MC_MOMENT_SAMPLES, _mc_generator
+from kestenlab.theory import _increasing_root
 from kestenlab.errors import (
     DegenerateLaw,
     NoDensity,
@@ -48,7 +51,92 @@ def exponential_root_oracle(mean: float) -> float:
     return brentq(f, lo, hi, xtol=1e-13)
 
 
+def _bisection(f, lo: float, hi: float) -> float:
+    """200 bisection steps on f(lo) < 0 <= f(hi): the reference root."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestIncreasingRoot:
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [
+            # steep: plain regula falsi keeps hi = 2 and creeps up from 0
+            (lambda m: math.exp(50.0 * (m - 1.9)) - 1.0, 0.0, 2.0),
+            (lambda m: m * m - 2.0, 0.0, 2.0),
+            (lambda m: math.exp(math.lgamma(1.0 + m) + m * math.log(0.55)) - 1.0, 2.0, 4.0),
+            (lambda m: math.exp(m) - 1.0 - 2.0 * m, 0.5, 2.0),
+            (lambda m: m**8 - 1e-3, 0.1, 1.0),
+            (lambda m: 1e-9 * (math.exp(m) - 40.0), 1.0, 64.0),
+        ],
+        ids=["steep", "square", "exponential-moment", "exp-minus-line", "flat-then-steep", "tiny-scale"],
+    )
+    def test_matches_bisection_within_the_cap(self, f, lo, hi):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return f(m)
+
+        root = _increasing_root(counted, lo, hi, f(lo), f(hi))
+        assert root == pytest.approx(_bisection(f, lo, hi), rel=1e-12)
+        assert len(calls) < 100
+
+    def test_stops_on_an_exact_zero(self):
+        calls = []
+
+        def f(m):
+            calls.append(m)
+            return m - 1.5
+
+        assert _increasing_root(f, 1.0, 2.0, -0.5, 0.5) == 1.5
+        assert calls == [1.5]
+        assert _increasing_root(f, 1.0, 2.0, -0.5, 0.0) == 2.0
+        assert calls == [1.5]
+
+
 class TestCramerRoot:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        law=st.one_of(
+            st.floats(0.2, 1.75).map(Exponential),
+            st.tuples(st.floats(0.0, 0.95), st.floats(1.01, 3.0)).map(lambda b: Uniform(*b)),
+        )
+    )
+    def test_matches_brentq(self, law):
+        try:
+            sol = cramer_root(law)
+        except (NonStationary, NoPositiveRoot):
+            assume(False)
+        lo, hi = sol.bracket
+        if lo == hi:
+            assert law.moment(lo) == 1.0
+            return
+        ref = brentq(lambda mu: law.moment(mu) - 1.0, lo, hi, xtol=1e-14)
+        # relative above 1, absolute below, as the solver's own stopping rule
+        assert abs(sol.mu_star - ref) <= 1e-10 * max(1.0, ref)
+
+    def test_garch_solve_makes_few_moment_passes(self, monkeypatch):
+        GarchCoefficient._mc_sample.cache_clear()
+        GarchCoefficient._mc_log_moment.cache_clear()
+        cramer_root.cache_clear()
+        fractional = []
+        original = GarchCoefficient.moment
+
+        def counting(self, mu):
+            if not float(mu).is_integer():
+                fractional.append(mu)
+            return original(self, mu)
+
+        monkeypatch.setattr(GarchCoefficient, "moment", counting)
+        cramer_root(GarchCoefficient(0.9, 0.09))
+        assert 0 < len(fractional) <= 12
+
     def test_fig3_coefficient_law(self):
         sol = cramer_root(Exponential(0.55))
         oracle = exponential_root_oracle(0.55)
@@ -119,6 +207,7 @@ class TestMonteCarloSample:
     def test_one_draw_per_process(self, monkeypatch):
         # two distinct but equal laws share one draw and one root
         GarchCoefficient._mc_sample.cache_clear()
+        GarchCoefficient._mc_log_moment.cache_clear()
         cramer_root.cache_clear()
         draws = []
         original = GarchCoefficient.sample
@@ -136,6 +225,8 @@ class TestMonteCarloSample:
         classify_regime(law)
         kesten_conditions_report(twin, Constant(0.01))
         assert draws == [MC_MOMENT_SAMPLES]
+        # and one log pass: E[log a] for (a), the root and the stationarity check
+        assert GarchCoefficient._mc_log_moment.cache_info().misses == 1
 
         fresh = original(law, _mc_generator(), MC_MOMENT_SAMPLES)
         y = fresh**1.7
