@@ -68,12 +68,14 @@ from .theory import (
     RegimeClassification,
     StationarityCheck,
     TheoryReport,
+    UnitExponentPrediction,
     classify_regime,
     cramer_root,
     kesten_conditions_report,
     lyapunov_top,
     moment_lyapunov_root,
     stationarity_check,
+    unit_exponent_prediction,
 )
 
 OUTPUT_ROOT_ENV = "KESTENLAB_OUTPUT_ROOT"
@@ -239,30 +241,24 @@ _SCALAR_FEEDBACK = ("kesten_scalar", "garch11")
 _MATRIX_PRODUCT = ("kesten_scalar", "kesten_ar")
 
 
-@dataclass(frozen=True)
-class CramerReport:
-    """The moment-equation root of a scalar feedback law and the regime it predicts."""
-
-    solution: CramerSolution
-    regime: RegimeClassification
-
-    def to_dict(self) -> dict:
-        return {"solution": self.solution, "regime": self.regime}
+def _solution_text(sol: CramerSolution) -> str:
+    """The root with its stderr and finite-t drift where set, and how it was solved."""
+    se = "" if sol.stderr is None else f" +- {sol.stderr:.4f}"
+    drift = "" if sol.finite_t_bias is None else f", finite-t drift {sol.finite_t_bias:+.3f}"
+    return f"mu = {sol.mu_star:.4f}{se} (method {sol.method}, residual {sol.residual:.2g}{drift})"
 
 
-def _cramer(series, config: ExperimentConfig, params: dict, write) -> CramerReport:
-    a_law, _ = _scalar_feedback_laws(config.process)
-    entry = CramerReport(cramer_root(a_law), classify_regime(a_law))
+def _cramer(series, config: ExperimentConfig, params: dict, write) -> RegimeClassification:
+    entry = classify_regime(_scalar_feedback_laws(config.process)[0])
     write("cramer.json", entry)
     return entry
 
 
-def _report_cramer(entry: CramerReport, out_dir: Path) -> list[str]:
-    reg, sol = entry.regime, entry.solution
-    rel = "=" if reg.case == "A" else (">" if reg.case == "B" else "<")
+def _report_cramer(entry: RegimeClassification, out_dir: Path) -> list[str]:
+    rel = "=" if entry.case == "A" else (">" if entry.case == "B" else "<")
     return [
-        f"regime: {reg.case} (E(a) = {reg.mean_a:.4g} {rel} 1) -> predicted {reg.predicted}",
-        f"predicted mu = {sol.mu_star:.4f} (method {sol.method}, residual {sol.residual:.2g})",
+        f"regime: {entry.case} (E(a) = {entry.mean_a:.4g} {rel} 1) -> predicted {entry.predicted}",
+        "predicted " + _solution_text(entry.solution),
     ]
 
 
@@ -332,8 +328,6 @@ class ConditionsSummary:
     """The verdict of the (a)-(h) checklist; ``conditions.json`` holds the checklist."""
 
     all_verified: bool
-    regime_case: str
-    mu_star: float | None
 
     to_dict = asdict
 
@@ -341,17 +335,16 @@ class ConditionsSummary:
 def _conditions(series, config: ExperimentConfig, params: dict, write) -> ConditionsSummary:
     report_ = kesten_conditions_report(*_scalar_feedback_laws(config.process))
     write("conditions.json", report_)
-    return ConditionsSummary(report_.all_verified, report_.regime_case, report_.mu_star)
+    return ConditionsSummary(report_.all_verified)
 
 
 def _report_conditions(entry: ConditionsSummary, out_dir: Path) -> list[str]:
     ok = "all verified" if entry.all_verified else "NOT all verified"
-    lines = [f"Kesten-theorem conditions (a)-(h): {ok} (case {entry.regime_case})"]
-    path = out_dir / "conditions.json"
-    if path.exists():
-        for c in _read_json(path, TheoryReport, "conditions report").conditions:
-            ev = "" if c.evidence is None else f"{c.evidence:+.6g}"
-            lines.append(f"  ({c.condition}) {c.status:<13} {ev:<14} {c.note}")
+    checklist = _read_json(out_dir / "conditions.json", TheoryReport, "conditions report")
+    lines = [f"Kesten-theorem conditions (a)-(h): {ok} (case {checklist.regime_case})"]
+    for c in checklist.conditions:
+        ev = "" if c.evidence is None else f"{c.evidence:+.6g}"
+        lines.append(f"  ({c.condition}) {c.status:<13} {ev:<14} {c.note}")
     return lines
 
 
@@ -383,10 +376,7 @@ def _moment_lyapunov(series, config: ExperimentConfig, params: dict, write) -> C
 
 
 def _report_moment_lyapunov(entry: CramerSolution, out_dir: Path) -> list[str]:
-    se = "" if entry.stderr is None else f" +- {entry.stderr:.3f}"
-    bias = entry.finite_t_bias
-    bias_txt = "" if bias is None else f", finite-t drift {bias:+.3f}"
-    return [f"moment-Lyapunov root: mu = {entry.mu_star:.3f}{se}{bias_txt}"]
+    return ["moment-Lyapunov root: " + _solution_text(entry)]
 
 
 # in report order; a run computes the requested analyses in this order too
@@ -434,17 +424,6 @@ def _analysis_params(name: str, params, process: ProcessSpec) -> dict:
 
 
 @dataclass(frozen=True)
-class UnitExponentPrediction:
-    """The unit-exponent tail 2 f_a(1) / x of an inverse-multiplier process."""
-
-    density_at_one: float
-    predicted_mu: float | None  # 1 where the density of a at 1 is positive
-    tail_constant: float
-
-    to_dict = asdict
-
-
-@dataclass(frozen=True)
 class RunSummary:
     """``summary.json``: the run's headline numbers and one entry per analysis run."""
 
@@ -456,7 +435,7 @@ class RunSummary:
     sample_std: float
     stationarity: StationarityCheck | None = None
     unit_exponent_prediction: UnitExponentPrediction | None = None
-    cramer: CramerReport | None = None
+    cramer: RegimeClassification | None = None
     tail_fit: TailFit | None = None
     hill: HillEstimate | None = None
     acf: dict[str, dict[str, float]] | None = None
@@ -503,14 +482,8 @@ def run(
                 "stationary solution; refusing to simulate"
             )
 
-    if isinstance(process, InverseMultiplier):
-        try:
-            f1 = process.a_law.pdf(1.0)
-            entries["unit_exponent_prediction"] = UnitExponentPrediction(
-                f1, 1.0 if f1 > 0 else None, 2.0 * f1
-            )
-        except KestenLabError:
-            pass
+    if isinstance(process, InverseMultiplier) and process.a_law.has_density:
+        entries["unit_exponent_prediction"] = unit_exponent_prediction(process.a_law)
 
     sim_rng = RngStream(config.seed, 0)
     series = simulate(process, sim_rng, config.n_samples, config.burn_in)

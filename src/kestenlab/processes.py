@@ -236,9 +236,9 @@ def _companion_path(a: np.ndarray, w: np.ndarray, e: np.ndarray, r_init: tuple) 
     The steps are cut into blocks of max(PATH_BLOCK, K).  A first pass runs
     every block from a zero start and from the K unit starts and keeps the
     block ends, from which a loop over the blocks finds each true start (a
-    block whose end overflows from a finite start is rerun from it); a
-    second pass reruns every block from its start with the plain loop's
-    arithmetic.  A diverging path comes back holding inf or NaN.
+    block whose unit response lost its finite start's share is rerun from
+    it); a second pass reruns every block from its start with the plain
+    loop's arithmetic.  A diverging path comes back holding inf or NaN.
     """
     k, total, block = len(r_init), a.size, max(PATH_BLOCK, len(r_init))
     blocks = max(-(-total // block), 1)
@@ -246,17 +246,24 @@ def _companion_path(a: np.ndarray, w: np.ndarray, e: np.ndarray, r_init: tuple) 
     with np.errstate(all="ignore"):
         unit = np.broadcast_to(np.eye(k, k + 1, 1)[:, :, None], (k, k + 1, blocks - 1))
         ends = _run_blocks(a[:cut], w[:, :cut], e[:cut], list(unit), block)
+        # lost[j, b]: the lag-j start size whose share block b's composed end loses:
+        # any where a unit response overflowed; where one underflowed into the
+        # subnormals or to 0, any that would show next to the zero-start end
+        size = np.abs(np.array(ends))  # [end row, zero start or 1 + lag, block]
+        fp = np.finfo(np.float64)
+        small = (size[:, 1:] < fp.tiny).any(axis=0)
+        lost = np.where(small, fp.eps / fp.tiny * size[:, 0].min(axis=0), np.inf)
+        lost[~np.isfinite(size[:, 1:]).all(axis=0)] = 0.0
         starts = np.full((blocks, k), r_init, dtype=np.float64)  # row b: block b's start
-        for b in range(blocks - 1):  # a zero lag adds nothing, even through an inf response
-            live = starts[b] != 0.0
-            starts[b + 1] = [end[0, b] + end[1:, b][live] @ starts[b][live] for end in ends]
-            if np.isfinite(starts[b]).all() and not np.isfinite(starts[b + 1]).all():
-                # a unit response overflowed, but a tiny start can keep the true end
-                # finite: rerun this block from its start, as the second pass will
-                span = slice(b * block, (b + 1) * block)
+        for b in range(blocks - 1):
+            if np.isfinite(starts[b]).all() and (np.abs(starts[b]) > lost[:, b]).any():
+                span = slice(b * block, (b + 1) * block)  # rerun as the second pass will
                 rows = list(starts[b][:, None, None])
                 rows = _run_blocks(a[span], w[:, span], e[span], rows, block)
                 starts[b + 1] = [row[0, 0] for row in rows]
+            else:  # a zero lag adds nothing, even through an inf response
+                live = starts[b] != 0.0
+                starts[b + 1] = [end[0, b] + end[1:, b][live] @ starts[b][live] for end in ends]
         out = np.empty(total)
         _run_blocks(a, w, e, list(starts.T[:, None, :]), block, out)
     return out

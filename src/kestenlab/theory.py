@@ -97,10 +97,11 @@ class RegimeClassification:
     case: str
     mean_a: float
     predicted: str
-    mu_star: float
     consistent: bool
+    solution: CramerSolution  # the moment-equation root the case is checked against
 
-    to_dict = asdict
+    def to_dict(self) -> dict:
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -297,12 +298,12 @@ def classify_regime(a_law: CoefficientLaw) -> RegimeClassification:
     mu = solution.mu_star
     slack = max(1e-5, 3.0 * (solution.stderr or 0.0))
     if case == "A":
-        consistent = abs(mu - 1.0) <= max(slack, 1e-5)
+        consistent = abs(mu - 1.0) <= slack
     elif case == "B":
         consistent = mu < 1.0 + slack
     else:
         consistent = mu > 1.0 - slack
-    return RegimeClassification(case, mean_a, predicted, mu, consistent)
+    return RegimeClassification(case, mean_a, predicted, consistent, solution)
 
 
 def expected_acf(a_law: CoefficientLaw, h: int) -> float:
@@ -321,6 +322,24 @@ def expected_acf(a_law: CoefficientLaw, h: int) -> float:
     return a_law.mean() ** h
 
 
+@dataclass(frozen=True)
+class UnitExponentPrediction:
+    """The unit-exponent tail 2 f_a(1) / x of an inverse-multiplier process."""
+
+    density_at_one: float
+    predicted_mu: float | None  # 1 where the density of a at 1 is positive
+    tail_constant: float
+
+    to_dict = asdict
+
+
+def unit_exponent_prediction(a_law: CoefficientLaw) -> UnitExponentPrediction:
+    """The tail P(|r| > x) ~ 2 f_a(1) / x that the density f_a of a at 1 predicts
+    for r = (1 - a)^{-1} e; NoDensity for a law without one."""
+    f1 = a_law.pdf(1.0)
+    return UnitExponentPrediction(f1, 1.0 if f1 > 0 else None, 2.0 * f1)
+
+
 def inverse_tail_prediction(a_law: CoefficientLaw, x: float) -> float:
     """Predicted asymptotic tail 2 f_a(1) / x of the inverse-multiplier process.
 
@@ -330,8 +349,8 @@ def inverse_tail_prediction(a_law: CoefficientLaw, x: float) -> float:
     """
     if not x > 0:
         raise InvalidConfig(f"x must be positive, got {x}")
-    f1 = a_law.pdf(1.0)  # NoDensity for a law without one
-    if f1 == 0.0:
+    prediction = unit_exponent_prediction(a_law)
+    if prediction.predicted_mu is None:
         warnings.warn(
             "density of a at 1 is zero: the unit-exponent tail prediction "
             "is not applicable",
@@ -339,7 +358,7 @@ def inverse_tail_prediction(a_law: CoefficientLaw, x: float) -> float:
             stacklevel=2,
         )
         return 0.0
-    return 2.0 * f1 / x
+    return prediction.tail_constant / x
 
 
 # condition checklist ---------------------------------------------------------

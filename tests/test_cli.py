@@ -94,7 +94,7 @@ SUMMARY = {
     "seed": 1,
     "sample_mean": 0.0,
     "sample_std": 0.01,
-    "conditions": {"all_verified": True, "regime_case": "A", "mu_star": 3.0},
+    "conditions": {"all_verified": True},
 }
 
 AR_PROCESS = {
@@ -1002,6 +1002,27 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {MANIFEST['output_dir']}/{fname}: ")
+        assert err.count("\n") == 1
+
+    def test_summary_of_0_1_0_exits_2(self, tmp_path, capsys, monkeypatch):
+        # kestenlab 0.1.0 wrote the regime next to the root in the cramer entry and
+        # the case into the conditions entry; such a bundle is re-run, not read
+        monkeypatch.chdir(tmp_path)
+        solution = {"bracket": [2.0, 4.0], "method": "closed-form", "mu_star": 3.0, "residual": 0.0}
+        regime = {"case": "C", "consistent": True, "mean_a": 0.55, "mu_star": 3.0,
+                  "predicted": "mu > 1"}
+        old = {
+            **SUMMARY,
+            "cramer": {"regime": regime, "solution": solution},
+            "conditions": {"all_verified": True, "regime_case": "C", "mu_star": 3.0},
+        }
+        (tmp_path / MANIFEST["output_dir"]).mkdir()
+        (tmp_path / MANIFEST["output_dir"] / "summary.json").write_text(json.dumps(old))
+        (tmp_path / "manifest.json").write_text(json.dumps(MANIFEST))
+        assert main(["report", "manifest.json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {MANIFEST['output_dir']}/summary.json: summary.cramer")
         assert err.count("\n") == 1
 
     # 10^5 nested lists: deeper than the interpreter's recursion limit

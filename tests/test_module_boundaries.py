@@ -1,6 +1,6 @@
 """Each module of the package uses only the public names of the others, JSON
-text and type annotations are each read in one place, and the package runs on
-numpy alone."""
+text and type annotations are each read in one place, each predicted exponent
+is computed and stored once, and the package runs on numpy alone."""
 
 import ast
 import json
@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kestenlab
+import kestenlab.cli as cli
 
 SRC = Path(kestenlab.__file__).parent
 
@@ -69,6 +72,13 @@ def test_one_root_step_serves_both_moment_equations():
     ]
 
 
+def test_one_function_predicts_the_unit_exponent():
+    assert _callers({"unit_exponent_prediction"}) == [
+        "cli.run",
+        "theory.inverse_tail_prediction",
+    ]
+
+
 def test_no_module_imports_scipy():
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -98,22 +108,41 @@ print(json.dumps(sorted(m for m in set(sys.modules) - before if m.split(".")[0] 
 """
 
 
+FIG3 = json.loads((SRC / "configs" / "fig3.cfg").read_text())
+GARCH = {
+    "process": {"kind": "garch11", "omega": 0.01, "alpha": 0.09, "beta": 0.9, "sigma0": 0.1},
+    "seed": 131,
+    "burn_in": 1000,
+    "analyses": {
+        "tail_fit": {"threshold": None},
+        "hill": {"k": 2000},
+        "acf": {"max_lag": 50, "kinds": ["raw", "absolute"]},
+        "cramer": {},
+        "conditions": {},
+    },
+}
+
+
+def _keys(value) -> list[str]:
+    """Every object key in a JSON value, nested ones included."""
+    if isinstance(value, dict):
+        return [k for key, v in value.items() for k in (key, *_keys(v))]
+    if isinstance(value, list):
+        return [k for v in value for k in _keys(v)]
+    return []
+
+
+@pytest.mark.parametrize("config", [FIG3, GARCH], ids=["fig3", "garch"])
+def test_summary_names_the_predicted_exponent_once(tmp_path, config):
+    config = cli.config_from_dict({**config, "n_samples": 20_000, "output_dir": None})
+    cli.run(config, output_dir=tmp_path)
+    keys = _keys(json.loads((tmp_path / "summary.json").read_text()))
+    assert (keys.count("mu_star"), keys.count("regime_case")) == (1, 0)
+
+
 def test_cli_loads_no_scipy_and_runs_load_no_numpy_module(tmp_path):
-    fig3 = json.loads((SRC / "configs" / "fig3.cfg").read_text())
-    garch = {
-        "process": {"kind": "garch11", "omega": 0.01, "alpha": 0.09, "beta": 0.9, "sigma0": 0.1},
-        "seed": 131,
-        "burn_in": 1000,
-        "analyses": {
-            "tail_fit": {"threshold": None},
-            "hill": {"k": 2000},
-            "acf": {"max_lag": 50, "kinds": ["raw", "absolute"]},
-            "cramer": {},
-            "conditions": {},
-        },
-    }
     configs = []
-    for name, config in (("fig3", fig3), ("garch", garch)):
+    for name, config in (("fig3", FIG3), ("garch", GARCH)):
         path = tmp_path / f"{name}.cfg"
         path.write_text(json.dumps({**config, "n_samples": 20_000, "output_dir": None}))
         configs.append(str(path))

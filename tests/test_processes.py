@@ -449,6 +449,18 @@ def test_tiny_start_under_an_explosive_coefficient_matches_plain_loop(n):
                 simulate(spec, RngStream(0), n, 0)
 
 
+@pytest.mark.parametrize("a", [0.49, 0.4])
+def test_huge_start_decaying_without_noise_matches_plain_loop(a):
+    # the first block's response to a unit start, a^1024, underflows (0.49^1024
+    # is subnormal, 0.4^1024 is 0), yet 1e300 times it still shows in the path:
+    # composed from the block ends, the path read 0 from step 1024 at a = 0.4
+    n = 3000
+    ref = _loop_path([a] * n, [[1.0] * n], [0.0] * n, (1e300,))
+    s = simulate(KestenScalar(Constant(a), Constant(0.0), r0=1e300), RngStream(0), n, 0)
+    assert ref[1024] > 0.0
+    assert np.array_equal(s.values, ref)
+
+
 def test_zero_path_under_an_explosive_coefficient_stays_zero():
     # a zero state adds nothing to the next block's start, though the block's
     # response to a unit start overflows

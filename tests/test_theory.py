@@ -252,19 +252,19 @@ class TestClassifyRegime:
         reg = classify_regime(Exponential(1.0))
         assert reg.case == "A"
         assert reg.predicted == "mu = 1"
-        assert reg.mu_star == 1.0
+        assert reg.solution.mu_star == 1.0
         assert reg.consistent
 
     def test_case_c(self):
         reg = classify_regime(Exponential(0.55))
         assert reg.case == "C"
-        assert reg.mu_star == pytest.approx(3.0027, abs=0.001)
+        assert reg.solution.mu_star == pytest.approx(3.0027, abs=0.001)
         assert reg.consistent
 
     def test_case_b(self):
         reg = classify_regime(Exponential(1.2))
         assert reg.case == "B"
-        assert reg.mu_star < 1
+        assert reg.solution.mu_star < 1
         assert reg.consistent
 
     def test_errors_propagate(self):
