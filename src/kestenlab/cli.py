@@ -248,6 +248,13 @@ def _solution_text(sol: CramerSolution) -> str:
     return f"mu = {sol.mu_star:.4f}{se} (method {sol.method}, residual {sol.residual:.2g}{drift})"
 
 
+def _garch_returns_text(sol: CramerSolution) -> str:
+    """GARCH(1,1)'s root mu* is sigma^2's; r = sigma z has the tail exponent 2 mu*
+    (Breiman's lemma: z has every moment)."""
+    se = "" if sol.stderr is None else f" +- {2.0 * sol.stderr:.4f}"
+    return f"returns: predicted mu = 2 x sigma^2's mu above = {2.0 * sol.mu_star:.4f}{se}"
+
+
 def _cramer(series, config: ExperimentConfig, params: dict, write) -> RegimeClassification:
     entry = classify_regime(_scalar_feedback_laws(config.process)[0])
     write("cramer.json", entry)
@@ -615,6 +622,8 @@ def report(manifest: RunManifest | str | Path) -> str:
         entry = getattr(summary, name)
         if entry is not None:
             lines.extend(analysis.report(entry, out_dir))
+            if name == "cramer" and isinstance(proc, Garch11):
+                lines.append(_garch_returns_text(entry.solution))
     n_files = sum(len(v) for v in manifest.outputs.values())
     lines.append(f"outputs: {manifest.output_dir} ({n_files} files)")
     return "\n".join(lines)

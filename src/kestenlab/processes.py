@@ -45,6 +45,10 @@ OVERFLOW_LIMIT = 1e300
 # Steps per block of the path kernel; a block is never shorter than the order K.
 PATH_BLOCK = 1024
 
+# Steps per chunk of the path kernel: the draws of all blocks for this many
+# steps are gathered into one contiguous buffer (a few MB at n = 10^6).
+PATH_CHUNK = 64
+
 # Warm-up dropped by default before any statistic is computed; far beyond
 # the mixing time of every stationary configuration used here.
 DEFAULT_BURN_IN = 10_000
@@ -218,15 +222,42 @@ def companion_step(a, w, rows: list) -> list:
     return [a * acc, *rows[:-1]]
 
 
+def _gather(x: np.ndarray, block: int, start: int, buf: np.ndarray) -> None:
+    """buf[..., i, b] = step start + i of block b of x, along x's last axis,
+    for as many steps as buf holds; a short last block leaves its entries
+    past its end as they were."""
+    *lead, total = x.shape
+    full, steps = total // block, buf.shape[-2]
+    body = x[..., : full * block].reshape(*lead, full, block)[..., start : start + steps]
+    buf[..., :full] = np.swapaxes(body, -1, -2)
+    tail = x[..., full * block + start : full * block + start + steps]
+    buf[..., : tail.shape[-1], full:] = tail[..., None]
+
+
 def _run_blocks(a, w, e, rows: list, block: int, out=None) -> list:
     """Run step t of all blocks at once from the draws a[t::block]: rows[i][r, b]
-    is lag i of run r in block b, e enters run 0 only, and ``out`` gets run 0."""
-    for t in range(min(block, a.size)):
-        at = a[t::block]
-        rows = companion_step(at, [wj[t::block] for wj in w], [r[:, : at.size] for r in rows])
-        rows[0][0] += e[t::block]
+    is lag i of run r in block b, e enters run 0 only, and ``out`` gets run 0.
+
+    The draws are copied in, and run 0 copied out to ``out``, PATH_CHUNK
+    steps at a time through contiguous (steps, blocks) buffers made once per
+    call, so a step reads adjacent memory and not one value per block."""
+    steps = min(block, a.size)
+    chunk, full = min(PATH_CHUNK, block), a.size // block
+    ac, ec, oc = (np.empty((chunk, -(-a.size // block))) for _ in range(3))
+    wc = np.empty((len(w), *ac.shape))
+    for start in range(0, steps, chunk):
+        m = min(chunk, steps - start)
+        for x, buf in ((a, ac), (w, wc), (e, ec)):
+            _gather(x, block, start, buf[..., :m, :])
+        for i in range(m):
+            n = len(range(start + i, a.size, block))  # the blocks that reach this step
+            rows = companion_step(ac[i, :n], wc[:, i, :n], [r[:, :n] for r in rows])
+            rows[0][0] += ec[i, :n]
+            oc[i, :n] = rows[0][0]
         if out is not None:
-            out[t::block] = rows[0][0]
+            out[: full * block].reshape(full, block)[:, start : start + m] = oc[:m, :full].T
+            tail = out[full * block + start : full * block + start + m]
+            tail[:] = oc[: tail.size, full:].ravel()
     return rows
 
 
@@ -238,7 +269,9 @@ def _companion_path(a: np.ndarray, w: np.ndarray, e: np.ndarray, r_init: tuple) 
     block ends, from which a loop over the blocks finds each true start (a
     block whose unit response lost its finite start's share is rerun from
     it); a second pass reruns every block from its start with the plain
-    loop's arithmetic.  A diverging path comes back holding inf or NaN.
+    loop's arithmetic.  Both passes read their draws a chunk of PATH_CHUNK
+    steps at a time (``_run_blocks``), which changes no arithmetic.  A
+    diverging path comes back holding inf or NaN.
     """
     k, total, block = len(r_init), a.size, max(PATH_BLOCK, len(r_init))
     blocks = max(-(-total // block), 1)

@@ -37,6 +37,8 @@ RESIDUAL_TOL = 1e-6
 MU_CAP = 64.0
 BOUNDARY_TOL = 1e-4  # |E[log a]| band of the "boundary" stationarity verdict
 MEAN_TOL = 1e-9  # |E(a) - 1| band of expectation-accuracy case A
+# The matrix Monte Carlo renormalizes its product once a trial's top row leaves this band.
+RENORM_LO, RENORM_HI = 1e-100, 1e100
 
 
 @dataclass(frozen=True)
@@ -534,25 +536,36 @@ def _batched_log_norms(
 ) -> dict[int, np.ndarray]:
     """log ||A_1 ... A_t|| (inf-norm) per trial at each requested horizon.
 
-    The product is held as K rows of shape (K, trials), advanced by
-    ``companion_step`` and renormalized every step, so the accumulated log
-    norms are exact: ||A_t ... A_1|| = prod of the per-step scale factors.
+    The product is held as K rows of shape (K, trials) and advanced by
+    ``companion_step``.  It is renormalized, every trial at once, only at a
+    requested horizon or when some trial's new top row has its largest
+    |entry| outside [RENORM_LO, RENORM_HI]: the rows below the top were
+    checked as top rows, so every entry stays far inside the float range
+    unless one step scales the product by more than about 1e208.  Each
+    renormalization divides by the norm and adds its log, so the
+    accumulated log norms are exact: ||A_t ... A_1|| = prod of the factors.
+    A norm that is zero or not finite raises TheoryError naming its step.
     """
     steps = max(horizons)
     rows = list(np.repeat(np.eye(spec.order)[:, :, None], trials, axis=2))
     acc = np.zeros(trials)
     out: dict[int, np.ndarray] = {}
-    for step in range(1, steps + 1):
-        a, w = spec.draw_coefficients(gen, trials)
-        rows = companion_step(a, w, rows)
-        s = np.max([np.abs(row).sum(axis=0) for row in rows], axis=0)
-        if np.any(s <= 0.0):
-            raise TheoryError("matrix product collapsed to zero norm")
-        acc += np.log(s)
-        for row in rows:
-            row /= s
-        if step in horizons:
-            out[step] = acc.copy()
+    with np.errstate(all="ignore"):  # an inf or NaN is caught at its step below
+        for step in range(1, steps + 1):
+            a, w = spec.draw_coefficients(gen, trials)
+            rows = companion_step(a, w, rows)
+            top = np.abs(rows[0]).max(axis=0)
+            if step in horizons or not RENORM_LO <= top.min() <= top.max() <= RENORM_HI:
+                s = np.max([np.abs(row).sum(axis=0) for row in rows], axis=0)
+                if not np.isfinite(s).all():
+                    raise TheoryError(f"matrix product norm is not finite at step {step}")
+                if np.any(s <= 0.0):
+                    raise TheoryError(f"matrix product collapsed to zero norm at step {step}")
+                acc += np.log(s)
+                for row in rows:
+                    row /= s
+            if step in horizons:
+                out[step] = acc.copy()
     return out
 
 

@@ -492,6 +492,18 @@ class TestBundleFiles:
             record = read_record([BUNDLE_RECORDS[fname]], json.loads(text), fname)
             assert _canonical_json(record) == text, fname
 
+    def test_garch_report_gives_the_returns_exponent(self, bundles):
+        # the moment-equation root is sigma^2's; r = sigma z has twice its exponent
+        out_dir, texts = bundles["garch-type"]
+        sol = json.loads(texts["summary.json"])["cramer"]["solution"]
+        text = report(out_dir / "manifest.json")
+        predicted = f"predicted mu = {sol['mu_star']:.4f} +- {sol['stderr']:.4f} "
+        returns = (
+            f"returns: predicted mu = 2 x sigma^2's mu above = "
+            f"{2 * sol['mu_star']:.4f} +- {2 * sol['stderr']:.4f}\n"
+        )
+        assert text.index(predicted) < text.index(returns) < text.index("fitted mu = ")
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_fuzzed_file_reports_or_exits_2(self, bundles, data):
@@ -571,6 +583,16 @@ class TestCommandLine:
         res2 = _cli("report", str(tmp_path / "out" / "manifest.json"))
         assert res2.returncode == 0
         assert "fitted mu" in res2.stdout
+
+    def test_non_finite_lyapunov_product_exits_3_without_warnings(self, tmp_path):
+        # draws of size 1e308 overflow the first companion product
+        process = {**AR_PROCESS, "a_law": {"kind": "normal", "mean": 0.0, "sd": 1e308}}
+        cfg = {**SMALL_CONFIG, "process": process, "analyses": {"lyapunov": {}}}
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(config_to_json(config_from_dict(cfg)))
+        res = _cli("lyapunov", "--config", str(cfg_path))
+        assert res.returncode == 3
+        assert res.stderr == "error: matrix product norm is not finite at step 1\n"
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"

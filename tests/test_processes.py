@@ -51,6 +51,9 @@ from kestenlab.errors import (
     NumericalOverflow,
     ZeroWeightSum,
 )
+from kestenlab.theory import _batched_log_norms
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestInverseMultiplier:
@@ -347,9 +350,45 @@ def _loop_path(a: list, w: list, e: list, r_init: tuple) -> np.ndarray:
     return np.array(out)
 
 
+def _path_and_loop(spec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """simulate's n-step path of spec, and the plain loop's over the same draws."""
+    ar = as_ar(spec)
+    gen = RngStream(5).generator()
+    a, w = ar.draw_coefficients(gen, n)
+    e = ar.e_law.sample(gen, n)
+    ref = _loop_path(a.tolist(), w.tolist(), e.tolist(), ar.r_init)
+    return simulate(spec, RngStream(5), n, 0).values, ref
+
+
+def _dense_log_norms(ar: KestenAR, gen, horizons: tuple, trials: int) -> dict:
+    """log ||A_t ... A_1|| (inf-norm) per trial at each horizon, from dense
+    (trials, K, K) matrices multiplied and renormalized every step."""
+    k = ar.order
+    P = np.broadcast_to(np.eye(k), (trials, k, k)).copy()
+    A = np.zeros((trials, k, k))
+    A[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+    log_norm, out = np.zeros(trials), {}
+    for step in range(1, max(horizons) + 1):
+        a, w = ar.draw_coefficients(gen, trials)
+        A[:, 0, :] = (a * w).T
+        P = A @ P
+        norm = np.abs(P).sum(axis=2).max(axis=1)
+        log_norm += np.log(norm)
+        P /= norm[:, None, None]
+        if step in horizons:
+            out[step] = log_norm.copy()
+    return out
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # chunks of 3 steps: a chunk straddles the end of a block of 4 or of 1024 steps
+    monkeypatch.setattr(processes, "PATH_CHUNK", 3)
+
+
 class TestCompanionKernel:
     @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
+    def small_blocks(self, monkeypatch, small_chunks):
         # blocks of 4 steps: hundreds of blocks per path, and K = 6 longer than a block
         monkeypatch.setattr(processes, "PATH_BLOCK", 4)
 
@@ -367,14 +406,15 @@ class TestCompanionKernel:
         ids=["scalar-fig3", "scalar-slow-mixing", "order-3-fig4", "order-6"],
     )
     def test_path_matches_plain_loop(self, spec):
-        n = 3001
-        s = simulate(spec, RngStream(5), n, 0)
-        ar = as_ar(spec)
-        gen = RngStream(5).generator()
-        a, w = ar.draw_coefficients(gen, n)
-        e = ar.e_law.sample(gen, n)
-        ref = _loop_path(a.tolist(), w.tolist(), e.tolist(), ar.r_init)
-        assert np.max(np.abs(s.values - ref)) <= 1e-12 * ref.std()
+        path, ref = _path_and_loop(spec, 3001)
+        assert np.max(np.abs(path - ref)) <= 1e-12 * ref.std()
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5])
+    @pytest.mark.parametrize("spec", [FIG3_SPEC, FIG4_SPEC], ids=["scalar", "order-3"])
+    def test_short_path_matches_plain_loop(self, spec, n):
+        # one step, part of a chunk, one block, and a block and a step
+        path, ref = _path_and_loop(spec, n)
+        assert np.max(np.abs(path - ref)) <= 1e-12 * np.abs(ref).max()
 
     def test_garch_volatility_matches_plain_loop(self):
         spec = Garch11(0.01, 0.09, 0.9, sigma0=0.1)
@@ -390,23 +430,28 @@ class TestCompanionKernel:
     def test_lyapunov_matches_dense_product(self, spec):
         t, trials = 200, 16
         est = lyapunov_top(spec, t, trials, RngStream(3))
-        ar = as_ar(spec)
-        k = ar.order
-        gen = RngStream(3).generator()
-        P = np.broadcast_to(np.eye(k), (trials, k, k)).copy()
-        A = np.zeros((trials, k, k))
-        A[:, np.arange(1, k), np.arange(k - 1)] = 1.0
-        log_norm = np.zeros(trials)
-        for _ in range(t):
-            a, w = ar.draw_coefficients(gen, trials)
-            A[:, 0, :] = (a * w).T
-            P = A @ P
-            norm = np.abs(P).sum(axis=2).max(axis=1)
-            log_norm += np.log(norm)
-            P /= norm[:, None, None]
-        g = log_norm / t
+        g = _dense_log_norms(as_ar(spec), RngStream(3).generator(), (t,), trials)[t] / t
         assert est.gamma_hat == pytest.approx(g.mean(), rel=1e-12)
         assert est.stderr == pytest.approx(g.std(ddof=1) / np.sqrt(trials), rel=1e-10)
+
+    @pytest.mark.parametrize("trials", [10, 5000])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KestenAR(Constant(1e200), Constant(0.0), FIG4_SPEC.weight_laws),
+            KestenAR(Constant(1e308), Constant(0.0), FIG4_SPEC.weight_laws),
+            KestenAR(Uniform(0.0, 1e-60), Constant(0.0), FIG4_SPEC.weight_laws),
+            KestenAR(Exponential(0.6), Constant(0.0), (Normal(0.0, 1.0),) * 3),
+        ],
+        ids=["constant-1e200", "constant-1e308", "uniform-1e-60", "signed-weights"],
+    )
+    def test_guarded_product_matches_dense_product(self, spec, trials):
+        # renormalized every step or only when the guard fires, the log norms agree
+        horizons = (100, 200)
+        got = _batched_log_norms(spec, RngStream(3).generator(), horizons, trials)
+        ref = _dense_log_norms(spec, RngStream(3).generator(), horizons, trials)
+        for t in horizons:
+            assert np.all(np.abs(got[t] - ref[t]) <= 1e-12 * np.maximum(1.0, np.abs(ref[t])))
 
 
 @pytest.mark.parametrize(
@@ -425,6 +470,7 @@ class TestCompanionKernel:
     ],
     ids=["scalar", "garch", "order-2"],
 )
+@pytest.mark.usefixtures("small_chunks")
 def test_overflow_names_its_step(spec, n, step):
     # the first step out of range, and no numpy warning from the inf and NaN past it
     with warnings.catch_warnings():
@@ -434,6 +480,7 @@ def test_overflow_names_its_step(spec, n, step):
 
 
 @pytest.mark.parametrize("n", [1500, 3000])
+@pytest.mark.usefixtures("small_chunks")
 def test_tiny_start_under_an_explosive_coefficient_matches_plain_loop(n):
     # 2^1024 overflows, so the first block's response to a unit start is inf,
     # yet 1e-300 * 2^1024 is about 1.8e8: the path leaves 1e300 only at step 1993
@@ -450,6 +497,7 @@ def test_tiny_start_under_an_explosive_coefficient_matches_plain_loop(n):
 
 
 @pytest.mark.parametrize("a", [0.49, 0.4])
+@pytest.mark.usefixtures("small_chunks")
 def test_huge_start_decaying_without_noise_matches_plain_loop(a):
     # the first block's response to a unit start, a^1024, underflows (0.49^1024
     # is subnormal, 0.4^1024 is 0), yet 1e300 times it still shows in the path:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kestenlab import (
     Constant,
     Exponential,
     GarchCoefficient,
+    KestenAR,
     KestenScalar,
     Normal,
     RngStream,
@@ -35,8 +37,11 @@ from kestenlab.errors import (
     NonStationary,
     NoPositiveRoot,
     NoSignChange,
+    TheoryError,
     VarianceNotFinite,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -557,6 +562,21 @@ class TestLyapunovTop:
         assert est.gamma_hat < 0
         assert est.gamma_hat + 3 * est.stderr < 0
 
+    @pytest.mark.parametrize(
+        "a_law, message",
+        [
+            # draws of size 1e308 overflow the first product
+            (Normal(0.0, 1e308), "norm is not finite at step 1"),
+            # a zero top row each step: the K = 3 rows are all zero after three
+            (Constant(0.0), "collapsed to zero norm at step 3"),
+        ],
+        ids=["overflow", "zero"],
+    )
+    def test_degenerate_norm_names_its_step(self, a_law, message):
+        spec = KestenAR(a_law, Constant(0.0), FIG4_SPEC.weight_laws)
+        with pytest.raises(TheoryError, match=f"{message}$"):
+            lyapunov_top(spec, 500, 64, RngStream(0))
+
     def test_preconditions(self):
         spec = as_ar(KestenScalar(Constant(0.5), Constant(0.0)))
         with pytest.raises(ValueError):
@@ -586,6 +606,18 @@ class TestMomentLyapunovRoot:
         sol = moment_lyapunov_root(FIG4_SPEC, [1.0, 6.0], t_horizon=6,
                                    trials=200_000, rng=RngStream(7))
         assert 2.0 <= sol.mu_star <= 4.0
+
+    def test_memory_stays_near_the_product(self):
+        # the product is K rows of shape (K, trials); the draws of one step are
+        # (K + 1) trials floats, so keeping those of the 12 steps breaks the bound
+        trials, k = 20_000, FIG4_SPEC.order
+        tracemalloc.start()
+        try:
+            moment_lyapunov_root(FIG4_SPEC, [1.0, 6.0], 6, trials, RngStream(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * k * k * trials * 8
 
     def test_no_sign_change_reports_side(self):
         spec = as_ar(KestenScalar(Exponential(0.55), Normal(0.0, 1.0)))
