@@ -28,8 +28,7 @@ print(f"E[log a] = {a_law.log_moment():.4f} -> {stationarity_check(a_law).verdic
       "but only just: fitted GARCH hugs the non-stationary boundary")
 
 solution = cramer_root(a_law)
-print(f"tail exponent of sigma^2: mu = {solution.mu_star:.3f} +- "
-      f"{solution.stderr:.3f} ({solution.method})")
+print(f"tail exponent of sigma^2: mu = {solution.mu_star:.3f} ({solution.method})")
 print(f"=> |r| has exponent ~{2 * solution.mu_star:.1f}; "
       "at E(a) = 1 this degrades to 2, i.e. infinite-variance returns")
 

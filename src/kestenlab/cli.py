@@ -251,8 +251,7 @@ def _solution_text(sol: CramerSolution) -> str:
 def _garch_returns_text(sol: CramerSolution) -> str:
     """GARCH(1,1)'s root mu* is sigma^2's; r = sigma z has the tail exponent 2 mu*
     (Breiman's lemma: z has every moment)."""
-    se = "" if sol.stderr is None else f" +- {2.0 * sol.stderr:.4f}"
-    return f"returns: predicted mu = 2 x sigma^2's mu above = {2.0 * sol.mu_star:.4f}{se}"
+    return f"returns: predicted mu = 2 x sigma^2's mu above = {2.0 * sol.mu_star:.4f}"
 
 
 def _cramer(series, config: ExperimentConfig, params: dict, write) -> RegimeClassification:

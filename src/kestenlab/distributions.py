@@ -4,8 +4,8 @@ The feedback coefficient ``a`` and the noise ``e`` of every return process
 are described by a small family of laws.  Each law knows how to draw
 samples, and how to evaluate the power moments ``E(X^mu)`` and the
 log-moment ``E[log X]`` that the tail-exponent machinery is built on:
-closed forms where they exist, deterministic Monte Carlo otherwise; and
-the facts the condition checklist needs: support, density, point-mass
+closed forms where they exist, the quadrature rule ``expect`` otherwise;
+and the facts the condition checklist needs: support, density, point-mass
 collapse and truncated expectations ``expect``.
 
 ``expect`` is one fixed double-exponential quadrature rule (Takahasi and
@@ -14,7 +14,6 @@ Mori 1974): tanh-sinh on finite pieces, exp-sinh on half-lines.
 
 from __future__ import annotations
 
-import functools
 import math
 import types
 import typing
@@ -34,12 +33,6 @@ from .errors import (
 )
 
 EULER_GAMMA = float(np.euler_gamma)
-
-# Monte Carlo fallback: sample count and the fixed stream that makes
-# moment()/log_moment() deterministic functions of the law parameters.
-MC_MOMENT_SAMPLES = 10**6
-_MC_STREAM_SEED = 0x5EED_CAFE
-_MC_STREAM_ID = 0xA11
 
 # CoefficientLaw.expect: absolute and relative tolerance of its error estimate
 QUAD_EPSABS = 1e-8
@@ -110,10 +103,6 @@ class RngStream:
         return RngStream(int(child), self.stream_id)
 
 
-def _mc_generator() -> np.random.Generator:
-    return RngStream(_MC_STREAM_SEED, _MC_STREAM_ID).generator()
-
-
 def _double_factorial_odd(j: int) -> float:
     """(2j - 1)!! = E[z^{2j}] for standard normal z."""
     out = 1.0
@@ -150,7 +139,7 @@ class CoefficientLaw(KindTagged):
     """Base law.  Subclasses implement sampling, moments, densities and support."""
 
     kind = "base"
-    # a "monte-carlo" law also gives moment_with_stderr and log_moment_with_stderr
+    # how moment() answers a non-integer order: "closed-form" or "quadrature" (expect)
     moment_method = "closed-form"
     has_density = False
     symmetric = False  # about zero (permits even integer moments)
@@ -503,14 +492,15 @@ class GarchCoefficient(CoefficientLaw):
 
     This is the feedback coefficient satisfied by the squared volatility of
     a GARCH(1,1) process.  Integer moments are closed form via the normal
-    even moments; fractional moments and the log-moment fall back on
-    deterministic Monte Carlo and report their standard error.
+    even moments; fractional moments and the log-moment are integrals of
+    the chi2(1) density by ``expect``, or the point mass at ``beta`` when
+    alpha == 0.
     """
 
     beta: float
     alpha: float
     kind = "garch_coeff"
-    moment_method = "monte-carlo"
+    moment_method = "quadrature"
     nonnegative = True
 
     def __post_init__(self) -> None:
@@ -550,7 +540,7 @@ class GarchCoefficient(CoefficientLaw):
         return self.beta + self.alpha * z * z
 
     def moment(self, mu: float) -> float:
-        """E(X^mu): closed form for integer mu, the Monte Carlo mean otherwise."""
+        """E(X^mu): closed form for integer mu, ``expect`` otherwise."""
         self._check_moment_pre(mu)
         if float(mu).is_integer():
             k = int(mu)
@@ -563,47 +553,11 @@ class GarchCoefficient(CoefficientLaw):
                     * _double_factorial_odd(j)
                 )
             return val
-        return float((self._mc_sample(MC_MOMENT_SAMPLES) ** mu).mean())
+        return self.collapsed().expect(lambda x: x**mu)
 
-    def moment_with_stderr(self, mu: float) -> tuple[float, float]:
-        """E(X^mu) and the standard error of its estimate (0 for integer mu)."""
-        if float(mu).is_integer():
-            return self.moment(mu), 0.0
-        self._check_moment_pre(mu)
-        y = self._mc_sample(MC_MOMENT_SAMPLES) ** mu
-        return float(y.mean()), float(y.std(ddof=1) / math.sqrt(y.size))
-
-    def moment_slope(self, mu: float) -> float:
-        """d/dmu E(X^mu) = E[X^mu log X], from the same Monte Carlo sample."""
-        x = self._mc_sample(MC_MOMENT_SAMPLES)
-        y = x**mu
-        y *= np.log(x)
-        return float(y.mean())
-
-    def log_moment(self, n: int = MC_MOMENT_SAMPLES) -> float:
-        return self.log_moment_with_stderr(n)[0]
-
-    def log_moment_with_stderr(self, n: int = MC_MOMENT_SAMPLES) -> tuple[float, float]:
-        """E[log X] and the standard error of its Monte Carlo estimate."""
+    def log_moment(self) -> float:
         self._check_log_pre()
-        return self._mc_log_moment(n)
-
-    # The two floats, memoized like the sample they come from; the log array
-    # itself (as large as the sample) is dropped at once.
-    @functools.lru_cache(maxsize=32)
-    def _mc_log_moment(self, n: int) -> tuple[float, float]:
-        y = np.log(self._mc_sample(n))
-        return float(y.mean()), float(y.std(ddof=1) / math.sqrt(n))
-
-    # Keyed on (self, n), and equal laws hash equal, so every law object with
-    # these parameters shares one draw; maxsize=1 keeps a single sample
-    # (8 MB at 10^6 draws) per process.
-    @functools.lru_cache(maxsize=1)
-    def _mc_sample(self, n: int) -> np.ndarray:
-        """The n fixed-stream draws behind every Monte Carlo moment, read-only."""
-        x = self.sample(_mc_generator(), n)
-        x.flags.writeable = False
-        return x
+        return self.collapsed().expect(math.log)
 
     def standard_pdf(self, z: float) -> float:
         """The chi2(1) density of z^2."""

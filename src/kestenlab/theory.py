@@ -54,14 +54,14 @@ class CramerSolution:
     mu_star: float
     bracket: tuple[float, float]
     residual: float
-    method: str  # "closed-form" | "monte-carlo"
+    method: str  # the law's moment_method, or "monte-carlo" for the matrix solver
     stderr: float | None = None
     finite_t_bias: float | None = None
 
     def __post_init__(self) -> None:
         if not self.mu_star > 0:
             raise TheoryError(f"mu_star must be positive, got {self.mu_star}")
-        if self.method == "closed-form" and not self.residual < RESIDUAL_TOL:
+        if self.method != "monte-carlo" and not self.residual < RESIDUAL_TOL:
             raise TheoryError(
                 f"{self.method} solution has residual {self.residual:g} >= {RESIDUAL_TOL:g}"
             )
@@ -76,7 +76,6 @@ class StationarityCheck:
 
     log_moment: float
     verdict: str  # "stationary" | "non-stationary" | "boundary"
-    stderr: float = 0.0
     tolerance = BOUNDARY_TOL
 
     @property
@@ -165,17 +164,14 @@ class LyapunovEstimate:
 
 def stationarity_check(a_law: CoefficientLaw) -> StationarityCheck:
     """Verdict on E[log a] < 0 with a boundary band of BOUNDARY_TOL around zero."""
-    if a_law.moment_method == "monte-carlo":
-        val, se = a_law.log_moment_with_stderr()
-    else:
-        val, se = a_law.log_moment(), 0.0
+    val = a_law.log_moment()
     if abs(val) <= BOUNDARY_TOL:
         verdict = "boundary"
     elif val < 0:
         verdict = "stationary"
     else:
         verdict = "non-stationary"
-    return StationarityCheck(val, verdict, se)
+    return StationarityCheck(val, verdict)
 
 
 def _increasing_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -219,8 +215,8 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
     there is E[log a] < 0) and is convex, so it crosses 1 exactly once on
     the increasing branch.  The bracket is found by doubling mu from 1
     until the moment exceeds 1 (halving instead when it already does) and
-    refined by ``_increasing_root``.  For a Monte Carlo law, ``stderr`` is the
-    delta-method standard error of mu*: se(E(a^mu*)) / E[a^mu* log a].
+    refined by ``_increasing_root``.  A fractional moment that the law's
+    quadrature cannot resolve raises its QuadratureError.
 
     Laws are frozen values, so the solution is memoized on the law's
     parameters; a failed solve raises again and is not cached.
@@ -245,7 +241,6 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
 
     phi = a_law.moment
     method = a_law.moment_method
-    mc = method == "monte-carlo"
 
     # bracket the increasing-branch crossing
     hi = 1.0
@@ -254,7 +249,7 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
         if val_hi == 1.0:
             # exact hit (e.g. the unit-mean exponential at mu = 1); hi is an integer,
             # and every law computes its integer moments exactly
-            return CramerSolution(hi, (hi, hi), 0.0, method, 0.0 if mc else None)
+            return CramerSolution(hi, (hi, hi), 0.0, method)
         if hi >= MU_CAP:
             raise NoPositiveRoot(
                 f"E(a^mu) stays below 1 up to mu = {MU_CAP:g}; "
@@ -266,7 +261,7 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
     val_lo = phi(lo)
     while val_lo >= 1.0:
         if val_lo == 1.0:
-            return CramerSolution(lo, (lo, lo), 0.0, method, None)
+            return CramerSolution(lo, (lo, lo), 0.0, method)
         lo /= 2.0
         if lo < 1e-18:
             raise TheoryError("failed to bracket the moment-equation root")
@@ -274,13 +269,7 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
 
     bracket = (lo, hi)
     mu_star = _increasing_root(lambda mu: phi(mu) - 1.0, lo, hi, val_lo - 1.0, val_hi - 1.0)
-    if mc:
-        val, se = a_law.moment_with_stderr(mu_star)
-        # the sample moment function is strictly convex, so its slope at mu* is > 0
-        stderr = se / a_law.moment_slope(mu_star)
-    else:
-        val, stderr = phi(mu_star), None
-    return CramerSolution(mu_star, bracket, abs(val - 1.0), method, stderr)
+    return CramerSolution(mu_star, bracket, abs(phi(mu_star) - 1.0), method)
 
 
 def _expectation_case(a_law: CoefficientLaw) -> tuple[str, str, float]:
@@ -297,8 +286,7 @@ def classify_regime(a_law: CoefficientLaw) -> RegimeClassification:
     """Expectation-accuracy case from E(a), checked against the solved root."""
     case, predicted, mean_a = _expectation_case(a_law)
     solution = cramer_root(a_law)
-    mu = solution.mu_star
-    slack = max(1e-5, 3.0 * (solution.stderr or 0.0))
+    mu, slack = solution.mu_star, 1e-5
     if case == "A":
         consistent = abs(mu - 1.0) <= slack
     elif case == "B":
@@ -390,16 +378,11 @@ def kesten_conditions_report(
     # (a) E[log a] < 0
     try:
         stat = stationarity_check(a_eff)
-        if stat.stationary:
-            status = "verified"
-        elif stat.verdict == "boundary" and stat.stderr > 0:
-            status = "not-checkable"
-        else:
-            status = "violated"
+        status = "verified" if stat.stationary else "violated"
         entries.append(
             ConditionCheck("a", status, stat.log_moment, f"E[log a] {stat.verdict}")
         )
-        log_a_ok = status == "verified"
+        log_a_ok = stat.stationary
     except LawError as exc:  # PositivityRequired and friends
         entries.append(ConditionCheck("a", "not-checkable", None, str(exc)))
         log_a_ok = False
@@ -501,11 +484,14 @@ def kesten_conditions_report(
 
     # (h) E(|e|^mu*) < inf at the solved root
     mu_star: float | None = None
+    no_root = "no moment-equation root"
     if log_a_ok and lam1 is not None:
         try:
             mu_star = cramer_root(a_eff).mu_star
         except TheoryError:
-            mu_star = None
+            pass
+        except QuadratureError as exc:  # a root the rule cannot reach
+            no_root = str(exc)
     if mu_star is not None:
         entries.append(
             _integral_check(
@@ -513,9 +499,7 @@ def kesten_conditions_report(
             )
         )
     else:
-        entries.append(
-            ConditionCheck("h", "not-checkable", None, "no moment-equation root")
-        )
+        entries.append(ConditionCheck("h", "not-checkable", None, no_root))
 
     # expectation-accuracy case from E(a) alone
     try:

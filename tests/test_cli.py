@@ -483,7 +483,7 @@ def bundles(tmp_path_factory):
 
 
 class TestBundleFiles:
-    @pytest.mark.parametrize("name", ["fig3-type", "fig4-type"])
+    @pytest.mark.parametrize("name", ["fig3-type", "fig4-type", "garch-type"])
     def test_files_read_back_to_their_bytes(self, bundles, name):
         _, texts = bundles[name]
         no_conditions = {"conditions.json"} if name == "fig4-type" else set()
@@ -497,11 +497,9 @@ class TestBundleFiles:
         out_dir, texts = bundles["garch-type"]
         sol = json.loads(texts["summary.json"])["cramer"]["solution"]
         text = report(out_dir / "manifest.json")
-        predicted = f"predicted mu = {sol['mu_star']:.4f} +- {sol['stderr']:.4f} "
-        returns = (
-            f"returns: predicted mu = 2 x sigma^2's mu above = "
-            f"{2 * sol['mu_star']:.4f} +- {2 * sol['stderr']:.4f}\n"
-        )
+        assert "stderr" not in sol
+        predicted = f"predicted mu = {sol['mu_star']:.4f} (method quadrature, "
+        returns = f"returns: predicted mu = 2 x sigma^2's mu above = {2 * sol['mu_star']:.4f}\n"
         assert text.index(predicted) < text.index(returns) < text.index("fitted mu = ")
 
     @settings(max_examples=200, deadline=None)
@@ -950,7 +948,7 @@ class TestCommandLine:
         assert "error:" in res.stderr
         assert "Traceback" not in res.stderr
 
-    # every law kind; a new garch_coeff parameter pair costs a 10^6-draw Monte Carlo
+    # every law kind; a garch_coeff fractional moment is one quadrature (about 2 ms)
     CRAMER_FUZZ_SEEDS = [
         law.to_config()
         for law in (Exponential(0.55), Uniform(0.7, 1.2), Normal(0.0, 1.0), Constant(0.5),
@@ -972,6 +970,31 @@ class TestCommandLine:
     def test_cramer_thin_tail_exit_code(self):
         res = _cli("cramer", "--law", '{"kind": "uniform", "lo": 0.0, "hi": 0.5}')
         assert res.returncode == 3
+
+    def test_cramer_garch_root_far_out(self):
+        res = _cli("cramer", "--law", '{"kind": "garch_coeff", "beta": 0.3, "alpha": 0.03}')
+        assert res.returncode == 0, res.stderr
+        sol = json.loads(res.stdout)
+        assert (sol["method"], "stderr" in sol) == ("quadrature", False)
+        # scipy brentq on quad moments of (0.3 + 0.03 z^2)
+        assert sol["mu_star"] == pytest.approx(39.50175469477282, rel=1e-10)
+
+    GARCH_BEYOND_QUADRATURE = {"kind": "garch11", "omega": 0.01, "alpha": 0.03, "beta": 0.0}
+
+    @pytest.mark.parametrize("command", ["cramer", "run"])
+    def test_root_beyond_the_quadrature_exits_3(self, tmp_path, command):
+        # the exact root 44.9577 of beta 0, alpha 0.03 needs moments the rule cannot resolve
+        if command == "cramer":
+            res = _cli("cramer", "--law", '{"kind": "garch_coeff", "beta": 0.0, "alpha": 0.03}')
+        else:
+            cfg = {**SMALL_CONFIG, "process": self.GARCH_BEYOND_QUADRATURE,
+                   "analyses": {"cramer": {}}}
+            cfg_path = tmp_path / "garch.cfg"
+            cfg_path.write_text(config_to_json(config_from_dict(cfg)))
+            res = _cli("run", str(cfg_path), "--output-dir", str(tmp_path / "out"))
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr.startswith("error: quadrature of E[fn(X)] under the garch_coeff law ")
+        assert res.stderr.count("\n") == 1  # one line, no traceback
 
     @pytest.mark.parametrize(
         "text",
@@ -1045,6 +1068,24 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {MANIFEST['output_dir']}/summary.json: summary.cramer")
+        assert err.count("\n") == 1
+
+    def test_summary_of_0_2_0_exits_2(self, tmp_path, capsys, monkeypatch):
+        # kestenlab 0.2.0 wrote a stationarity entry with a stderr, 0 for every
+        # law but the GARCH coefficient's Monte Carlo; such a bundle is re-run
+        monkeypatch.chdir(tmp_path)
+        stationarity = {"log_moment": -1.175, "stderr": 0.0, "tolerance": 0.0001,
+                        "verdict": "stationary"}
+        (tmp_path / MANIFEST["output_dir"]).mkdir()
+        (tmp_path / MANIFEST["output_dir"] / "summary.json").write_text(
+            json.dumps({**SUMMARY, "stationarity": stationarity})
+        )
+        (tmp_path / "manifest.json").write_text(json.dumps(MANIFEST))
+        assert main(["report", "manifest.json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {MANIFEST['output_dir']}/summary.json: ")
+        assert "summary.stationarity" in err
         assert err.count("\n") == 1
 
     # 10^5 nested lists: deeper than the interpreter's recursion limit

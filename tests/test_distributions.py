@@ -128,15 +128,25 @@ class TestMoment:
         assert law.moment(2.0) == pytest.approx(expected, rel=1e-15)
 
     def test_garch_fractional_moment_vs_quadrature(self):
-        from scipy.stats import chi2
-
-        law = GarchCoefficient(0.9, 0.09)
-        val, se = law.moment_with_stderr(1.7)
+        # E(a^mu) = 2 int_0^inf (beta + alpha z^2)^mu phi(z) dz, a smooth integrand
         oracle, _ = quad(
-            lambda w: (0.9 + 0.09 * w) ** 1.7 * chi2.pdf(w, 1), 0, np.inf
+            lambda z: 2.0 * (0.9 + 0.09 * z * z) ** 1.7 * stats.norm.pdf(z),
+            0, np.inf, epsabs=0.0, epsrel=1e-13,
         )
-        assert se > 0
-        assert abs(val - oracle) < 4 * se
+        assert GarchCoefficient(0.9, 0.09).moment(1.7) == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.09, 0.5, 2.0])
+    @pytest.mark.parametrize("mu", [0.3, 1.7, 7.5, 31.5])
+    def test_garch_fractional_moment_without_beta_is_exact(self, alpha, mu):
+        # E[(alpha z^2)^mu] = (2 alpha)^mu Gamma(mu + 1/2) / sqrt(pi)
+        exact = math.exp(mu * math.log(2.0 * alpha) + gammaln(mu + 0.5) - 0.5 * math.log(math.pi))
+        assert GarchCoefficient(0.0, alpha).moment(mu) == pytest.approx(exact, rel=1e-10)
+
+    def test_garch_without_alpha_is_its_constant(self):
+        # alpha == 0 leaves no density to integrate: the point mass at beta answers
+        law = GarchCoefficient(0.5, 0.0)
+        assert law.moment(1.5) == 0.5**1.5
+        assert law.log_moment() == math.log(0.5)
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize(
@@ -192,13 +202,16 @@ class TestLogMoment:
         assert Uniform(0.4, 1.2).log_moment() == pytest.approx(oracle, abs=1e-9)
 
     def test_garch_monte_carlo_vs_quadrature(self):
-        from scipy.stats import chi2
-
-        law = GarchCoefficient(0.9, 0.1)
-        val, se = law.log_moment_with_stderr()
-        oracle, _ = quad(lambda w: math.log(0.9 + 0.1 * w) * chi2.pdf(w, 1), 0, np.inf)
-        assert se > 0
-        assert abs(val - oracle) < 4 * se
+        val = GarchCoefficient(0.9, 0.1).log_moment()
+        # log a changes sign at z = 1; each side is integrated on its own
+        oracle = sum(
+            quad(
+                lambda z: 2.0 * math.log(0.9 + 0.1 * z * z) * stats.norm.pdf(z),
+                lo, hi, epsabs=0.0, epsrel=1e-13,
+            )[0]
+            for lo, hi in ((0.0, 1.0), (1.0, np.inf))
+        )
+        assert val == pytest.approx(oracle, rel=1e-10)
         # headline value for the fitted index process
         assert -0.010 < val < -0.006
 
@@ -248,28 +261,17 @@ class TestLawFacts:
                 assert law.collapsed() == Constant(law.beta)
             else:
                 assert law.collapsed() is law
-            assert law.moment_method in ("closed-form", "monte-carlo")
+            assert law.moment_method in ("closed-form", "quadrature")
 
     @pytest.mark.parametrize(
         "cls", CoefficientLaw.__subclasses__(), ids=lambda cls: cls.__name__
     )
     def test_only_the_monte_carlo_law_reports_a_stderr(self, cls):
-        stderr_methods = {"moment_with_stderr", "log_moment_with_stderr"}
-        log_params = inspect.signature(cls.log_moment).parameters
-        if cls.moment_method == "closed-form":
-            assert not any(hasattr(cls, name) for name in stderr_methods)
-            assert list(log_params) == ["self"]
-        else:
-            assert cls is GarchCoefficient
-            assert stderr_methods <= set(vars(cls))
-            assert list(log_params) == ["self", "n"]
-
-    @pytest.mark.parametrize("mu", [1.7, 2.0])
-    def test_monte_carlo_moment_matches_its_stderr_twin(self, mu):
-        law = GarchCoefficient(0.9, 0.09)
-        val, se = law.moment_with_stderr(mu)
-        assert val == law.moment(mu)
-        assert (se > 0) == (mu == 1.7)
+        # no law computes a moment by Monte Carlo, so none reports a stderr
+        assert cls.moment_method != "monte-carlo"
+        stderr_methods = ("moment_with_stderr", "log_moment_with_stderr")
+        assert not any(hasattr(cls, name) for name in stderr_methods)
+        assert list(inspect.signature(cls.log_moment).parameters) == ["self"]
 
     @pytest.mark.parametrize(
         "cls, facts",

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.stats import norm
 from scipy.special import gammaln
 
 from conftest import FIG2_SPEC, FIG4_SPEC
@@ -24,12 +26,10 @@ from kestenlab import (
     expected_acf,
     inverse_tail_prediction,
     kesten_conditions_report,
-    law_from_config,
     lyapunov_top,
     moment_lyapunov_root,
     stationarity_check,
 )
-from kestenlab.distributions import MC_MOMENT_SAMPLES, _mc_generator
 from kestenlab.theory import _increasing_root
 from kestenlab.errors import (
     DegenerateLaw,
@@ -37,6 +37,7 @@ from kestenlab.errors import (
     NonStationary,
     NoPositiveRoot,
     NoSignChange,
+    QuadratureError,
     TheoryError,
     VarianceNotFinite,
 )
@@ -54,6 +55,20 @@ def exponential_root_oracle(mean: float) -> float:
     while f(hi) < 0:
         hi *= 2
     return brentq(f, lo, hi, xtol=1e-13)
+
+
+def garch_root_oracle(beta: float, alpha: float, lo: float, hi: float) -> float:
+    """brentq root in [lo, hi] of E[(beta + alpha z^2)^mu] = 1, each moment by quad
+    of the smooth integrand 2 (beta + alpha z^2)^mu phi(z) on z >= 0."""
+
+    def f(mu):
+        val, _ = quad(
+            lambda z: 2.0 * (beta + alpha * z * z) ** mu * norm.pdf(z),
+            0.0, np.inf, epsabs=0.0, epsrel=1e-13,
+        )
+        return val - 1.0
+
+    return brentq(f, lo, hi, xtol=1e-14, rtol=1e-15)
 
 
 def _bisection(f, lo: float, hi: float) -> float:
@@ -127,8 +142,6 @@ class TestCramerRoot:
         assert abs(sol.mu_star - ref) <= 1e-10 * max(1.0, ref)
 
     def test_garch_solve_makes_few_moment_passes(self, monkeypatch):
-        GarchCoefficient._mc_sample.cache_clear()
-        GarchCoefficient._mc_log_moment.cache_clear()
         cramer_root.cache_clear()
         fractional = []
         original = GarchCoefficient.moment
@@ -182,74 +195,61 @@ class TestCramerRoot:
 
     def test_garch_coefficient_monte_carlo(self):
         sol = cramer_root(GarchCoefficient(0.9, 0.09))
-        assert sol.method == "monte-carlo"
-        assert sol.stderr is not None and sol.stderr > 0
-        # oracle: quadrature zero of E[(0.9 + 0.09 z^2)^mu] - 1
-        from scipy.integrate import quad
-        from scipy.stats import chi2
+        assert (sol.method, sol.stderr) == ("quadrature", None)
+        assert sol.residual < 1e-12
+        oracle = garch_root_oracle(0.9, 0.09, 1.0, 8.0)
+        assert sol.mu_star == pytest.approx(oracle, rel=1e-10)
 
-        def phi(mu):
-            val, _ = quad(
-                lambda w: (0.9 + 0.09 * w) ** mu * chi2.pdf(w, 1), 0, np.inf
-            )
-            return val - 1.0
+    def test_garch_coefficient_without_beta_is_exact(self):
+        # E[(alpha z^2)^mu] = (2 alpha)^mu Gamma(mu + 1/2) / sqrt(pi)
+        exact = brentq(
+            lambda mu: mu * math.log(0.18) + gammaln(mu + 0.5) - 0.5 * math.log(math.pi),
+            8.0, 16.0, xtol=1e-14, rtol=1e-15,
+        )
+        assert exact == pytest.approx(14.753779679762356, rel=1e-14)
+        assert cramer_root(GarchCoefficient(0.0, 0.09)).mu_star == pytest.approx(exact, rel=1e-10)
 
-        oracle = brentq(phi, 1.0, 8.0, xtol=1e-10)
-        assert sol.mu_star == pytest.approx(oracle, abs=0.02)
-        # stderr is the delta-method standard error of mu*, not of E(a^mu*)
-        assert 0.01 < sol.stderr < 0.03
-        assert abs(sol.mu_star - oracle) <= 3.0 * sol.stderr
+    def test_garch_coefficient_root_far_out(self):
+        # mu* near 40, in the upper half of the bracket [32, 64]: not the cap
+        sol = cramer_root(GarchCoefficient(0.3, 0.03))
+        oracle = garch_root_oracle(0.3, 0.03, 32.0, 42.0)
+        assert oracle == pytest.approx(39.50175469, rel=1e-9)
+        assert sol.mu_star == pytest.approx(oracle, rel=1e-10)
+
+    def test_garch_root_beyond_the_quadrature_raises(self):
+        # the root 44.9577 of alpha = 0.03 needs moments that the rule cannot resolve
+        with pytest.raises(QuadratureError, match="quadrature of E"):
+            cramer_root(GarchCoefficient(0.0, 0.03))
+        # the checklist reports it, and claims no root
+        rep = kesten_conditions_report(GarchCoefficient(0.0, 0.03), Constant(0.01))
+        h = rep.condition("h")
+        assert (h.status, h.evidence, rep.mu_star) == ("not-checkable", None, None)
+        assert h.note.startswith("quadrature of E[fn(X)] under the garch_coeff law")
 
     def test_fitted_index_coefficient_root_is_one(self):
         # beta + alpha = 1 exactly, so mu = 1 solves the moment equation
         sol = cramer_root(GarchCoefficient(0.9, 0.1))
         assert sol.mu_star == 1.0
-        # an integer moment is exact even for the Monte Carlo law
-        assert (sol.method, sol.stderr) == ("monte-carlo", 0.0)
+        # an integer moment is exact, with no stderr for any law
+        assert (sol.method, sol.stderr) == ("quadrature", None)
 
 
-class TestMonteCarloSample:
-    def test_one_draw_per_process(self, monkeypatch):
-        # two distinct but equal laws share one draw and one root
-        GarchCoefficient._mc_sample.cache_clear()
-        GarchCoefficient._mc_log_moment.cache_clear()
+class TestGarchTheoryDrawsNothing:
+    def test_theory_functions_never_sample_the_law(self, monkeypatch):
+        # every GARCH coefficient moment is an integral; nothing is drawn
         cramer_root.cache_clear()
-        draws = []
-        original = GarchCoefficient.sample
 
-        def counting_sample(self, gen, n):
-            draws.append(n)
-            return original(self, gen, n)
+        def no_sample(self, gen, n):
+            raise AssertionError("the law was sampled")
 
-        monkeypatch.setattr(GarchCoefficient, "sample", counting_sample)
-        cfg = {"kind": "garch_coeff", "beta": 0.9, "alpha": 0.09}
-        law, twin = law_from_config(cfg), law_from_config(cfg)
-        assert law is not twin and law == twin
-        stationarity_check(law)
-        cramer_root(twin)
-        classify_regime(law)
-        kesten_conditions_report(twin, Constant(0.01))
-        assert draws == [MC_MOMENT_SAMPLES]
-        # and one log pass: E[log a] for (a), the root and the stationarity check
-        assert GarchCoefficient._mc_log_moment.cache_info().misses == 1
-
-        fresh = original(law, _mc_generator(), MC_MOMENT_SAMPLES)
-        y = fresh**1.7
-        assert law.moment_with_stderr(1.7) == (
-            float(y.mean()),
-            float(y.std(ddof=1) / math.sqrt(y.size)),
-        )
-        assert law.log_moment() == float(np.log(fresh).mean())
-        assert len(draws) == 1
-
-    def test_sample_is_read_only_and_replaced_for_another_size(self):
-        law = GarchCoefficient(0.9, 0.09)
-        x = law._mc_sample(MC_MOMENT_SAMPLES)
-        assert not x.flags.writeable
-        law.log_moment(n=1000)
-        info = GarchCoefficient._mc_sample.cache_info()
-        assert info.currsize == 1
-        assert law._mc_sample(1000).size == 1000
+        monkeypatch.setattr(GarchCoefficient, "sample", no_sample)
+        law = GarchCoefficient(0.88, 0.1)  # a law no other test solves
+        assert stationarity_check(law).verdict == "stationary"
+        sol = cramer_root(law)
+        assert classify_regime(law).solution == sol
+        rep = kesten_conditions_report(law, Constant(0.01))
+        assert rep.all_verified
+        assert rep.mu_star == sol.mu_star
 
 
 class TestClassifyRegime:
@@ -306,12 +306,10 @@ class TestStationarityCheck:
         assert res.verdict == "non-stationary"
         assert res.log_moment == pytest.approx(0.1159, abs=1e-4)
 
-    def test_stderr_only_for_the_monte_carlo_law(self):
-        law = GarchCoefficient(0.9, 0.1)
-        res = stationarity_check(law)
-        assert (res.log_moment, res.stderr) == law.log_moment_with_stderr()
-        assert res.stderr > 0
-        assert stationarity_check(Exponential(0.55)).stderr == 0.0
+    def test_garch_without_alpha(self):
+        # alpha == 0: the point mass at beta, with no density for the quadrature
+        res = stationarity_check(GarchCoefficient(0.5, 0.0))
+        assert (res.log_moment, res.verdict) == (math.log(0.5), "stationary")
 
     def test_positivity_required(self):
         from kestenlab.errors import PositivityRequired
