@@ -273,6 +273,22 @@ class TestLawFacts:
         assert not any(hasattr(cls, name) for name in stderr_methods)
         assert list(inspect.signature(cls.log_moment).parameters) == ["self"]
 
+    @pytest.mark.parametrize("mu", [1.7, 2.0])
+    def test_garch_moment_is_closed_form_only_at_integers(self, mu, monkeypatch):
+        law = GarchCoefficient(0.9, 0.09)
+        by_rule = law.expect(lambda x: x**mu)
+        if mu == 2.0:
+            # E(a^2) = beta^2 + 2 beta alpha + 3 alpha^2, with no integral taken
+            def no_rule(self, fn, lo=None, hi=None):
+                raise AssertionError("the rule was run")
+
+            monkeypatch.setattr(GarchCoefficient, "expect", no_rule)
+            closed = 0.9**2 + 2 * 0.9 * 0.09 + 3 * 0.09**2
+            assert law.moment(mu) == pytest.approx(closed, rel=1e-15)
+            assert by_rule == pytest.approx(closed, rel=1e-10)
+        else:
+            assert law.moment(mu) == by_rule
+
     @pytest.mark.parametrize(
         "cls, facts",
         [

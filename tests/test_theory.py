@@ -251,6 +251,13 @@ class TestGarchTheoryDrawsNothing:
         assert rep.all_verified
         assert rep.mu_star == sol.mu_star
 
+    def test_log_moment_is_the_rule_with_no_sample_size(self):
+        # E[log a] is one integral, the same for every call and every equal law
+        law, twin = GarchCoefficient(0.9, 0.09), GarchCoefficient(0.9, 0.09)
+        assert law.log_moment() == twin.log_moment() == law.expect(math.log)
+        with pytest.raises(TypeError):
+            law.log_moment(n=1000)
+
 
 class TestClassifyRegime:
     def test_case_a(self):
@@ -310,6 +317,15 @@ class TestStationarityCheck:
         # alpha == 0: the point mass at beta, with no density for the quadrature
         res = stationarity_check(GarchCoefficient(0.5, 0.0))
         assert (res.log_moment, res.verdict) == (math.log(0.5), "stationary")
+
+    def test_garch_law_is_checked_by_quadrature(self):
+        # the GARCH verdict rests on the quadrature E[log a], with no stderr
+        law = GarchCoefficient(0.9, 0.1)
+        res = stationarity_check(law)
+        assert res.log_moment == law.log_moment()
+        assert res.verdict == "stationary"
+        for checked in (res, stationarity_check(Exponential(0.55))):
+            assert sorted(checked.to_dict()) == ["log_moment", "tolerance", "verdict"]
 
     def test_positivity_required(self):
         from kestenlab.errors import PositivityRequired
