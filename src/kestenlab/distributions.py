@@ -26,6 +26,7 @@ from .errors import (
     InvalidConfig,
     KestenLabError,
     LawError,
+    MomentOverflow,
     NoDensity,
     NonnegativityRequired,
     PositivityRequired,
@@ -51,13 +52,18 @@ _TANH_SINH_WEIGHT = 0.25 * np.pi * np.cosh(_DE_T) / np.cosh(_DE_U) ** 2 / 64.0
 # exp-sinh on a half-line: the node at scale * offset from its finite end
 _EXP_SINH_OFFSET = np.exp(_DE_U)
 _EXP_SINH_WEIGHT = 0.5 * np.pi * np.cosh(_DE_T) * _EXP_SINH_OFFSET / 64.0
+_EXP_SINH_WEIGHT_MAX = float(_EXP_SINH_WEIGHT.max())  # the largest weight and offset
 
 
 def _de_nodes(left: float, right: float, scale: float) -> tuple[list, list, np.ndarray]:
     """End, offset from that end and weight of each node on [left, right], in t order.
 
-    One of the two ends is finite; a half-line's offsets are stretched by ``scale``.
+    One of the two ends is finite; a half-line's offsets are stretched by
+    ``scale``, and QuadratureError names a scale that stretches them past
+    the float range.
     """
+    if (math.isinf(left) or math.isinf(right)) and math.isinf(scale * _EXP_SINH_WEIGHT_MAX):
+        raise QuadratureError(f"the quadrature weights of a half-line overflow at scale {scale:g}")
     if math.isinf(right):
         ends, offsets, weights = left, scale * _EXP_SINH_OFFSET, scale * _EXP_SINH_WEIGHT
     elif math.isinf(left):
@@ -188,7 +194,8 @@ class CoefficientLaw(KindTagged):
         end, so the mass at a singular end (chi2 at ``beta``) is not lost to
         rounding in x - end.  The result is the sum at step h/2; if the sum at
         step h differs from it by more than max(QUAD_EPSABS, QUAD_EPSREL *
-        |result|), QuadratureError names the gap.
+        |result|), QuadratureError names the gap; MomentOverflow names a
+        node where fn overflows.
         """
         s_lo, s_hi = self.support
         a, b = max(s_lo, lo), min(s_hi, hi)
@@ -206,7 +213,12 @@ class CoefficientLaw(KindTagged):
             for i, (end, d) in enumerate(zip(ends, offsets)):
                 density = self.standard_pdf((end - loc) / scale + d / scale)
                 if density:  # fn is not called where the density vanishes
-                    values[i] = density * fn(end + d)
+                    try:
+                        values[i] = density * fn(end + d)
+                    except OverflowError:
+                        raise MomentOverflow(
+                            f"E[fn(X)] under the {self.kind} law: fn overflows at x = {end + d:.3g}"
+                        ) from None
             values *= weights / scale
             fine += float(values.sum())
             coarse += 2.0 * float(values[::2].sum())
@@ -428,10 +440,15 @@ class Normal(CoefficientLaw):
         if self.mean_value != 0:
             return super().abs_moment(mu)
         # E|X|^mu = sd^mu 2^(mu/2) Gamma((mu+1)/2) / sqrt(pi)
-        return math.exp(
-            mu * math.log(self.sd) + 0.5 * mu * math.log(2.0)
-            + math.lgamma((mu + 1.0) / 2.0) - 0.5 * math.log(math.pi)
-        )
+        try:
+            return math.exp(
+                mu * math.log(self.sd) + 0.5 * mu * math.log(2.0)
+                + math.lgamma((mu + 1.0) / 2.0) - 0.5 * math.log(math.pi)
+            )
+        except OverflowError:
+            raise MomentOverflow(
+                f"E|X|^{mu:g} of the normal law with sd {self.sd:g} exceeds the float range"
+            ) from None
 
     def standard_pdf(self, z: float) -> float:
         return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)

@@ -25,6 +25,10 @@ class QuadratureError(LawError):
     """An expectation's quadrature did not converge: its two step sizes disagree."""
 
 
+class MomentOverflow(LawError):
+    """An expectation's integrand or closed form left the float range."""
+
+
 class InvalidConfig(KestenLabError, ValueError):
     """Malformed config (law, process spec, experiment file), analysis parameter or input series."""
 

@@ -222,14 +222,23 @@ def companion_step(a, w, rows: list) -> list:
     return [a * acc, *rows[:-1]]
 
 
-def _gather(x: np.ndarray, block: int, start: int, buf: np.ndarray) -> None:
+def _gather(x: np.ndarray, block: int, start: int, buf: np.ndarray, tile: np.ndarray) -> None:
     """buf[..., i, b] = step start + i of block b of x, along x's last axis,
     for as many steps as buf holds; a short last block leaves its entries
-    past its end as they were."""
+    past its end as they were.
+
+    The full blocks' steps are first copied, one lead row at a time, into
+    ``tile``, a contiguous (full blocks, chunk) staging array.  In x the
+    blocks lie PATH_BLOCK * 8 = 8192 bytes apart, a power of two, so the
+    lines of one step share a few cache sets, and a transpose straight out
+    of x evicts each line before it reads the line's next step."""
     *lead, total = x.shape
     full, steps = total // block, buf.shape[-2]
     body = x[..., : full * block].reshape(*lead, full, block)[..., start : start + steps]
-    buf[..., :full] = np.swapaxes(body, -1, -2)
+    stage = tile[:full, :steps]
+    for j in np.ndindex(*lead):
+        stage[:] = body[j]
+        buf[j][:, :full] = stage.T
     tail = x[..., full * block + start : full * block + start + steps]
     buf[..., : tail.shape[-1], full:] = tail[..., None]
 
@@ -240,15 +249,17 @@ def _run_blocks(a, w, e, rows: list, block: int, out=None) -> list:
 
     The draws are copied in, and run 0 copied out to ``out``, PATH_CHUNK
     steps at a time through contiguous (steps, blocks) buffers made once per
-    call, so a step reads adjacent memory and not one value per block."""
+    call, so a step reads adjacent memory and not one value per block; the
+    draws pass through one staging tile, shared by a, each weight row and e
+    (``_gather`` says why)."""
     steps = min(block, a.size)
     chunk, full = min(PATH_CHUNK, block), a.size // block
     ac, ec, oc = (np.empty((chunk, -(-a.size // block))) for _ in range(3))
-    wc = np.empty((len(w), *ac.shape))
+    wc, tile = np.empty((len(w), *ac.shape)), np.empty((full, chunk))
     for start in range(0, steps, chunk):
         m = min(chunk, steps - start)
         for x, buf in ((a, ac), (w, wc), (e, ec)):
-            _gather(x, block, start, buf[..., :m, :])
+            _gather(x, block, start, buf[..., :m, :], tile)
         for i in range(m):
             n = len(range(start + i, a.size, block))  # the blocks that reach this step
             rows = companion_step(ac[i, :n], wc[:, i, :n], [r[:, :n] for r in rows])

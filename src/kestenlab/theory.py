@@ -23,6 +23,7 @@ from .errors import (
     DegenerateLaw,
     InvalidConfig,
     LawError,
+    MomentOverflow,
     NonnegativityRequired,
     NonStationary,
     NoPositiveRoot,
@@ -354,11 +355,15 @@ def inverse_tail_prediction(a_law: CoefficientLaw, x: float) -> float:
 # condition checklist ---------------------------------------------------------
 
 
+# A moment these errors stop cannot be read, so its condition is not-checkable.
+_UNREADABLE = (QuadratureError, MomentOverflow)
+
+
 def _integral_check(cid: str, integral, note: str) -> ConditionCheck:
-    """Verified with the integral as evidence; not-checkable if its quadrature fails."""
+    """Verified with the integral as evidence; not-checkable if it cannot be read."""
     try:
         return ConditionCheck(cid, "verified", integral(), note)
-    except QuadratureError as exc:
+    except _UNREADABLE as exc:
         return ConditionCheck(cid, "not-checkable", None, str(exc))
 
 
@@ -420,14 +425,19 @@ def kesten_conditions_report(
         entries.append(ConditionCheck("d", "verified", None, "non-degenerate pair"))
 
     # (e) some lambda0 with E(a^lambda0) < 1
-    lam0 = None
-    if a_eff.nonnegative:
-        for cand in (1e-3, 1e-2, 0.1, 0.5, 1.0):
-            v = a_eff.moment(cand)
-            if v < 1.0:
-                lam0 = (cand, v)
-                break
-    if lam0 is not None:
+    lam0 = unread = None
+    try:
+        if a_eff.nonnegative:
+            for cand in (1e-3, 1e-2, 0.1, 0.5, 1.0):
+                v = a_eff.moment(cand)
+                if v < 1.0:
+                    lam0 = (cand, v)
+                    break
+    except _UNREADABLE as exc:
+        unread = str(exc)
+    if unread is not None:
+        entries.append(ConditionCheck("e", "not-checkable", None, unread))
+    elif lam0 is not None:
         entries.append(
             ConditionCheck(
                 "e", "verified", lam0[1], f"E(a^{lam0[0]:g}) = {lam0[1]:.6g} < 1"
@@ -439,18 +449,22 @@ def kesten_conditions_report(
         )
 
     # (f) some lambda1 with E(a^lambda1) >= 1
-    lam1 = None
-    last_val = None
-    if a_eff.nonnegative:
-        cand = 1.0
-        while cand <= MU_CAP:
-            v = a_eff.moment(cand)
-            last_val = v
-            if v >= 1.0:
-                lam1 = (cand, v)
-                break
-            cand *= 2.0
-    if lam1 is not None:
+    lam1 = last_val = unread = None
+    try:
+        if a_eff.nonnegative:
+            cand = 1.0
+            while cand <= MU_CAP:
+                v = a_eff.moment(cand)
+                last_val = v
+                if v >= 1.0:
+                    lam1 = (cand, v)
+                    break
+                cand *= 2.0
+    except _UNREADABLE as exc:
+        unread = str(exc)
+    if unread is not None:
+        entries.append(ConditionCheck("f", "not-checkable", None, unread))
+    elif lam1 is not None:
         entries.append(
             ConditionCheck(
                 "f", "verified", lam1[1], f"E(a^{lam1[0]:g}) = {lam1[1]:.6g} >= 1"
@@ -490,7 +504,7 @@ def kesten_conditions_report(
             mu_star = cramer_root(a_eff).mu_star
         except TheoryError:
             pass
-        except QuadratureError as exc:  # a root the rule cannot reach
+        except _UNREADABLE as exc:  # a root the rule cannot reach
             no_root = str(exc)
     if mu_star is not None:
         entries.append(

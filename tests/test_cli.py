@@ -996,6 +996,22 @@ class TestCommandLine:
         assert res.stderr.startswith("error: quadrature of E[fn(X)] under the garch_coeff law ")
         assert res.stderr.count("\n") == 1  # one line, no traceback
 
+    def test_noise_moment_beyond_the_float_range_is_not_checkable(self, tmp_path):
+        # E|e|^mu* of N(0, 1e150^2) at mu* = 3.0027 is about 1e451: (h) names the
+        # overflow, and the run ends in its report, not in a traceback
+        process = {**SMALL_CONFIG["process"], "e_law": {"kind": "normal", "mean": 0.0, "sd": 1e150}}
+        cfg = {**SMALL_CONFIG, "process": process, "n_samples": 2000,
+               "analyses": {"conditions": {}}}
+        cfg_path = tmp_path / "wide.cfg"
+        cfg_path.write_text(config_to_json(config_from_dict(cfg)))
+        res = _cli("run", str(cfg_path), "--output-dir", str(tmp_path / "out"))
+        assert (res.returncode, res.stderr) == (0, "")
+        conditions = json.loads((tmp_path / "out" / "conditions.json").read_text())
+        h = conditions["conditions"][-1]
+        assert (h["condition"], h["status"], h["evidence"]) == ("h", "not-checkable", None)
+        assert h["note"] == "E|X|^3.00266 of the normal law with sd 1e+150 exceeds the float range"
+        assert "(h) not-checkable" in res.stdout
+
     @pytest.mark.parametrize(
         "text",
         [

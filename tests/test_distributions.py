@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from kestenlab import (
 from kestenlab.errors import (
     InvalidConfig,
     LawError,
+    MomentOverflow,
     NonnegativityRequired,
     PositivityRequired,
     QuadratureError,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -408,6 +412,30 @@ class TestExpect:
     def test_unresolved_integrand_raises(self, fn):
         with pytest.raises(QuadratureError, match=r"steps h and h/2 differ by"):
             Uniform(0.0, 1.0).expect(fn)
+
+    @pytest.mark.parametrize(
+        "law", [Exponential(1e260), Normal(0.0, 1e300), GarchCoefficient(0.5, 1e300)],
+        ids=["exponential", "normal", "garch"],
+    )
+    def test_half_line_weights_beyond_the_float_range_raise(self, law):
+        # scale * the largest exp-sinh weight (7.6e50) overflows above about 2.4e257;
+        # it used to give inf * 0 = NaN with a numpy overflow warning
+        with pytest.raises(QuadratureError, match=re.escape(f"overflow at scale {law.scale:g}")):
+            law.expect(lambda v: 1.0)
+
+    def test_half_line_weights_just_inside_the_float_range(self):
+        assert Exponential(1e257).expect(lambda v: 1.0) == pytest.approx(1.0, rel=1e-15)
+
+    def test_overflowing_integrand_raises(self):
+        # |x|^3 leaves the float range in the bulk of N(1, 1e300)
+        with pytest.raises(MomentOverflow, match=r"under the normal law: fn overflows at x = "):
+            Normal(1.0, 1e150).abs_moment(3.0)
+
+    def test_zero_mean_closed_form_overflow_raises(self):
+        with pytest.raises(
+            MomentOverflow, match=r"^E\|X\|\^3 of the normal law with sd 1e\+150 exceeds the float range$"
+        ):
+            Normal(0.0, 1e150).abs_moment(3.0)
 
 
 ROUND_TRIP_LAWS = {

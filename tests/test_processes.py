@@ -454,6 +454,39 @@ class TestCompanionKernel:
             assert np.all(np.abs(got[t] - ref[t]) <= 1e-12 * np.maximum(1.0, np.abs(ref[t])))
 
 
+class TestKernelAtItsOwnGeometry:
+    # PATH_BLOCK and PATH_CHUNK as shipped: TestCompanionKernel patches in small ones
+    BLOCK, CHUNK = 1024, 64
+    N = 3 * BLOCK + 37  # three full blocks and a short one that ends inside the first chunk
+
+    def test_constants_are_the_shipped_ones(self):
+        assert (processes.PATH_BLOCK, processes.PATH_CHUNK) == (self.BLOCK, self.CHUNK)
+
+    @pytest.mark.parametrize("spec", [FIG3_SPEC, FIG4_SPEC], ids=["scalar", "order-3"])
+    def test_path_matches_plain_loop(self, spec):
+        path, ref = _path_and_loop(spec, self.N)
+        assert np.max(np.abs(path - ref)) <= 1e-12 * ref.std()
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one-row", "K=3"])
+    @pytest.mark.parametrize(
+        "start, m", [(0, 64), (0, 40), (64, 17), (960, 64)],
+        ids=["first-chunk", "across-the-short-block", "short-chunk", "last-chunk"],
+    )
+    def test_gather_reads_each_blocks_step(self, lead, start, m):
+        # buf[..., i, b] = x[..., start + i + BLOCK * b]; past the short block's
+        # end buf keeps what it held, and the tile is reused for each lead row
+        x = np.random.default_rng(0).standard_normal((*lead, self.N))
+        blocks = -(-self.N // self.BLOCK)
+        buf = np.full((*lead, self.CHUNK, blocks), np.nan)
+        tile = np.empty((self.N // self.BLOCK, self.CHUNK))
+        processes._gather(x, self.BLOCK, start, buf[..., :m, :], tile)
+        i, b = np.meshgrid(np.arange(m), np.arange(blocks), indexing="ij")
+        t = start + i + self.BLOCK * b
+        want = np.where(t < self.N, x[..., np.minimum(t, self.N - 1)], np.nan)
+        np.testing.assert_array_equal(buf[..., :m, :], want)
+        assert np.isnan(buf[..., m:, :]).all()
+
+
 @pytest.mark.parametrize(
     "spec, n, step",
     [

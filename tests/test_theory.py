@@ -459,6 +459,32 @@ class TestConditionsReport:
             assert "did not converge: steps h and h/2 differ by" in c.note
         assert [c.status for c in rep.conditions if c.condition not in "bgh"] == ["verified"] * 5
 
+    def test_noise_moment_beyond_the_float_range_is_not_checkable(self):
+        # E|e|^mu* = (1e150)^3.0027 times O(1): the closed form leaves the float range
+        rep = kesten_conditions_report(Exponential(0.55), Normal(0.0, 1e150))
+        h = rep.condition("h")
+        assert (h.status, h.evidence) == ("not-checkable", None)
+        assert h.note == (
+            f"E|X|^{rep.mu_star:g} of the normal law with sd 1e+150 exceeds the float range"
+        )
+        assert [c.status for c in rep.conditions if c.condition != "h"] == ["verified"] * 7
+
+    def test_noise_integrand_beyond_the_float_range_is_not_checkable(self):
+        # a nonzero mean takes E|e|^mu* to the quadrature, whose integrand overflows
+        h = kesten_conditions_report(Exponential(0.55), Normal(1.0, 1e150)).condition("h")
+        assert (h.status, h.evidence) == ("not-checkable", None)
+        assert h.note.startswith("E[fn(X)] under the normal law: fn overflows at x = ")
+
+    def test_law_beyond_the_quadrature_range_is_a_report(self):
+        # the half-line weights of a scale of 1e300 overflow: (a), (e) and (g) cannot
+        # be read, and violations stay report entries, never exceptions
+        rep = kesten_conditions_report(GarchCoefficient(0.5, 1e300), Constant(1.0))
+        overflow = "the quadrature weights of a half-line overflow at scale 1e+300"
+        got = {c.condition: (c.status, c.note) for c in rep.conditions}
+        assert got["a"] == got["e"] == got["g"] == ("not-checkable", overflow)
+        assert got["h"] == ("not-checkable", "no moment-equation root")
+        assert rep.mu_star is None
+
     def test_fig3_pair_all_verified(self):
         rep = kesten_conditions_report(Exponential(0.55), Normal(0.0, 0.0065))
         assert rep.all_verified
