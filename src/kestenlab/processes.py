@@ -123,7 +123,9 @@ class KestenAR(KindTagged):
         its sum; a sum within 1e-12 of zero raises ZeroWeightSum.
         """
         a = self.a_law.sample(gen, size)
-        w = np.array([law.sample(gen, size) for law in self.weight_laws])
+        w = np.empty((self.order, size))  # filled row by row: one law's draws live at a time
+        for i, law in enumerate(self.weight_laws):
+            w[i] = law.sample(gen, size)
         if self.normalize_weights:
             sums = w.sum(axis=0)
             zero = np.abs(sums) < 1e-12
@@ -132,7 +134,7 @@ class KestenAR(KindTagged):
                     f"drawn weight vector {int(np.argmax(zero))} sums to ~0; "
                     "cannot normalize to unit sum"
                 )
-            w = w / sums
+            w /= sums
         return a, w
 
 
@@ -212,14 +214,16 @@ class ReturnSeries:
         return meta
 
 
-def companion_step(a, w, rows: list) -> list:
+def companion_step(a, w, rows: list, out=None) -> list:
     """The rows of M P from the rows of P, where M is the companion matrix with
     first row a * w: the top row becomes a * (w[0] rows[0] + ... + w[K-1] rows[K-1]),
-    summed left to right, and the other rows shift down by one."""
-    acc = w[0] * rows[0]
+    summed left to right, and the other rows shift down by one.  The new top
+    row is written into ``out`` when one is given (it must not be one of
+    ``rows``), else into a new array."""
+    acc = np.multiply(w[0], rows[0], out=out)
     for wj, row in zip(w[1:], rows[1:]):
         acc += wj * row
-    return [a * acc, *rows[:-1]]
+    return [np.multiply(a, acc, out=out), *rows[:-1]]
 
 
 def _gather(x: np.ndarray, block: int, start: int, buf: np.ndarray, tile: np.ndarray) -> None:
@@ -315,14 +319,15 @@ def _companion_path(a: np.ndarray, w: np.ndarray, e: np.ndarray, r_init: tuple) 
 
 def _checked(path: np.ndarray) -> np.ndarray:
     """The path, or NumericalOverflow at its first step not inside +-OVERFLOW_LIMIT."""
-    inside = np.abs(path) < OVERFLOW_LIMIT
-    if not inside.all():
-        raise NumericalOverflow(
-            f"the recursion exceeded {OVERFLOW_LIMIT:g} in absolute value at step "
-            f"{int(np.argmin(inside))}; the coefficient law is likely outside the "
-            "stationary regime (see theory.stationarity_check / theory.lyapunov_top)"
-        )
-    return path
+    # two reductions that write nothing; either reads NaN if the path holds one
+    if -OVERFLOW_LIMIT < path.min() and path.max() < OVERFLOW_LIMIT:
+        return path
+    inside = (path > -OVERFLOW_LIMIT) & (path < OVERFLOW_LIMIT)  # False at NaN
+    raise NumericalOverflow(
+        f"the recursion exceeded {OVERFLOW_LIMIT:g} in absolute value at step "
+        f"{int(np.argmin(inside))}; the coefficient law is likely outside the "
+        "stationary regime (see theory.stationarity_check / theory.lyapunov_top)"
+    )
 
 
 def _paths(

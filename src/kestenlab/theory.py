@@ -40,6 +40,8 @@ BOUNDARY_TOL = 1e-4  # |E[log a]| band of the "boundary" stationarity verdict
 MEAN_TOL = 1e-9  # |E(a) - 1| band of expectation-accuracy case A
 # The matrix Monte Carlo renormalizes its product once a trial's top row leaves this band.
 RENORM_LO, RENORM_HI = 1e-100, 1e100
+# Trials per column chunk of one matrix Monte Carlo step (a few hundred KB at K = 3).
+LOG_NORM_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -535,33 +537,60 @@ def _batched_log_norms(
     """log ||A_1 ... A_t|| (inf-norm) per trial at each requested horizon.
 
     The product is held as K rows of shape (K, trials) and advanced by
-    ``companion_step``.  It is renormalized, every trial at once, only at a
-    requested horizon or when some trial's new top row has its largest
-    |entry| outside [RENORM_LO, RENORM_HI]: the rows below the top were
-    checked as top rows, so every entry stays far inside the float range
-    unless one step scales the product by more than about 1e208.  Each
+    ``companion_step``.  The rows live in a ring of K + 1 buffers made once:
+    each step writes the new top row into the spare buffer, and the row it
+    drops becomes the next spare.  A step runs over column chunks of
+    LOG_NORM_CHUNK trials, so one chunk's rows and temporaries stay in cache;
+    the arithmetic is elementwise per trial, so chunking changes no value.
+
+    The product is renormalized, every trial at once, only at a requested
+    horizon or when some trial's new top row, over all chunks, has its
+    largest |entry| outside [RENORM_LO, RENORM_HI]: the rows below the top
+    were checked as top rows, so every entry stays far inside the float
+    range unless one step scales the product by more than about 1e208.  Each
     renormalization divides by the norm and adds its log, so the
     accumulated log norms are exact: ||A_t ... A_1|| = prod of the factors.
     A norm that is zero or not finite raises TheoryError naming its step.
     """
-    steps = max(horizons)
-    rows = list(np.repeat(np.eye(spec.order)[:, :, None], trials, axis=2))
-    acc = np.zeros(trials)
+    k, steps = spec.order, max(horizons)
+    ring = np.zeros((k + 1, k, trials))
+    ring[range(k), range(k)] = 1.0  # the identity's rows, then the spare
+    scratch = np.empty((k, min(trials, LOG_NORM_CHUNK)))
+    top, norm, acc = np.empty(trials), np.empty(trials), np.zeros(trials)
+    starts = range(0, trials, LOG_NORM_CHUNK)
+    spans = [slice(lo, min(lo + LOG_NORM_CHUNK, trials)) for lo in starts]
+    # per chunk: the columns of the draws it reads (None when one chunk reads
+    # them all, so a narrow product slices nothing per step), its K rows then
+    # the spare buffer, and its views of the scratch, the top and the norm
+    chunks = [
+        (
+            span if len(spans) > 1 else None,
+            list(ring[:, :, span]),
+            scratch[:, : span.stop - span.start],
+            top[span],
+            norm[span],
+        )
+        for span in spans
+    ]
     out: dict[int, np.ndarray] = {}
     with np.errstate(all="ignore"):  # an inf or NaN is caught at its step below
         for step in range(1, steps + 1):
             a, w = spec.draw_coefficients(gen, trials)
-            rows = companion_step(a, w, rows)
-            top = np.abs(rows[0]).max(axis=0)
+            for cut, bufs, tmp, top_c, _ in chunks:
+                ac, wc = (a, w) if cut is None else (a[cut], w[:, cut])
+                companion_step(ac, wc, bufs[:k], bufs[k])
+                bufs.insert(0, bufs.pop())  # the new top row first, the dropped row spare
+                np.abs(bufs[0], out=tmp).max(axis=0, out=top_c)
             if step in horizons or not RENORM_LO <= top.min() <= top.max() <= RENORM_HI:
-                s = np.max([np.abs(row).sum(axis=0) for row in rows], axis=0)
-                if not np.isfinite(s).all():
+                for _, bufs, _, _, s in chunks:  # a norm the checks below reject ends the run
+                    np.max([np.abs(row).sum(axis=0) for row in bufs[:k]], axis=0, out=s)
+                    for row in bufs[:k]:
+                        row /= s
+                if not np.isfinite(norm).all():
                     raise TheoryError(f"matrix product norm is not finite at step {step}")
-                if np.any(s <= 0.0):
+                if np.any(norm <= 0.0):
                     raise TheoryError(f"matrix product collapsed to zero norm at step {step}")
-                acc += np.log(s)
-                for row in rows:
-                    row /= s
+                acc += np.log(norm)
             if step in horizons:
                 out[step] = acc.copy()
     return out

@@ -72,6 +72,13 @@ def test_one_root_step_serves_both_moment_equations():
     ]
 
 
+def test_one_step_serves_the_path_kernel_and_the_matrix_monte_carlo():
+    assert _callers({"companion_step"}) == [
+        "processes._run_blocks",
+        "theory._batched_log_norms",
+    ]
+
+
 def test_one_function_predicts_the_unit_exponent():
     assert _callers({"unit_exponent_prediction"}) == [
         "cli.run",

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import typing
 import warnings
 
@@ -49,9 +50,10 @@ from kestenlab.errors import (
     InvalidConfig,
     KestenLabError,
     NumericalOverflow,
+    TheoryError,
     ZeroWeightSum,
 )
-from kestenlab.theory import _batched_log_norms
+from kestenlab.theory import LOG_NORM_CHUNK, RENORM_HI, RENORM_LO, _batched_log_norms
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -170,6 +172,45 @@ class TestKestenAR:
     def test_r_init_length_mismatch(self):
         with pytest.raises(InvalidConfig):
             KestenAR(Constant(0.5), Constant(1.0), (Constant(1.0),), r_init=(0.0, 0.0))
+
+    def test_weights_are_one_array_of_the_laws_draws(self):
+        size = 1000
+        a, w = FIG4_SPEC.draw_coefficients(RngStream(2).generator(), size)
+        gen = RngStream(2).generator()
+        assert np.array_equal(a, FIG4_SPEC.a_law.sample(gen, size))
+        want = [law.sample(gen, size) for law in FIG4_SPEC.weight_laws]
+        assert w.shape == (FIG4_SPEC.order, size) and w.dtype == np.float64
+        assert w.flags.c_contiguous
+        assert np.array_equal(w, want)
+
+    def test_weight_draws_hold_one_law_at_a_time(self):
+        # a, the (K, size) weights and one law's draws: K + 2 vectors, not the
+        # K draws kept until they are copied into the weights (2K + 1)
+        size, k = 10**6, FIG4_SPEC.order
+        gen = RngStream(0).generator()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            FIG4_SPEC.draw_coefficients(gen, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= (k + 2) * size * 8 + 4096  # and the array objects
+
+    def test_normalized_weights_are_divided_by_their_sums_bitwise(self):
+        laws = (Uniform(-0.5, 1.0), Normal(0.3, 0.2), Exponential(0.4))
+        spec = KestenAR(Exponential(0.6), Normal(0.0, 1.0), laws, normalize_weights=True)
+        raw = KestenAR(Exponential(0.6), Normal(0.0, 1.0), laws)
+        a, w = spec.draw_coefficients(RngStream(6).generator(), 5000)
+        a_raw, w_raw = raw.draw_coefficients(RngStream(6).generator(), 5000)
+        assert np.array_equal(a, a_raw)
+        assert np.array_equal(w, w_raw / w_raw.sum(axis=0))
+        zero = KestenAR(
+            Constant(0.5), Constant(1.0), (Constant(0.25), Constant(0.25), Constant(-0.5)),
+            normalize_weights=True,
+        )
+        with pytest.raises(ZeroWeightSum, match="vector 0 sums to ~0"):
+            zero.draw_coefficients(RngStream(0).generator(), 1000)
 
     def test_fig4_tail_exponent_band(self, fig4_series):
         fit = tail_exponent_ls(fig4_series, 0.02)
@@ -454,6 +495,93 @@ class TestCompanionKernel:
             assert np.all(np.abs(got[t] - ref[t]) <= 1e-12 * np.maximum(1.0, np.abs(ref[t])))
 
 
+def _unchunked_log_norms(ar: KestenAR, gen, horizons: tuple, trials: int) -> dict:
+    """The matrix Monte Carlo as it was before the ring of row buffers and the
+    column chunks: one new (K, trials) top row per step, every trial at once,
+    under the same renormalization guard."""
+    steps = max(horizons)
+    rows = list(np.repeat(np.eye(ar.order)[:, :, None], trials, axis=2))
+    acc = np.zeros(trials)
+    out = {}
+    with np.errstate(all="ignore"):
+        for step in range(1, steps + 1):
+            a, w = ar.draw_coefficients(gen, trials)
+            top_row = w[0] * rows[0]
+            for wj, row in zip(w[1:], rows[1:]):
+                top_row += wj * row
+            rows = [a * top_row, *rows[:-1]]
+            top = np.abs(rows[0]).max(axis=0)
+            if step in horizons or not RENORM_LO <= top.min() <= top.max() <= RENORM_HI:
+                s = np.max([np.abs(row).sum(axis=0) for row in rows], axis=0)
+                if not np.isfinite(s).all():
+                    raise TheoryError(f"matrix product norm is not finite at step {step}")
+                if np.any(s <= 0.0):
+                    raise TheoryError(f"matrix product collapsed to zero norm at step {step}")
+                acc += np.log(s)
+                for row in rows:
+                    row /= s
+            if step in horizons:
+                out[step] = acc.copy()
+    return out
+
+
+def _outcome(log_norms, spec, horizons, trials):
+    try:
+        return log_norms(spec, RngStream(8).generator(), horizons, trials)
+    except TheoryError as err:
+        return str(err)
+
+
+class TestChunkedProduct:
+    # _batched_log_norms runs each step over column chunks of a ring of row
+    # buffers; its arithmetic is elementwise per trial, so no bit may move
+    @pytest.mark.parametrize(
+        "trials",
+        [10, LOG_NORM_CHUNK - 1, LOG_NORM_CHUNK + 1, 2 * LOG_NORM_CHUNK + 3],
+        ids=["one-short-chunk", "chunk-1", "chunk+1", "2chunk+3"],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FIG4_SPEC,
+            as_ar(FIG3_SPEC),
+            KestenAR(Constant(1e200), Constant(0.0), FIG4_SPEC.weight_laws),
+            KestenAR(Uniform(0.0, 1e-60), Constant(0.0), FIG4_SPEC.weight_laws),
+            KestenAR(Exponential(1e20), Constant(0.0), FIG4_SPEC.weight_laws),
+            KestenAR(Constant(1e200), Constant(0.0), (Constant(1.0),)),
+            KestenAR(
+                Exponential(0.6), Constant(0.0), (Uniform(-0.5, 1.0), Normal(0.3, 0.2)),
+                normalize_weights=True,
+            ),
+            KestenAR(Constant(0.0), Constant(0.0), FIG4_SPEC.weight_laws),
+            KestenAR(Constant(1e308), Constant(0.0), (Constant(2.0),)),
+        ],
+        ids=[
+            "order-3-fig4", "order-1-fig3", "constant-1e200", "uniform-1e-60",
+            "exponential-1e20", "order-1-constant-1e200", "normalized-weights", "zero-norm", "inf-norm",
+        ],
+    )
+    def test_log_norms_match_the_unchunked_product_bitwise(self, spec, trials):
+        horizons = (7, 40)
+        got = _outcome(_batched_log_norms, spec, horizons, trials)
+        want = _outcome(_unchunked_log_norms, spec, horizons, trials)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.keys() == want.keys()
+            for t in horizons:
+                assert np.array_equal(got[t], want[t])
+
+    def test_zero_and_inf_norm_cases_raise_in_the_reference(self):
+        # the last two cases above compare messages, not log norms
+        assert _outcome(_unchunked_log_norms, KestenAR(
+            Constant(0.0), Constant(0.0), FIG4_SPEC.weight_laws
+        ), (7, 40), 10) == "matrix product collapsed to zero norm at step 3"
+        assert _outcome(_unchunked_log_norms, KestenAR(
+            Constant(1e308), Constant(0.0), (Constant(2.0),)
+        ), (7, 40), 10) == "matrix product norm is not finite at step 1"
+
+
 class TestKernelAtItsOwnGeometry:
     # PATH_BLOCK and PATH_CHUNK as shipped: TestCompanionKernel patches in small ones
     BLOCK, CHUNK = 1024, 64
@@ -510,6 +638,21 @@ def test_overflow_names_its_step(spec, n, step):
         warnings.simplefilter("error")
         with pytest.raises(NumericalOverflow, match=f" at step {step};"):
             simulate(spec, RngStream(0), n, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -1e300])
+def test_a_step_not_inside_the_limit_is_named(bad):
+    # NaN compares False both ways, so it is outside like inf and the limit itself
+    path = np.linspace(-1e299, 1e299, 40)
+    path[[0, -1]] = np.nextafter(1e300, 0.0), -np.nextafter(1e300, 0.0)
+    assert processes._checked(path) is path
+    path[17] = bad
+    path[23] = np.nan  # only the first step out is named
+    with pytest.raises(NumericalOverflow) as exc:
+        processes._checked(path)
+    assert str(exc.value).startswith(
+        "the recursion exceeded 1e+300 in absolute value at step 17; "
+    )
 
 
 @pytest.mark.parametrize("n", [1500, 3000])
