@@ -8,7 +8,7 @@ the empirical estimation pipeline (CCDF, log-log tail fits, Hill
 cross-check, autocorrelations) at desk scale.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .distributions import (
     CoefficientLaw,
@@ -55,6 +55,7 @@ from .theory import (
     classify_regime,
     cramer_root,
     expected_acf,
+    integer_moment_growth,
     inverse_tail_prediction,
     kesten_conditions_report,
     lyapunov_top,
@@ -106,6 +107,7 @@ __all__ = [
     "classify_regime",
     "cramer_root",
     "expected_acf",
+    "integer_moment_growth",
     "inverse_tail_prediction",
     "kesten_conditions_report",
     "lyapunov_top",

@@ -69,6 +69,7 @@ from .theory import (
     StationarityCheck,
     TheoryReport,
     UnitExponentPrediction,
+    check_moment_spec,
     classify_regime,
     cramer_root,
     kesten_conditions_report,
@@ -234,7 +235,7 @@ class Analysis:
     processes: tuple[str, ...] | None
     compute: Callable[[ReturnSeries, ExperimentConfig, dict, Callable], object]
     report: Callable[[object, Path], list[str]]
-    check: Callable[[dict], None] | None = None  # rejects bad parameter values
+    check: Callable[[dict, ProcessSpec], None] | None = None  # rejects bad parameters
 
 
 _SCALAR_FEEDBACK = ("kesten_scalar", "garch11")
@@ -242,10 +243,9 @@ _MATRIX_PRODUCT = ("kesten_scalar", "kesten_ar")
 
 
 def _solution_text(sol: CramerSolution) -> str:
-    """The root with its stderr and finite-t drift where set, and how it was solved."""
-    se = "" if sol.stderr is None else f" +- {sol.stderr:.4f}"
-    drift = "" if sol.finite_t_bias is None else f", finite-t drift {sol.finite_t_bias:+.3f}"
-    return f"mu = {sol.mu_star:.4f}{se} (method {sol.method}, residual {sol.residual:.2g}{drift})"
+    """The root, how it was solved, and its stencil spread where set."""
+    spread = "" if sol.stencil_spread is None else f", stencil spread {sol.stencil_spread:.1g}"
+    return f"mu = {sol.mu_star:.4f} (method {sol.method}, residual {sol.residual:.2g}{spread})"
 
 
 def _garch_returns_text(sol: CramerSolution) -> str:
@@ -315,7 +315,7 @@ def _acf(series, config: ExperimentConfig, params: dict, write) -> dict:
     return entry
 
 
-def _check_acf(params: dict) -> None:
+def _check_acf(params: dict, process: ProcessSpec) -> None:
     kinds = params["kinds"]
     if not kinds or len(set(kinds)) < len(kinds) or not set(kinds) <= {"raw", "absolute"}:
         raise InvalidConfig(f"acf kinds must be distinct raw/absolute, got {kinds!r}")
@@ -370,13 +370,7 @@ def _report_lyapunov(entry: LyapunovEstimate, out_dir: Path) -> list[str]:
 
 
 def _moment_lyapunov(series, config: ExperimentConfig, params: dict, write) -> CramerSolution:
-    sol = moment_lyapunov_root(
-        config.process,
-        params["grid"],
-        params["t_horizon"],
-        params["trials"],
-        RngStream(config.seed, 2),
-    )
+    sol = moment_lyapunov_root(config.process)
     write("moment_lyapunov.json", sol)
     return sol
 
@@ -398,10 +392,11 @@ ANALYSES: dict[str, Analysis] = {
         {"t_horizon": 1000, "trials": 100}, _MATRIX_PRODUCT, _lyapunov, _report_lyapunov
     ),
     "moment_lyapunov": Analysis(
-        {"grid": [0.5, 6.0], "t_horizon": 6, "trials": 200_000},
+        {},
         _MATRIX_PRODUCT,
         _moment_lyapunov,
         _report_moment_lyapunov,
+        lambda params, process: check_moment_spec(process),
     ),
 }
 
@@ -425,7 +420,7 @@ def _analysis_params(name: str, params, process: ProcessSpec) -> dict:
         tp = list[type(default[0])] if tp is list else tp
         out[key] = read_value(tp, params.get(key, default), f"{what}.{key}")
     if analysis.check is not None:
-        analysis.check(out)
+        analysis.check(out, process)
     return out
 
 

@@ -100,14 +100,6 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(seq))
 
-    def substream(self, index: int) -> "RngStream":
-        """Derived independent stream, for internal Monte Carlo fan-out."""
-        seq = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.stream_id, index)
-        )
-        child = seq.generate_state(1, np.uint64)[0]
-        return RngStream(int(child), self.stream_id)
-
 
 def _double_factorial_odd(j: int) -> float:
     """(2j - 1)!! = E[z^{2j}] for standard normal z."""
@@ -148,7 +140,6 @@ class CoefficientLaw(KindTagged):
     # how moment() answers a non-integer order: "closed-form" or "quadrature" (expect)
     moment_method = "closed-form"
     has_density = False
-    symmetric = False  # about zero (permits even integer moments)
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
@@ -245,7 +236,25 @@ class CoefficientLaw(KindTagged):
         return self.moment(1.0)
 
     def moment(self, mu: float) -> float:
-        """E(X^mu)."""
+        """E(X^mu): at any positive order for a nonnegative law, at integer orders
+        for a signed one; MomentOverflow where the value leaves the float range."""
+        if mu <= 0:
+            raise LawError(f"moment order must be positive, got {mu}")
+        if not (self.nonnegative or float(mu).is_integer()):
+            raise NonnegativityRequired(
+                f"{self.kind} law admits negative values; "
+                f"E(X^mu) is only defined here for integer mu, got {mu}"
+            )
+        try:
+            val = self._moment(mu)
+        except OverflowError:
+            val = math.inf
+        if not math.isfinite(val):
+            raise MomentOverflow(f"E(X^{mu:g}) of the {self.kind} law exceeds the float range")
+        return val
+
+    def _moment(self, mu: float) -> float:
+        """E(X^mu) at an order that ``moment`` accepts."""
         raise NotImplementedError
 
     def log_moment(self) -> float:
@@ -260,19 +269,6 @@ class CoefficientLaw(KindTagged):
     def survival(self, x: float) -> float:
         """P(X > x)."""
         raise NotImplementedError
-
-    def _check_moment_pre(self, mu: float) -> None:
-        if mu <= 0:
-            raise LawError(f"moment order must be positive, got {mu}")
-        if self.nonnegative:
-            return
-        is_even_int = float(mu).is_integer() and int(mu) % 2 == 0
-        if self.symmetric and is_even_int:
-            return
-        raise NonnegativityRequired(
-            f"{self.kind} law admits negative values; "
-            f"E(X^mu) is only defined here for even integer mu, got {mu}"
-        )
 
     def _check_log_pre(self) -> None:
         if not self.strictly_positive:
@@ -307,8 +303,7 @@ class Exponential(CoefficientLaw):
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.exponential(self.mean_value, n)
 
-    def moment(self, mu: float) -> float:
-        self._check_moment_pre(mu)
+    def _moment(self, mu: float) -> float:
         return math.exp(math.lgamma(mu + 1.0) + mu * math.log(self.mean_value))
 
     def log_moment(self) -> float:
@@ -347,10 +342,6 @@ class Uniform(CoefficientLaw):
         return self.lo >= 0
 
     @property
-    def symmetric(self) -> bool:
-        return self.lo == -self.hi
-
-    @property
     def support(self) -> tuple[float, float]:
         return self.lo, self.hi
 
@@ -365,14 +356,9 @@ class Uniform(CoefficientLaw):
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.uniform(self.lo, self.hi, n)
 
-    def moment(self, mu: float) -> float:
-        self._check_moment_pre(mu)
-        lo, hi, p = self.lo, self.hi, mu + 1.0
-        if self.nonnegative:
-            val = (hi**p - lo**p) / (p * (hi - lo))
-        else:  # symmetric, even integer mu
-            val = hi**mu / p
-        return float(val)
+    def _moment(self, mu: float) -> float:
+        p = mu + 1.0  # an integer when lo < 0, so lo**p stays real
+        return (self.hi**p - self.lo**p) / (p * (self.hi - self.lo))
 
     def log_moment(self) -> float:
         self._check_log_pre()
@@ -394,7 +380,7 @@ class Uniform(CoefficientLaw):
 
 @dataclass(frozen=True)
 class Normal(CoefficientLaw):
-    """Normal law; used for the noise term, never as a feedback coefficient."""
+    """Normal law; a noise term or a lag weight, never a feedback coefficient."""
 
     mean_value: float = field(metadata={"key": "mean"})
     sd: float
@@ -406,10 +392,6 @@ class Normal(CoefficientLaw):
         super().__post_init__()
         if not self.sd > 0:
             raise LawError(f"normal sd must be positive, got {self.sd}")
-
-    @property
-    def symmetric(self) -> bool:
-        return self.mean_value == 0
 
     @property
     def support(self) -> tuple[float, float]:
@@ -426,11 +408,13 @@ class Normal(CoefficientLaw):
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.normal(self.mean_value, self.sd, n)
 
-    def moment(self, mu: float) -> float:
-        self._check_moment_pre(mu)
-        # reachable only for mean 0 and even integer mu
-        j = int(mu) // 2
-        return _double_factorial_odd(j) * self.sd ** int(mu)
+    def _moment(self, mu: float) -> float:
+        # E(m + sd z)^n = sum over even j of C(n, j) m^(n-j) sd^j (j-1)!!
+        n, m = int(mu), self.mean_value
+        return sum(
+            math.comb(n, j) * m ** (n - j) * self.sd**j * _double_factorial_odd(j // 2)
+            for j in range(0, n + 1, 2)
+        )
 
     def log_moment(self) -> float:
         self._check_log_pre()
@@ -480,13 +464,7 @@ class Constant(CoefficientLaw):
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value)
 
-    def moment(self, mu: float) -> float:
-        if mu <= 0:
-            raise LawError(f"moment order must be positive, got {mu}")
-        if self.value < 0 and not float(mu).is_integer():
-            raise NonnegativityRequired(
-                f"fractional moment of negative constant {self.value}"
-            )
+    def _moment(self, mu: float) -> float:
         return self.value**mu
 
     def log_moment(self) -> float:
@@ -556,9 +534,8 @@ class GarchCoefficient(CoefficientLaw):
         z = gen.standard_normal(n)
         return self.beta + self.alpha * z * z
 
-    def moment(self, mu: float) -> float:
+    def _moment(self, mu: float) -> float:
         """E(X^mu): closed form for integer mu, ``expect`` otherwise."""
-        self._check_moment_pre(mu)
         if float(mu).is_integer():
             k = int(mu)
             val = 0.0

@@ -74,7 +74,7 @@ class TheoryError(KestenLabError, ValueError):
 
 
 class NoPositiveRoot(TheoryError):
-    """E(a^mu) stays below 1 for all mu > 0 (thin-tail regime, P(a > 1) = 0)."""
+    """E(a^mu) < 1, or Lambda(mu) < 0, as far as the solver looks (thin-tail regime)."""
 
 
 class NonStationary(TheoryError):
@@ -90,7 +90,7 @@ class VarianceNotFinite(TheoryError):
 
 
 class NoSignChange(TheoryError):
-    """Moment-Lyapunov function has one sign over the whole search grid."""
+    """Moment growth rate Lambda >= 0 at its first integer node: any root lies below it."""
 
 
 class MissingArtifacts(KestenLabError, FileNotFoundError):

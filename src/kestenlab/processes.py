@@ -214,16 +214,14 @@ class ReturnSeries:
         return meta
 
 
-def companion_step(a, w, rows: list, out=None) -> list:
+def companion_step(a, w, rows: list) -> list:
     """The rows of M P from the rows of P, where M is the companion matrix with
     first row a * w: the top row becomes a * (w[0] rows[0] + ... + w[K-1] rows[K-1]),
-    summed left to right, and the other rows shift down by one.  The new top
-    row is written into ``out`` when one is given (it must not be one of
-    ``rows``), else into a new array."""
-    acc = np.multiply(w[0], rows[0], out=out)
+    summed left to right, and the other rows shift down by one."""
+    acc = w[0] * rows[0]
     for wj, row in zip(w[1:], rows[1:]):
         acc += wj * row
-    return [np.multiply(a, acc, out=out), *rows[:-1]]
+    return [a * acc, *rows[:-1]]
 
 
 def _gather(x: np.ndarray, block: int, start: int, buf: np.ndarray, tile: np.ndarray) -> None:

@@ -3,15 +3,17 @@
 The tail exponent of the scalar feedback recursion is the unique positive
 root of the moment equation E(a^mu) = 1; stationarity is governed by
 E[log a] < 0.  For the order-K recursion written with companion matrices,
-the analogues are the top Lyapunov exponent of the random matrix product
-and the positive zero of the moment growth rate
-Lambda(mu) = lim (1/t) log E||A_1 ... A_t||^mu,
-which is only accessible by simulation.
+the analogues are the top Lyapunov exponent of the random matrix product,
+estimated by Monte Carlo, and the positive zero of the moment growth rate
+Lambda(mu) = lim (1/t) log E||A_1 ... A_t||^mu, which is exact at integer
+mu: the log spectral radius of a moment matrix built from the laws'
+integer moments.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -40,8 +42,10 @@ BOUNDARY_TOL = 1e-4  # |E[log a]| band of the "boundary" stationarity verdict
 MEAN_TOL = 1e-9  # |E(a) - 1| band of expectation-accuracy case A
 # The matrix Monte Carlo renormalizes its product once a trial's top row leaves this band.
 RENORM_LO, RENORM_HI = 1e-100, 1e100
-# Trials per column chunk of one matrix Monte Carlo step (a few hundred KB at K = 3).
-LOG_NORM_CHUNK = 8192
+# moment_lyapunov_root looks for Lambda >= 0 at integer orders up to this one ...
+MOMENT_ORDER_CAP = 16
+# ... on moment matrices of at most this many rows (8 MB of float64).
+MOMENT_ROWS_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -49,22 +53,22 @@ class CramerSolution:
     """Root mu* > 0 of the moment equation, with solver diagnostics.
 
     ``residual`` is |E(a^mu*) - 1| (for the matrix case, the equivalent
-    per-step quantity |exp(Lambda(mu*)) - 1|).  ``finite_t_bias`` is only
-    set by the Monte Carlo matrix solver: the drift of the root estimate
-    when the product horizon doubles.
+    per-step quantity |exp(Lambda(mu*)) - 1|, Lambda read from the
+    interpolant that found the root).  ``stencil_spread`` is only set by the
+    integer-moment matrix solver: the distance from its root to the root of
+    the interpolant through fewer nodes.
     """
 
     mu_star: float
     bracket: tuple[float, float]
     residual: float
-    method: str  # the law's moment_method, or "monte-carlo" for the matrix solver
-    stderr: float | None = None
-    finite_t_bias: float | None = None
+    method: str  # the law's moment_method, or "integer-moments" for the matrix solver
+    stencil_spread: float | None = None
 
     def __post_init__(self) -> None:
         if not self.mu_star > 0:
             raise TheoryError(f"mu_star must be positive, got {self.mu_star}")
-        if self.method != "monte-carlo" and not self.residual < RESIDUAL_TOL:
+        if not self.residual < RESIDUAL_TOL:
             raise TheoryError(
                 f"{self.method} solution has residual {self.residual:g} >= {RESIDUAL_TOL:g}"
             )
@@ -216,10 +220,9 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
 
     The moment function equals 1 at mu = 0, dips below (its derivative
     there is E[log a] < 0) and is convex, so it crosses 1 exactly once on
-    the increasing branch.  The bracket is found by doubling mu from 1
-    until the moment exceeds 1 (halving instead when it already does) and
-    refined by ``_increasing_root``.  A fractional moment that the law's
-    quadrature cannot resolve raises its QuadratureError.
+    the increasing branch, which ``_moment_root`` brackets and refines.  A
+    fractional moment that the law's quadrature cannot resolve raises its
+    QuadratureError.
 
     Laws are frozen values, so the solution is memoized on the law's
     parameters; a failed solve raises again and is not cached.
@@ -235,15 +238,21 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
             "P(a > 1) = 0: E(a^mu) < 1 for all mu > 0, the tail is thin "
             "(no amplification events)"
         )
-    elog = a_law.log_moment()
+    return _moment_root(a_law.moment, a_law.log_moment(), a_law.moment_method, "a")
+
+
+def _moment_root(phi, elog: float, method: str, c: str) -> CramerSolution:
+    """Positive root of phi(mu) = E(c^mu) = 1 for a nonnegative c with E[log c] = elog.
+
+    NonStationary unless elog < 0.  The bracket is found by doubling mu from
+    1 until phi exceeds 1 (halving instead when it already does) and refined
+    by ``_increasing_root``; ``c`` names the variable in the messages.
+    """
     if elog >= 0:
         raise NonStationary(
-            f"E[log a] = {elog:+.6g} >= 0: no stationary solution, "
+            f"E[log {c}] = {elog:+.6g} >= 0: no stationary solution, "
             "the moment equation has no positive root"
         )
-
-    phi = a_law.moment
-    method = a_law.moment_method
 
     # bracket the increasing-branch crossing
     hi = 1.0
@@ -255,7 +264,7 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
             return CramerSolution(hi, (hi, hi), 0.0, method)
         if hi >= MU_CAP:
             raise NoPositiveRoot(
-                f"E(a^mu) stays below 1 up to mu = {MU_CAP:g}; "
+                f"E({c}^mu) stays below 1 up to mu = {MU_CAP:g}; "
                 "treating the regime as thin-tailed"
             )
         hi *= 2.0
@@ -537,60 +546,33 @@ def _batched_log_norms(
     """log ||A_1 ... A_t|| (inf-norm) per trial at each requested horizon.
 
     The product is held as K rows of shape (K, trials) and advanced by
-    ``companion_step``.  The rows live in a ring of K + 1 buffers made once:
-    each step writes the new top row into the spare buffer, and the row it
-    drops becomes the next spare.  A step runs over column chunks of
-    LOG_NORM_CHUNK trials, so one chunk's rows and temporaries stay in cache;
-    the arithmetic is elementwise per trial, so chunking changes no value.
-
-    The product is renormalized, every trial at once, only at a requested
-    horizon or when some trial's new top row, over all chunks, has its
-    largest |entry| outside [RENORM_LO, RENORM_HI]: the rows below the top
-    were checked as top rows, so every entry stays far inside the float
-    range unless one step scales the product by more than about 1e208.  Each
+    ``companion_step``.  It is renormalized, every trial at once, only at a
+    requested horizon or when some trial's new top row has its largest
+    |entry| outside [RENORM_LO, RENORM_HI]: the rows below the top were
+    checked as top rows, so every entry stays far inside the float range
+    unless one step scales the product by more than about 1e208.  Each
     renormalization divides by the norm and adds its log, so the
     accumulated log norms are exact: ||A_t ... A_1|| = prod of the factors.
     A norm that is zero or not finite raises TheoryError naming its step.
     """
     k, steps = spec.order, max(horizons)
-    ring = np.zeros((k + 1, k, trials))
-    ring[range(k), range(k)] = 1.0  # the identity's rows, then the spare
-    scratch = np.empty((k, min(trials, LOG_NORM_CHUNK)))
-    top, norm, acc = np.empty(trials), np.empty(trials), np.zeros(trials)
-    starts = range(0, trials, LOG_NORM_CHUNK)
-    spans = [slice(lo, min(lo + LOG_NORM_CHUNK, trials)) for lo in starts]
-    # per chunk: the columns of the draws it reads (None when one chunk reads
-    # them all, so a narrow product slices nothing per step), its K rows then
-    # the spare buffer, and its views of the scratch, the top and the norm
-    chunks = [
-        (
-            span if len(spans) > 1 else None,
-            list(ring[:, :, span]),
-            scratch[:, : span.stop - span.start],
-            top[span],
-            norm[span],
-        )
-        for span in spans
-    ]
+    rows = list(np.repeat(np.eye(k)[:, :, None], trials, axis=2))
+    acc = np.zeros(trials)
     out: dict[int, np.ndarray] = {}
     with np.errstate(all="ignore"):  # an inf or NaN is caught at its step below
         for step in range(1, steps + 1):
             a, w = spec.draw_coefficients(gen, trials)
-            for cut, bufs, tmp, top_c, _ in chunks:
-                ac, wc = (a, w) if cut is None else (a[cut], w[:, cut])
-                companion_step(ac, wc, bufs[:k], bufs[k])
-                bufs.insert(0, bufs.pop())  # the new top row first, the dropped row spare
-                np.abs(bufs[0], out=tmp).max(axis=0, out=top_c)
+            rows = companion_step(a, w, rows)
+            top = np.abs(rows[0]).max(axis=0)
             if step in horizons or not RENORM_LO <= top.min() <= top.max() <= RENORM_HI:
-                for _, bufs, _, _, s in chunks:  # a norm the checks below reject ends the run
-                    np.max([np.abs(row).sum(axis=0) for row in bufs[:k]], axis=0, out=s)
-                    for row in bufs[:k]:
-                        row /= s
+                norm = np.max([np.abs(row).sum(axis=0) for row in rows], axis=0)
                 if not np.isfinite(norm).all():
                     raise TheoryError(f"matrix product norm is not finite at step {step}")
                 if np.any(norm <= 0.0):
                     raise TheoryError(f"matrix product collapsed to zero norm at step {step}")
                 acc += np.log(norm)
+                for row in rows:
+                    row /= norm
             if step in horizons:
                 out[step] = acc.copy()
     return out
@@ -618,90 +600,130 @@ def lyapunov_top(
     return LyapunovEstimate(float(g.mean()), int(t_horizon), int(trials), stderr)
 
 
-def moment_lyapunov_root(
-    ar_spec: KestenAR | KestenScalar,
-    mu_grid,
-    t_horizon: int = 6,
-    trials: int = 200_000,
-    rng: RngStream = RngStream(0),
-) -> CramerSolution:
-    """Positive zero of the moment growth rate Lambda(mu), by Monte Carlo.
+def _monomials(k: int, p: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the degree-p monomials in k variables."""
+    return [
+        tuple(c.count(j) for j in range(k))
+        for c in itertools.combinations_with_replacement(range(k), p)
+    ]
 
-    Lambda(mu) is estimated as (1/t)(log sum_j exp(mu * L_j) - log m) from the
-    per-trial log product norms L_j, which tames the heavy-tailed summands;
-    the same L_j serve every mu, so the estimate is a smooth convex
-    function of mu with Lambda(0) = 0 and the grid sign change is refined
-    by ``_increasing_root``.
 
-    The horizon must stay small: the summands exp(mu * L_j) concentrate on
-    exponentially rare paths as t grows, and beyond mu * std(L_j) ~ log m
-    plain Monte Carlo cannot see them.  In the scalar case Lambda does not
-    depend on t at all; for K > 1 the finite-t bias is reported by
-    comparing the roots at horizons t and 2t.
+def _moment_matrix(spec: KestenAR, p: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The degree-p monomials R^alpha of the lag state R = (r_{t-1}, ..., r_{t-K}),
+    and the matrix M_p of E[(A R)^alpha] = sum_gamma M_p[alpha, gamma] R^gamma.
+
+    The companion step maps R to (a sum_j w_j R_j, R_1, ..., R_{K-1}), so with
+    n = alpha_1 the multinomial expansion of (a sum_j w_j R_j)^n gives one
+    entry per beta with |beta| = n: n! / prod_j beta_j! E(a^n) prod_j E(w_j^beta_j)
+    at gamma = beta + (alpha_2, ..., alpha_K, 0).  The draws are independent,
+    so the mean of the p-th power of t steps is M_p^t: the moment recursion
+    of a random-coefficient autoregression (Nicholls and Quinn 1982).
+    """
+    k = spec.order
+    monomials = _monomials(k, p)
+    index = {m: i for i, m in enumerate(monomials)}
+    laws = (spec.a_law, *spec.weight_laws)
+    moments = [[1.0] + [law.moment(n) for n in range(1, p + 1)] for law in laws]
+    fact = [math.factorial(n) for n in range(p + 1)]
+    mat = np.zeros((len(monomials), len(monomials)))
+    for row, alpha in enumerate(monomials):
+        n, shift = alpha[0], alpha[1:] + (0,)
+        for beta in _monomials(k, n):
+            count = fact[n] // math.prod(fact[b] for b in beta)
+            w = math.prod(moments[j + 1][b] for j, b in enumerate(beta))
+            mat[row, index[tuple(map(sum, zip(beta, shift)))]] = count * moments[0][n] * w
+    return monomials, mat
+
+
+def integer_moment_growth(ar_spec: KestenAR | KestenScalar, p: int) -> float:
+    """Lambda(p) at an integer order p: log rho(M_p), exactly.
+
+    For iid A the p-th tensor power of A_t ... A_1 has mean (E[A^(x)p])^t
+    (Kesten 1973), which ``_moment_matrix`` writes on the symmetric power.
+    Every p is meaningful when all laws are nonnegative, only even p when a
+    law is signed.  TheoryError when M_p would exceed MOMENT_ROWS_CAP rows,
+    MomentOverflow when an entry leaves the float range.
     """
     spec = as_ar(ar_spec)
-    mus = [float(m) for m in mu_grid]
-    if len(mus) < 2 or sorted(mus) != mus or mus[0] <= 0:
-        raise InvalidConfig("mu_grid must be an increasing sequence of positive values")
-    if trials < 100:
-        raise InvalidConfig(f"trials must be >= 100, got {trials}")
+    rows = math.comb(spec.order + p - 1, p)
+    if rows > MOMENT_ROWS_CAP:
+        raise TheoryError(
+            f"the order-{p} moment matrix of a K = {spec.order} product has {rows} rows, "
+            f"more than {MOMENT_ROWS_CAP}"
+        )
+    mat = _moment_matrix(spec, p)[1]
+    if not np.isfinite(mat).all():
+        raise MomentOverflow(f"the order-{p} moment matrix has entries beyond the float range")
+    rho = float(np.abs(np.linalg.eigvals(mat)).max())
+    return math.log(rho) if rho > 0.0 else -math.inf
 
-    pre = lyapunov_top(spec, 500, 50, rng.substream(1))
-    if pre.gamma_hat > 2.0 * pre.stderr:
-        raise NonStationary(
-            f"top Lyapunov exponent {pre.gamma_hat:+.4g} "
-            f"(stderr {pre.stderr:.2g}) is positive: no stationary regime"
+
+def check_moment_spec(ar_spec: KestenAR | KestenScalar) -> None:
+    """InvalidConfig for normalized weights, whose mixed moments have no closed form."""
+    if getattr(ar_spec, "normalize_weights", False):
+        raise InvalidConfig(
+            "moment_lyapunov needs unnormalized weights: normalized weights "
+            "have no closed-form mixed moments"
         )
 
-    log_norms = _batched_log_norms(
-        spec, rng.substream(2).generator(), (t_horizon, 2 * t_horizon), trials
-    )
-    log_m = math.log(trials)
 
-    def lam(L: np.ndarray, t: int, mu: float) -> float:
-        x = mu * L
-        top = float(x.max())  # shifted, so the largest summand is exp(0) = 1
-        return (top + math.log(float(np.exp(x - top).sum())) - log_m) / t
+def moment_lyapunov_root(ar_spec: KestenAR | KestenScalar) -> CramerSolution:
+    """Positive zero mu* of the moment growth rate Lambda(mu), from exact moments.
 
-    def refine(L: np.ndarray, t: int) -> tuple[float, tuple[float, float]] | None:
-        vals = [lam(L, t, mu) for mu in mus]
-        idx = None
-        for i in range(len(mus) - 1):
-            if vals[i] < 0.0 <= vals[i + 1]:
-                idx = i
-                break
-        if idx is None:
-            return None
-        bracket = (mus[idx], mus[idx + 1])
-        return (
-            _increasing_root(lambda mu: lam(L, t, mu), *bracket, vals[idx], vals[idx + 1]),
-            bracket,
-        )
+    For K = 1 with nonnegative laws, Lambda(mu) = log E(a^mu) + log E(w^mu)
+    at every real mu, and the root is solved as ``cramer_root`` solves it.
+    Otherwise Lambda is exact at the integer nodes (``integer_moment_growth``):
+    every integer when all laws are nonnegative, the even ones when a law is
+    signed.  Lambda is convex with Lambda(0) = 0, so the top Lyapunov
+    exponent is at most Lambda(p) / p, and a node with Lambda < 0 proves the
+    product stationary.  The root is bracketed at the first node where
+    Lambda >= 0 and found by ``_increasing_root`` on the polynomial through
+    the nodes within two steps of the bracket; ``stencil_spread`` is its
+    distance to the root through the nodes within one step.
 
-    L_t = log_norms[t_horizon]
-    result = refine(L_t, t_horizon)
-    if result is None:
-        vals = [lam(L_t, t_horizon, mu) for mu in mus]
-        side = "negative" if all(v < 0 for v in vals) else "positive"
+    NoSignChange when Lambda >= 0 at the first node (any root lies below
+    it), NoPositiveRoot when Lambda < 0 at every node up to
+    MOMENT_ORDER_CAP; ``check_moment_spec`` refuses normalized weights.
+    """
+    check_moment_spec(ar_spec)
+    spec = as_ar(ar_spec)
+    laws = tuple(law.collapsed() for law in (spec.a_law, *spec.weight_laws))
+    h = 1 if all(law.nonnegative for law in laws) else 2
+    if h == 1 and spec.order == 1:
+        a, w = laws
+        quad = "quadrature" in (a.moment_method, w.moment_method)
+        elog = a.log_moment() + w.log_moment()
+        method = "quadrature" if quad else "closed-form"
+        return _moment_root(lambda mu: a.moment(mu) * w.moment(mu), elog, method, "(a w)")
+
+    growth = functools.cache(lambda p: 0.0 if p == 0 else integer_moment_growth(spec, p))
+    hi = h
+    while growth(hi) < 0.0:
+        if hi + h > MOMENT_ORDER_CAP:
+            raise NoPositiveRoot(
+                f"Lambda(p) < 0 at every node up to p = {hi}: the tail is thinner "
+                "than the integer-moment search reaches"
+            )
+        hi += h
+    if hi == h:
         raise NoSignChange(
-            f"moment growth rate is {side} across the whole grid "
-            f"[{mus[0]:g}, {mus[-1]:g}]; Lambda values: "
-            + ", ".join(f"{v:+.4g}" for v in vals)
+            f"Lambda({h}) = {growth(h):+.4g} >= 0 at the first node p = {h}: "
+            "any root lies below it"
         )
-    mu_star, bracket = result
+    lo = hi - h
 
-    # delta-method standard error: se(Lambda) / Lambda'(mu*)
-    w = np.exp(mu_star * L_t - np.max(mu_star * L_t))
-    rel_se = float(w.std(ddof=1) / (w.mean() * math.sqrt(trials)))
-    se_lambda = rel_se / t_horizon
-    d = 0.05 * (bracket[1] - bracket[0]) + 1e-3
-    slope = (lam(L_t, t_horizon, mu_star + d) - lam(L_t, t_horizon, mu_star - d)) / (
-        2.0 * d
+    def root(reach: int):
+        nodes = range(max(0, lo - reach * h), hi + reach * h + 1, h)
+
+        def lam(x: float) -> float:  # the Lagrange polynomial through the nodes
+            return sum(
+                growth(p) * math.prod((x - q) / (p - q) for q in nodes if q != p) for p in nodes
+            )
+
+        return _increasing_root(lam, lo, hi, growth(lo), growth(hi)), lam
+
+    mu_star, lam = root(2)
+    spread = abs(mu_star - root(1)[0])
+    return CramerSolution(
+        mu_star, (float(lo), float(hi)), abs(math.expm1(lam(mu_star))), "integer-moments", spread
     )
-    stderr = se_lambda / slope if slope > 0 else float("inf")
-
-    result_2t = refine(log_norms[2 * t_horizon], 2 * t_horizon)
-    bias = None if result_2t is None else mu_star - result_2t[0]
-
-    residual = abs(math.exp(lam(L_t, t_horizon, mu_star)) - 1.0)
-    return CramerSolution(mu_star, bracket, residual, "monte-carlo", stderr, bias)

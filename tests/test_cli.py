@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG3_SPEC, fuzzed
+from conftest import FIG3_SPEC, FIG4_SPEC, fuzzed
 from kestenlab import (
     Constant,
     Exponential,
@@ -171,15 +171,15 @@ class TestConfig:
                 "analyses": {
                     "hill": {"k": "1e3"},
                     "tail_fit": {"threshold": "0.05"},
-                    "moment_lyapunov": {"grid": ["1", "6"]},
+                    "lyapunov": {"trials": "64.0"},
                 },
             }
         )
         params = cfg.analyses
         got = (cfg.seed, cfg.process.r0, params["hill"]["k"], params["tail_fit"]["threshold"])
         assert got == (7, 0.5, 1000, 0.05)
-        assert params["moment_lyapunov"]["grid"] == [1.0, 6.0]
-        assert type(cfg.seed) is type(params["hill"]["k"]) is int
+        assert params["lyapunov"]["trials"] == 64
+        assert type(cfg.seed) is type(params["hill"]["k"]) is type(params["lyapunov"]["trials"]) is int
 
     @pytest.mark.parametrize(
         "change, key",
@@ -246,9 +246,7 @@ class TestRecords:
             cramer_root(spec.a_law),
             kesten_conditions_report(spec.a_law, spec.e_law),
             lyapunov_top(spec, np.int64(100), np.int64(10), RngStream(3)),
-            moment_lyapunov_root(
-                spec, np.array([1.0, 6.0]), np.int64(2), np.int64(2000), RngStream(4)
-            ),
+            moment_lyapunov_root(spec),
             config_from_dict(
                 {**SMALL_CONFIG, "n_samples": np.int64(20000), "seed": np.uint64(7)}
             ),
@@ -320,7 +318,7 @@ class TestRun:
             "cramer": {},
             "conditions": {},
             "lyapunov": {"t_horizon": 200, "trials": 16},
-            "moment_lyapunov": {"t_horizon": 2, "trials": 20000},
+            "moment_lyapunov": {},
         }
         cfg = config_from_dict({**SMALL_CONFIG, "analyses": analyses})
         manifest = run(cfg, output_dir=tmp_path / "out")
@@ -358,7 +356,7 @@ class TestRun:
             "cramer": {},
             "conditions": {},
             "lyapunov": {"t_horizon": 100, "trials": 10},
-            "moment_lyapunov": {"t_horizon": 2, "trials": 2000},
+            "moment_lyapunov": {},
         }
         run(config_from_dict({**SMALL_CONFIG, "analyses": analyses}), output_dir=tmp_path / "out")
         paths = sorted((tmp_path / "out").glob("*.json"))
@@ -384,6 +382,21 @@ class TestRun:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert meta["burn_in_dropped"] == summary["burn_in"] == 500
         assert meta["n"] == summary["n_samples"] == 20000
+
+    def test_report_refuses_a_monte_carlo_moment_lyapunov_entry(self, tmp_path, capsys):
+        # a 0.3.0 fig4 bundle holds the Monte Carlo root's stderr and finite-t drift
+        cfg = {**SMALL_CONFIG, "process": FIG4_SPEC.to_config(), "analyses": {"moment_lyapunov": {}}}
+        run(config_from_dict(cfg), output_dir=tmp_path / "out")
+        path = tmp_path / "out" / "summary.json"
+        summary = json.loads(path.read_text())
+        del summary["moment_lyapunov"]["stencil_spread"]
+        summary["moment_lyapunov"].update(method="monte-carlo", stderr=0.0379, finite_t_bias=-0.462)
+        path.write_text(_canonical_json(summary))
+        assert main(["report", str(tmp_path / "out" / "manifest.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {path}: unknown key 'finite_t_bias' in summary.moment_lyapunov"
+        )
 
     def test_report_missing_artifacts(self, tmp_path):
         cfg = config_from_dict(SMALL_CONFIG)
@@ -430,7 +443,7 @@ BUNDLE_CONFIGS = {
             "acf": {"max_lag": 10, "kinds": ["raw", "absolute"]},
             "conditions": {},
             "lyapunov": {"t_horizon": 100, "trials": 10},
-            "moment_lyapunov": {"grid": [1.0, 6.0], "trials": 20000},
+            "moment_lyapunov": {},
         },
     ),
     "fig4-type": (
@@ -448,7 +461,7 @@ BUNDLE_CONFIGS = {
             "tail_fit": {},
             "acf": {"max_lag": 10},
             "lyapunov": {"t_horizon": 100, "trials": 10},
-            "moment_lyapunov": {"grid": [1.0, 6.0], "trials": 20000},
+            "moment_lyapunov": {},
         },
     ),
     "garch-type": (
@@ -623,8 +636,6 @@ class TestCommandLine:
             (RUN, {"acf": {"max_lag": 0}}),
             (RUN, {"lyapunov": {"t_horizon": 50}}),
             (RUN, {"lyapunov": {"trials": 5}}),
-            (RUN, {"moment_lyapunov": {"grid": [6.0, 0.5]}}),
-            (RUN, {"moment_lyapunov": {"trials": 50}}),
             (["lyapunov", "--config", "{cfg}"], {"lyapunov": {"t_horizon": 50}}),
             (["acf", "{series}", "--max-lag", "0"], {"acf": {}}),
         ],
@@ -632,8 +643,6 @@ class TestCommandLine:
             "run-acf-max_lag",
             "run-lyapunov-t_horizon",
             "run-lyapunov-trials",
-            "run-moment_lyapunov-grid",
-            "run-moment_lyapunov-trials",
             "lyapunov-t_horizon",
             "acf-max_lag",
         ],
@@ -650,6 +659,48 @@ class TestCommandLine:
         assert res.returncode == 2, res.stderr
         assert "error:" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "key, value", [("grid", [1.0, 6.0]), ("t_horizon", 6), ("trials", 200000)],
+        ids=["grid", "t_horizon", "trials"],
+    )
+    def test_removed_moment_lyapunov_key_exits_2(self, tmp_path, key, value):
+        # the exact solve has no grid, horizon or trial count: a 0.3 config names the key
+        cfg_path = tmp_path / "old.cfg"
+        data = {**SMALL_CONFIG, "analyses": {"moment_lyapunov": {key: value}}}
+        cfg_path.write_text(json.dumps(data))
+        res = _cli("run", str(cfg_path), "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert res.stderr == (
+            f"error: unknown key {key!r} in config.analyses.moment_lyapunov (known: none)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_normalized_weights_exit_2_before_the_simulation(self, tmp_path):
+        cfg_path = tmp_path / "normalized.cfg"
+        process = {**AR_PROCESS, "normalize_weights": True}
+        data = {**SMALL_CONFIG, "process": process, "analyses": {"moment_lyapunov": {}}}
+        cfg_path.write_text(json.dumps(data))
+        res = _cli("run", str(cfg_path), "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert "normalized weights" in res.stderr
+        assert res.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_weight_moment_overflow_exits_3(self, tmp_path):
+        # a * w ~ 0.1 N(0, 1) simulates fine, but E(w^4) = 3e600 leaves the float range
+        cfg_path = tmp_path / "wide.cfg"
+        process = {
+            **AR_PROCESS,
+            "a_law": {"kind": "constant", "value": 1e-151},
+            "weight_laws": [{"kind": "normal", "mean": 0.0, "sd": 1e150}],
+        }
+        data = {**SMALL_CONFIG, "process": process, "analyses": {"moment_lyapunov": {}}}
+        cfg_path.write_text(json.dumps(data))
+        res = _cli("run", str(cfg_path), "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 3
+        assert res.stderr == "error: E(X^4) of the normal law exceeds the float range\n"
+        assert (tmp_path / "out" / "series.npy").exists()
 
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "small.cfg"
@@ -869,8 +920,8 @@ class TestCommandLine:
             # experiment and analysis levels: ``config`` is merged into the whole config
             ("config", {"seed": True}, "config.seed"),
             ("config", {"output_dir": 5}, "config.output_dir"),
-            ("config", {"analyses": {"moment_lyapunov": {"grid": "16"}}},
-             "analyses.moment_lyapunov.grid"),
+            ("config", {"analyses": {"lyapunov": {"trials": "16x"}}},
+             "analyses.lyapunov.trials"),
             ("config", {"analyses": {"tail_fit": {"threshold": True}}},
              "analyses.tail_fit.threshold"),
             ("config", {"analyses": {"acf": {"kinds": "raw"}}}, "analyses.acf.kinds"),
@@ -878,7 +929,7 @@ class TestCommandLine:
         ],
         ids=["normalize_weights-string", "r_init-string", "r_init-number", "sigma0-null",
              "r0-text", "law-kind-array", "law-mean-boolean", "seed-boolean",
-             "output_dir-number", "moment_lyapunov-grid-string",
+             "output_dir-number", "lyapunov-trials-string",
              "tail_fit-threshold-boolean", "acf-kinds-string", "hill-parameters-list"],
     )
     def test_mistyped_config_value_is_named(self, tmp_path, capsys, via, config, field):

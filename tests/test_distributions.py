@@ -181,9 +181,42 @@ class TestMoment:
             Normal(0.0, 1.0).moment(1.5)
         with pytest.raises(NonnegativityRequired):
             Uniform(-1.0, 2.0).moment(0.5)
-        # even integer needs symmetry about zero
         with pytest.raises(NonnegativityRequired):
-            Normal(1.0, 1.0).moment(2.0)
+            Constant(-2.0).moment(0.5)
+        # an integer order needs no symmetry about zero
+        assert Normal(1.0, 1.0).moment(2.0) == 2.0
+
+    def test_integer_moments_of_signed_laws(self):
+        # E(1 + 2z)^3 = 1 + 3 * 4 = 13; E[X^3] on [-1, 2] = (16 - 1) / (4 * 3)
+        assert Normal(1.0, 2.0).moment(3) == 13.0
+        assert Uniform(-1.0, 2.0).moment(3) == 1.25
+        assert Constant(-2.0).moment(3) == -8.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "law",
+        [Normal(0.7, 1.3), Normal(-0.4, 0.5), Uniform(-1.5, 0.5)],
+        ids=["normal", "normal-negative-mean", "uniform"],
+    )
+    def test_signed_integer_moments_agree_with_sampling(self, law, n):
+        y = law.sample(RngStream(321).generator(), 10**6) ** n
+        se = y.std(ddof=1) / math.sqrt(y.size)
+        assert abs(y.mean() - law.moment(n)) <= 4 * se
+
+    @pytest.mark.parametrize(
+        "law, n",
+        [
+            (Normal(0.0, 1e200), 2),
+            (Uniform(0.0, 1e200), 2),
+            (Exponential(1e200), 2),
+            (GarchCoefficient(0.9, 1e200), 3),
+            (Constant(1e200), 2),
+        ],
+        ids=["normal", "uniform", "exponential", "garch", "constant"],
+    )
+    def test_moment_beyond_the_float_range_is_typed(self, law, n):
+        with pytest.raises(MomentOverflow, match=f"^E\\(X\\^{n}\\) of the {law.kind} law exceeds the float range$"):
+            law.moment(n)
 
 
 class TestLogMoment:
@@ -488,8 +521,6 @@ class TestRngStream:
         b = rng.generator().random(10)
         assert np.array_equal(a, b)
 
-    def test_substreams_independent(self):
-        rng = RngStream(99)
-        s1, s2 = rng.substream(1), rng.substream(2)
-        assert s1 != s2
+    def test_stream_ids_independent(self):
+        s1, s2 = RngStream(99, 1), RngStream(99, 2)
         assert not np.array_equal(s1.generator().random(10), s2.generator().random(10))

@@ -67,9 +67,13 @@ def test_only_the_record_reader_resolves_annotations():
 
 def test_one_root_step_serves_both_moment_equations():
     assert _callers({"_increasing_root"}) == [
-        "theory.cramer_root",
-        "theory.moment_lyapunov_root.refine",
+        "theory._moment_root",
+        "theory.moment_lyapunov_root.root",
     ]
+
+
+def test_one_bracket_serves_the_scalar_and_order_one_moment_equations():
+    assert _callers({"_moment_root"}) == ["theory.cramer_root", "theory.moment_lyapunov_root"]
 
 
 def test_one_step_serves_the_path_kernel_and_the_matrix_monte_carlo():

@@ -53,7 +53,7 @@ from kestenlab.errors import (
     TheoryError,
     ZeroWeightSum,
 )
-from kestenlab.theory import LOG_NORM_CHUNK, RENORM_HI, RENORM_LO, _batched_log_norms
+from kestenlab.theory import RENORM_HI, RENORM_LO, _batched_log_norms
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -533,11 +533,12 @@ def _outcome(log_norms, spec, horizons, trials):
 
 
 class TestChunkedProduct:
-    # _batched_log_norms runs each step over column chunks of a ring of row
-    # buffers; its arithmetic is elementwise per trial, so no bit may move
+    # _batched_log_norms once ran each step over 8192-trial column chunks of a
+    # ring of row buffers; the trial counts straddle that chunk, and the
+    # product must match the reference bit for bit at each of them
     @pytest.mark.parametrize(
         "trials",
-        [10, LOG_NORM_CHUNK - 1, LOG_NORM_CHUNK + 1, 2 * LOG_NORM_CHUNK + 3],
+        [10, 8191, 8193, 16387],
         ids=["one-short-chunk", "chunk-1", "chunk+1", "2chunk+3"],
     )
     @pytest.mark.parametrize(

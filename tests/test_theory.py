@@ -24,15 +24,17 @@ from kestenlab import (
     classify_regime,
     cramer_root,
     expected_acf,
+    integer_moment_growth,
     inverse_tail_prediction,
     kesten_conditions_report,
     lyapunov_top,
     moment_lyapunov_root,
     stationarity_check,
 )
-from kestenlab.theory import _increasing_root
+from kestenlab.theory import _increasing_root, _moment_matrix
 from kestenlab.errors import (
     DegenerateLaw,
+    InvalidConfig,
     NoDensity,
     NonStationary,
     NoPositiveRoot,
@@ -168,7 +170,7 @@ class TestCramerRoot:
         sol = cramer_root(Exponential(1.0))
         assert sol.mu_star == 1.0
         assert sol.residual == 0.0
-        assert sol.stderr is None
+        assert sol.stencil_spread is None
 
     def test_case_b_exponential(self):
         # E(a) = 1.2 > 1 pushes the root below 1
@@ -195,7 +197,7 @@ class TestCramerRoot:
 
     def test_garch_coefficient_monte_carlo(self):
         sol = cramer_root(GarchCoefficient(0.9, 0.09))
-        assert (sol.method, sol.stderr) == ("quadrature", None)
+        assert (sol.method, sol.stencil_spread) == ("quadrature", None)
         assert sol.residual < 1e-12
         oracle = garch_root_oracle(0.9, 0.09, 1.0, 8.0)
         assert sol.mu_star == pytest.approx(oracle, rel=1e-10)
@@ -230,8 +232,8 @@ class TestCramerRoot:
         # beta + alpha = 1 exactly, so mu = 1 solves the moment equation
         sol = cramer_root(GarchCoefficient(0.9, 0.1))
         assert sol.mu_star == 1.0
-        # an integer moment is exact, with no stderr for any law
-        assert (sol.method, sol.stderr) == ("quadrature", None)
+        # an integer moment is exact, with no spread for any law
+        assert (sol.method, sol.stencil_spread) == ("quadrature", None)
 
 
 class TestGarchTheoryDrawsNothing:
@@ -625,48 +627,147 @@ class TestLyapunovTop:
             lyapunov_top(spec, 100, 5, RngStream(0))
 
 
+# a signed order-2 spec: only even integer moments of its product are meaningful
+SIGNED_SPEC = KestenAR(
+    Exponential(0.6), Normal(0.0, 1.0), (Normal(0.5, 0.3), Uniform(-0.3, 0.5))
+)
+
+
+def _exact_finite_t(spec, p: int, t: int) -> float:
+    """(1/t) log E[(1' Pi_t 1)^p] from M_p^t: (sum_i R_i)^p = sum_alpha C(p; alpha) R^alpha."""
+    monomials, mat = _moment_matrix(spec, p)
+    coeff = [math.factorial(p) / math.prod(map(math.factorial, m)) for m in monomials]
+    return math.log(coeff @ np.linalg.matrix_power(mat, t) @ np.ones(len(monomials))) / t
+
+
+def _brute_force_finite_t(spec, p: int, t: int, trials: int, seed: int):
+    """The same by plain Monte Carlo of the product from R = 1, and its stderr."""
+    gen = RngStream(seed).generator()
+    rows = [np.ones(trials) for _ in range(spec.order)]
+    for _ in range(t):
+        a, w = spec.draw_coefficients(gen, trials)
+        rows = [a * sum(wj * row for wj, row in zip(w, rows)), *rows[:-1]]
+    y = sum(rows) ** p
+    mean, se = y.mean(), y.std(ddof=1) / math.sqrt(trials)
+    return math.log(mean) / t, se / mean / t
+
+
+class TestIntegerMomentGrowth:
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_fig4_finite_t_moments_match_a_brute_force_product(self, p):
+        exact = _exact_finite_t(FIG4_SPEC, p, 6)
+        mc, se = _brute_force_finite_t(FIG4_SPEC, p, 6, 400_000, 11)
+        assert exact == pytest.approx({1: -0.12926, 3: 0.45157}[p], abs=1e-5)
+        assert abs(mc - exact) <= 4 * se
+
+    def test_signed_finite_t_moments_match_a_brute_force_product(self):
+        exact = _exact_finite_t(SIGNED_SPEC, 2, 5)
+        mc, se = _brute_force_finite_t(SIGNED_SPEC, 2, 5, 400_000, 12)
+        assert abs(mc - exact) <= 4 * se
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_scalar_case_is_the_log_moment(self, p):
+        spec = as_ar(KestenScalar(Exponential(0.55), Normal(0.0, 1.0)))
+        assert integer_moment_growth(spec, p) == pytest.approx(
+            math.log(Exponential(0.55).moment(p)), abs=1e-12
+        )
+
+    def test_fig4_values(self):
+        got = [integer_moment_growth(FIG4_SPEC, p) for p in range(1, 7)]
+        want = [-0.3557, -0.3614, -0.0546, 0.5232, 1.3259, 2.3153]
+        assert got == pytest.approx(want, abs=1e-4)
+
+    def test_first_moment_matrix_is_the_mean_companion_matrix(self):
+        monomials, mat = _moment_matrix(FIG4_SPEC, 1)
+        assert monomials == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        means = [0.6 * w.mean() for w in FIG4_SPEC.weight_laws]
+        assert np.allclose(mat, [means, [1, 0, 0], [0, 1, 0]], rtol=1e-15)
+
+    def test_oversized_matrix_is_refused(self):
+        spec = KestenAR(Exponential(0.6), Constant(0.0), (Uniform(0.0, 0.2),) * 12)
+        with pytest.raises(TheoryError, match="moment matrix of a K = 12 product has 1365 rows"):
+            integer_moment_growth(spec, 4)
+
+
 class TestMomentLyapunovRoot:
     def test_scalar_reduction_matches_moment_equation(self):
         spec = as_ar(KestenScalar(Exponential(0.55), Normal(0.0, 1.0)))
-        sol = moment_lyapunov_root(spec, [0.5, 6.0], t_horizon=2, trials=400_000,
-                                   rng=RngStream(5))
-        target = cramer_root(Exponential(0.55)).mu_star
-        assert abs(sol.mu_star - target) < 0.1
-        assert abs(sol.mu_star - target) < 2 * sol.stderr + 0.05
-        assert sol.method == "monte-carlo"
-        assert sol.finite_t_bias is not None
+        assert moment_lyapunov_root(spec) == cramer_root(Exponential(0.55))
 
     def test_unit_mean_scalar_case(self):
         spec = as_ar(KestenScalar(Exponential(1.0), Normal(0.0, 1.0)))
-        sol = moment_lyapunov_root(spec, [0.2, 4.0], t_horizon=2, trials=400_000,
-                                   rng=RngStream(5))
-        assert abs(sol.mu_star - 1.0) < 0.05
+        assert moment_lyapunov_root(spec).mu_star == 1.0
+
+    def test_order_one_root_below_the_first_node(self):
+        # an integer-node interpolant reads 0.561 here; the real-mu solve does not
+        spec = KestenAR(Exponential(1.2), Normal(0.0, 1.0), (Constant(1.0),))
+        sol = moment_lyapunov_root(spec)
+        assert sol.mu_star == pytest.approx(exponential_root_oracle(1.2), abs=1e-9)
+
+    def test_order_one_weight_enters_the_moment_equation(self):
+        # E[(a w)^mu] = E(a^mu) E(w^mu) = Gamma(mu + 1) (0.55 * 0.5)^mu for w == 0.5
+        spec = KestenAR(Exponential(0.55), Normal(0.0, 1.0), (Constant(0.5),))
+        sol = moment_lyapunov_root(spec)
+        assert sol.mu_star == pytest.approx(exponential_root_oracle(0.275), abs=1e-9)
 
     def test_fig4_band(self):
-        sol = moment_lyapunov_root(FIG4_SPEC, [1.0, 6.0], t_horizon=6,
-                                   trials=200_000, rng=RngStream(7))
+        sol = moment_lyapunov_root(FIG4_SPEC)
         assert 2.0 <= sol.mu_star <= 4.0
 
-    def test_memory_stays_near_the_product(self):
-        # the product is K rows of shape (K, trials); the draws of one step are
-        # (K + 1) trials floats, so keeping those of the 12 steps breaks the bound
-        trials, k = 20_000, FIG4_SPEC.order
+    def test_fig4_root_lies_in_the_exact_bracket(self):
+        sol = moment_lyapunov_root(FIG4_SPEC)
+        assert 3.0 < sol.mu_star < 4.0
+        assert sol.mu_star == pytest.approx(3.1172, abs=1e-3)
+        assert (sol.bracket, sol.method) == ((3.0, 4.0), "integer-moments")
+        assert sol.stencil_spread < 1e-3
+        assert sol.residual < 1e-12
+        assert set(sol.to_dict()) == {"mu_star", "bracket", "residual", "method", "stencil_spread"}
+
+    def test_signed_spec_brackets_on_even_nodes(self):
+        sol = moment_lyapunov_root(SIGNED_SPEC)
+        lo, hi = sol.bracket
+        assert (lo % 2, hi - lo) == (0.0, 2.0)
+        assert integer_moment_growth(SIGNED_SPEC, int(lo)) < 0.0 <= integer_moment_growth(SIGNED_SPEC, int(hi))
+        assert lo < sol.mu_star < hi
+        assert sol.stencil_spread < 0.05
+
+    def test_draws_nothing_and_stays_small(self, monkeypatch):
+        # no stream, no trials: the solve is a function of the spec alone
+        def no_draws(*args):
+            raise AssertionError("a law was sampled")
+
+        for law in {type(law) for law in (FIG4_SPEC.a_law, *FIG4_SPEC.weight_laws)}:
+            monkeypatch.setattr(law, "sample", no_draws)
         tracemalloc.start()
         try:
-            moment_lyapunov_root(FIG4_SPEC, [1.0, 6.0], 6, trials, RngStream(0))
+            first = moment_lyapunov_root(FIG4_SPEC)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * k * k * trials * 8
+        assert first == moment_lyapunov_root(FIG4_SPEC)
+        assert peak < 1_000_000
 
-    def test_no_sign_change_reports_side(self):
-        spec = as_ar(KestenScalar(Exponential(0.55), Normal(0.0, 1.0)))
-        with pytest.raises(NoSignChange, match="negative"):
-            moment_lyapunov_root(spec, [0.2, 0.5], t_horizon=2, trials=1000,
-                                 rng=RngStream(5))
+    def test_no_sign_change_names_the_first_node(self):
+        # E(a) = 1 and weights summing to about 1.05: Lambda(1) >= 0
+        spec = KestenAR(Exponential(1.0), Normal(0.0, 1.0), (Uniform(0.3, 0.4),) * 3)
+        assert integer_moment_growth(spec, 1) >= 0.0
+        with pytest.raises(NoSignChange, match=r"^Lambda\(1\) = \+[0-9.]+ >= 0 at the first node p = 1"):
+            moment_lyapunov_root(spec)
+
+    def test_no_positive_root_up_to_the_cap(self):
+        # a <= 1 and weights summing to at most 0.9: the product contracts surely
+        spec = KestenAR(Uniform(0.0, 1.0), Normal(0.0, 1.0), (Uniform(0.4, 0.5), Uniform(0.3, 0.4)))
+        with pytest.raises(NoPositiveRoot, match="up to p = 16"):
+            moment_lyapunov_root(spec)
 
     def test_non_stationary_rejected(self):
         spec = as_ar(KestenScalar(Exponential(2.0), Normal(0.0, 1.0)))
         with pytest.raises(NonStationary):
-            moment_lyapunov_root(spec, [0.5, 6.0], t_horizon=2, trials=1000,
-                                 rng=RngStream(5))
+            moment_lyapunov_root(spec)
+
+    def test_normalized_weights_rejected(self):
+        spec = KestenAR(
+            Exponential(0.6), Normal(0.0, 1.0), FIG4_SPEC.weight_laws, normalize_weights=True
+        )
+        with pytest.raises(InvalidConfig, match="normalized weights"):
+            moment_lyapunov_root(spec)
