@@ -14,6 +14,7 @@ Mori 1974): tanh-sinh on finite pieces, exp-sinh on half-lines.
 
 from __future__ import annotations
 
+import functools
 import math
 import types
 import typing
@@ -75,6 +76,34 @@ def _de_nodes(left: float, right: float, scale: float) -> tuple[list, list, np.n
         weights = width * _TANH_SINH_WEIGHT
     ends = np.broadcast_to(ends, _DE_T.shape)
     return ends.tolist(), offsets.tolist(), weights
+
+
+@functools.lru_cache(maxsize=32)
+def _node_table(law, standard_pdf, a: float, b: float) -> tuple:
+    """``expect``'s rule for ``law`` on [a, b]: per piece, the node count, the
+    indices of the nodes where the density is nonzero, (x, density) at each of
+    those nodes, and the weights divided by the law's scale.
+
+    The support is cut at 0, at the law's location and QUAD_CUT scales either
+    side of it.  Each node's density is read from its offset to its piece's
+    end, so the mass at a singular end (chi2 at ``beta``) is not lost to
+    rounding in x - end.  The table is keyed on the density function as well
+    as the law, so a replaced ``standard_pdf`` builds a table of its own.
+    """
+    loc, scale = law.location, law.scale
+    near = (0.0, loc, loc - QUAD_CUT * scale, loc + QUAD_CUT * scale)
+    cuts = sorted({a, b, *(c for c in near if a < c < b)})
+    pieces = []
+    for left, right in zip(cuts, cuts[1:]):
+        ends, offsets, weights = _de_nodes(left, right, scale)
+        live, nodes = [], []
+        for i, (end, d) in enumerate(zip(ends, offsets)):
+            density = standard_pdf(law, (end - loc) / scale + d / scale)
+            if density:  # fn is not called where the density vanishes
+                live.append(i)
+                nodes.append((end + d, density))
+        pieces.append((len(ends), np.array(live, dtype=np.intp), tuple(nodes), weights / scale))
+    return tuple(pieces)
 
 
 @dataclass(frozen=True)
@@ -180,13 +209,12 @@ class CoefficientLaw(KindTagged):
     def expect(self, fn, lo: float = -math.inf, hi: float = math.inf) -> float:
         """E[fn(X); lo <= X <= hi], by double-exponential quadrature of fn * pdf.
 
-        The support is cut at 0, at ``location`` and QUAD_CUT ``scale``s either
-        side of it.  Each node's density is read from its offset to its piece's
-        end, so the mass at a singular end (chi2 at ``beta``) is not lost to
-        rounding in x - end.  The result is the sum at step h/2; if the sum at
-        step h differs from it by more than max(QUAD_EPSABS, QUAD_EPSREL *
-        |result|), QuadratureError names the gap; MomentOverflow names a
-        node where fn overflows.
+        The nodes, their densities and weights come from ``_node_table``,
+        built once per law and range, so a call evaluates only fn, at the
+        nodes where the density is nonzero.  The result is the sum at step
+        h/2; if the sum at step h differs from it by more than
+        max(QUAD_EPSABS, QUAD_EPSREL * |result|), QuadratureError names the
+        gap; MomentOverflow names the first node where fn overflows.
         """
         s_lo, s_hi = self.support
         a, b = max(s_lo, lo), min(s_hi, hi)
@@ -194,23 +222,19 @@ class CoefficientLaw(KindTagged):
             return 0.0
         if not self.has_density:
             raise NoDensity(f"{self.kind} law has no density")
-        loc, scale = self.location, self.scale
-        near = (0.0, loc, loc - QUAD_CUT * scale, loc + QUAD_CUT * scale)
-        cuts = sorted({a, b, *(c for c in near if a < c < b)})
         fine = coarse = 0.0
-        for left, right in zip(cuts, cuts[1:]):
-            ends, offsets, weights = _de_nodes(left, right, scale)
-            values = np.zeros(len(ends))
-            for i, (end, d) in enumerate(zip(ends, offsets)):
-                density = self.standard_pdf((end - loc) / scale + d / scale)
-                if density:  # fn is not called where the density vanishes
-                    try:
-                        values[i] = density * fn(end + d)
-                    except OverflowError:
-                        raise MomentOverflow(
-                            f"E[fn(X)] under the {self.kind} law: fn overflows at x = {end + d:.3g}"
-                        ) from None
-            values *= weights / scale
+        for size, live, nodes, weights in _node_table(self, type(self).standard_pdf, a, b):
+            products = []
+            for x, density in nodes:
+                try:
+                    products.append(density * fn(x))
+                except OverflowError:
+                    raise MomentOverflow(
+                        f"E[fn(X)] under the {self.kind} law: fn overflows at x = {x:.3g}"
+                    ) from None
+            values = np.zeros(size)
+            values[live] = products
+            values *= weights
             fine += float(values.sum())
             coarse += 2.0 * float(values[::2].sum())
         gap = abs(fine - coarse)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import warnings
@@ -217,7 +218,10 @@ class ReturnSeries:
 def companion_step(a, w, rows: list) -> list:
     """The rows of M P from the rows of P, where M is the companion matrix with
     first row a * w: the top row becomes a * (w[0] rows[0] + ... + w[K-1] rows[K-1]),
-    summed left to right, and the other rows shift down by one."""
+    summed left to right, and the other rows shift down by one.  ``w`` None is
+    the scalar step, a weight of exactly 1: [a * rows[0]]."""
+    if w is None:
+        return [a * rows[0]]
     acc = w[0] * rows[0]
     for wj, row in zip(w[1:], rows[1:]):
         acc += wj * row
@@ -247,7 +251,8 @@ def _gather(x: np.ndarray, block: int, start: int, buf: np.ndarray, tile: np.nda
 
 def _run_blocks(a, w, e, rows: list, block: int, out=None) -> list:
     """Run step t of all blocks at once from the draws a[t::block]: rows[i][r, b]
-    is lag i of run r in block b, e enters run 0 only, and ``out`` gets run 0.
+    is lag i of run r in block b, e enters run 0 only, and ``out`` gets run 0;
+    ``w`` None is the scalar recursion, which has no weight row.
 
     The draws are copied in, and run 0 copied out to ``out``, PATH_CHUNK
     steps at a time through contiguous (steps, blocks) buffers made once per
@@ -257,14 +262,17 @@ def _run_blocks(a, w, e, rows: list, block: int, out=None) -> list:
     steps = min(block, a.size)
     chunk, full = min(PATH_CHUNK, block), a.size // block
     ac, ec, oc = (np.empty((chunk, -(-a.size // block))) for _ in range(3))
-    wc, tile = np.empty((len(w), *ac.shape)), np.empty((full, chunk))
+    wc = None if w is None else np.empty((len(w), *ac.shape))
+    tile = np.empty((full, chunk))
+    gathered = [(x, buf) for x, buf in ((a, ac), (w, wc), (e, ec)) if x is not None]
     for start in range(0, steps, chunk):
         m = min(chunk, steps - start)
-        for x, buf in ((a, ac), (w, wc), (e, ec)):
+        for x, buf in gathered:
             _gather(x, block, start, buf[..., :m, :], tile)
         for i in range(m):
             n = len(range(start + i, a.size, block))  # the blocks that reach this step
-            rows = companion_step(ac[i, :n], wc[:, i, :n], [r[:, :n] for r in rows])
+            wi = None if wc is None else wc[:, i, :n]
+            rows = companion_step(ac[i, :n], wi, [r[:, :n] for r in rows])
             rows[0][0] += ec[i, :n]
             oc[i, :n] = rows[0][0]
         if out is not None:
@@ -274,8 +282,9 @@ def _run_blocks(a, w, e, rows: list, block: int, out=None) -> list:
     return rows
 
 
-def _companion_path(a: np.ndarray, w: np.ndarray, e: np.ndarray, r_init: tuple) -> np.ndarray:
-    """r_t = a_t * sum_k w_kt r_{t-k} + e_t from r_init = (r_{-1}, ..., r_{-K}).
+def _companion_path(a: np.ndarray, w, e: np.ndarray, r_init: tuple) -> np.ndarray:
+    """r_t = a_t * sum_k w_kt r_{t-k} + e_t from r_init = (r_{-1}, ..., r_{-K});
+    ``w`` None is the scalar recursion r_t = a_t r_{t-1} + e_t from r_init = (r_{-1},).
 
     The steps are cut into blocks of max(PATH_BLOCK, K).  A first pass runs
     every block from a zero start and from the K unit starts and keeps the
@@ -287,11 +296,15 @@ def _companion_path(a: np.ndarray, w: np.ndarray, e: np.ndarray, r_init: tuple) 
     diverging path comes back holding inf or NaN.
     """
     k, total, block = len(r_init), a.size, max(PATH_BLOCK, len(r_init))
+
+    def draws(span: slice) -> tuple:
+        return a[span], None if w is None else w[:, span], e[span]
+
     blocks = max(-(-total // block), 1)
     cut = (blocks - 1) * block  # the last block's end is not needed
     with np.errstate(all="ignore"):
         unit = np.broadcast_to(np.eye(k, k + 1, 1)[:, :, None], (k, k + 1, blocks - 1))
-        ends = _run_blocks(a[:cut], w[:, :cut], e[:cut], list(unit), block)
+        ends = _run_blocks(*draws(slice(cut)), list(unit), block)
         # lost[j, b]: the lag-j start size whose share block b's composed end loses:
         # any where a unit response overflowed; where one underflowed into the
         # subnormals or to 0, any that would show next to the zero-start end
@@ -305,7 +318,7 @@ def _companion_path(a: np.ndarray, w: np.ndarray, e: np.ndarray, r_init: tuple) 
             if np.isfinite(starts[b]).all() and (np.abs(starts[b]) > lost[:, b]).any():
                 span = slice(b * block, (b + 1) * block)  # rerun as the second pass will
                 rows = list(starts[b][:, None, None])
-                rows = _run_blocks(a[span], w[:, span], e[span], rows, block)
+                rows = _run_blocks(*draws(span), rows, block)
                 starts[b + 1] = [row[0, 0] for row in rows]
             else:  # a zero lag adds nothing, even through an inf response
                 live = starts[b] != 0.0
@@ -335,7 +348,8 @@ def _paths(
 
     The first path is the returns; GARCH(1,1) adds sigma2 and z.  Every
     kind draws its laws in one up-front block each, a before e, and the
-    order-K weights between them; a scalar spec runs as its order-1 embedding.
+    order-K weights between them; a scalar spec and sigma2 run the kernel
+    with no weight row, which gives the paths of their order-1 embeddings.
     """
     if n < 1 or burn_in < 0:
         raise InvalidConfig(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
@@ -360,16 +374,19 @@ def _paths(
         else:
             raise DegenerateSpec("a concentrates at 1: resampling did not terminate")
         paths = (e / (1.0 - a),)
-    elif isinstance(spec, (KestenScalar, KestenAR)):
-        ar = as_ar(spec)
-        a, w = ar.draw_coefficients(gen, total)
-        e = ar.e_law.sample(gen, total)
-        paths = (_checked(_companion_path(a, w, e, ar.r_init)),)
+    elif isinstance(spec, KestenAR):
+        a, w = spec.draw_coefficients(gen, total)
+        e = spec.e_law.sample(gen, total)
+        paths = (_checked(_companion_path(a, w, e, spec.r_init)),)
+    elif isinstance(spec, KestenScalar):
+        a = spec.a_law.sample(gen, total)
+        e = spec.e_law.sample(gen, total)
+        paths = (_checked(_companion_path(a, None, e, (spec.r0,))),)
     elif isinstance(spec, Garch11):
         z = gen.standard_normal(total)
         # sigma2_t = a_{t-1} sigma2_{t-1} + omega, a = beta + alpha z^2 as GarchCoefficient draws it
-        zp, s0, ones = z[:-1], spec.sigma0 * spec.sigma0, np.ones((1, total - 1))
-        path = _companion_path(spec.beta + spec.alpha * zp * zp, ones, spec.omega * ones[0], (s0,))
+        zp, s0, omega = z[:-1], spec.sigma0 * spec.sigma0, np.full(total - 1, spec.omega)
+        path = _companion_path(spec.beta + spec.alpha * zp * zp, None, omega, (s0,))
         sigma2 = _checked(np.concatenate(([s0], path)))
         paths = (np.sqrt(sigma2) * z, sigma2, z)
     else:
@@ -440,19 +457,19 @@ def write_csv(path, header: str, *columns) -> None:
 
     Each column is a numpy array or a range.  Cells are written with repr,
     so floats round-trip exactly and integers stay integers; lines end in LF.
+    A block of rows is one %-format over its cells, taken row by row.
     """
     if not hasattr(path, "write"):
         with open(path, "w", newline="\n") as fh:
             return write_csv(fh, header, *columns)
     path.write(header + "\n")
+    row = ",".join(["%r"] * len(columns)) + "\n"
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        cells = []
+        parts = []
         for column in columns:
             part = column[start : start + CSV_BLOCK_ROWS]
-            if isinstance(part, np.ndarray):
-                part = part.tolist()
-            cells.append(map(repr, part))
-        path.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            parts.append(part.tolist() if isinstance(part, np.ndarray) else part)
+        path.write((row * len(parts[0])) % tuple(itertools.chain.from_iterable(zip(*parts))))
 
 
 def write_series_csv(series: ReturnSeries, path: str | Path) -> None:

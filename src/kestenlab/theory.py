@@ -683,7 +683,8 @@ def moment_lyapunov_root(ar_spec: KestenAR | KestenScalar) -> CramerSolution:
 
     NoSignChange when Lambda >= 0 at the first node (any root lies below
     it), NoPositiveRoot when Lambda < 0 at every node up to
-    MOMENT_ORDER_CAP; ``check_moment_spec`` refuses normalized weights.
+    MOMENT_ORDER_CAP, or when a K = 1 product is zero surely;
+    ``check_moment_spec`` refuses normalized weights.
     """
     check_moment_spec(ar_spec)
     spec = as_ar(ar_spec)
@@ -691,6 +692,10 @@ def moment_lyapunov_root(ar_spec: KestenAR | KestenScalar) -> CramerSolution:
     h = 1 if all(law.nonnegative for law in laws) else 2
     if h == 1 and spec.order == 1:
         a, w = laws
+        if 0.0 in (a.support[1], w.support[1]):
+            raise NoPositiveRoot(
+                "a w == 0 surely: the product is zero surely, so E((a w)^mu) = 0 for every mu > 0"
+            )
         quad = "quadrature" in (a.moment_method, w.moment_method)
         elog = a.log_moment() + w.log_moment()
         method = "quadrature" if quad else "closed-form"

@@ -702,6 +702,19 @@ class TestCommandLine:
         assert res.stderr == "error: E(X^4) of the normal law exceeds the float range\n"
         assert (tmp_path / "out" / "series.npy").exists()
 
+    def test_order_one_zero_weight_exits_3(self, tmp_path):
+        # r_t = e_t simulates fine; its moment equation has no positive root
+        cfg_path = tmp_path / "zero.cfg"
+        process = {**AR_PROCESS, "weight_laws": [{"kind": "constant", "value": 0.0}]}
+        data = {**SMALL_CONFIG, "process": process, "analyses": {"moment_lyapunov": {}}}
+        cfg_path.write_text(json.dumps(data))
+        res = _cli("run", str(cfg_path), "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 3
+        assert res.stderr == (
+            "error: a w == 0 surely: the product is zero surely, "
+            "so E((a w)^mu) = 0 for every mu > 0\n"
+        )
+
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "small.cfg"
         cfg_path.write_text(config_to_json(config_from_dict(SMALL_CONFIG)))

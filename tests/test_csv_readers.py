@@ -30,6 +30,8 @@ from kestenlab.errors import InvalidConfig, NonPositivePrice, ParseError, Return
 from kestenlab.estimators import returns_from_prices
 from kestenlab.processes import ReturnSeries, read_series_csv
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def reference_read_series_csv(path: str | Path) -> np.ndarray:
     """Read a t,r series file back into a value array of finite returns."""

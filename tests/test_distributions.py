@@ -18,8 +18,10 @@ from kestenlab import (
     Uniform,
     law_from_config,
 )
+from kestenlab.distributions import QUAD_CUT, QUAD_EPSABS, QUAD_EPSREL, _de_nodes
 from kestenlab.errors import (
     InvalidConfig,
+    KestenLabError,
     LawError,
     MomentOverflow,
     NonnegativityRequired,
@@ -470,6 +472,100 @@ class TestExpect:
         ):
             Normal(0.0, 1e150).abs_moment(3.0)
 
+
+def uncached_expect(law, fn, lo=-math.inf, hi=math.inf) -> float:
+    """``CoefficientLaw.expect`` as one loop that reads the density at every
+    node on every call: the rule without its node tables."""
+    s_lo, s_hi = law.support
+    a, b = max(s_lo, lo), min(s_hi, hi)
+    if not a < b:
+        return 0.0
+    loc, scale = law.location, law.scale
+    near = (0.0, loc, loc - QUAD_CUT * scale, loc + QUAD_CUT * scale)
+    cuts = sorted({a, b, *(c for c in near if a < c < b)})
+    fine = coarse = 0.0
+    for left, right in zip(cuts, cuts[1:]):
+        ends, offsets, weights = _de_nodes(left, right, scale)
+        values = np.zeros(len(ends))
+        for i, (end, d) in enumerate(zip(ends, offsets)):
+            density = law.standard_pdf((end - loc) / scale + d / scale)
+            if density:
+                try:
+                    values[i] = density * fn(end + d)
+                except OverflowError:
+                    raise MomentOverflow(
+                        f"E[fn(X)] under the {law.kind} law: fn overflows at x = {end + d:.3g}"
+                    ) from None
+        values *= weights / scale
+        fine += float(values.sum())
+        coarse += 2.0 * float(values[::2].sum())
+    gap = abs(fine - coarse)
+    tol = max(QUAD_EPSABS, QUAD_EPSREL * abs(fine))
+    if not gap <= tol:
+        raise QuadratureError(
+            f"quadrature of E[fn(X)] under the {law.kind} law did not converge: "
+            f"steps h and h/2 differ by {gap:.3g} > {tol:.3g}"
+        )
+    return fine
+
+
+def _outcome(call):
+    """The bits of a float result, or the type and message of the error."""
+    try:
+        return call().hex()
+    except KestenLabError as exc:
+        return type(exc), str(exc)
+
+
+DENSITY_LAWS = [
+    law for laws in LAW_EXAMPLES.values() for law in laws if law.has_density
+] + [Normal(1e6, 1.0), Normal(1.0, 1e150), GarchCoefficient(0.0, 1.0)]
+
+
+class TestNodeTables:
+    @pytest.mark.parametrize("law", DENSITY_LAWS, ids=str)
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda v: 1.0,
+            lambda v: v,
+            lambda v: abs(v) ** 1.5,
+            lambda v: abs(v) ** 3,
+            lambda v: math.log(abs(v)),
+            lambda v: math.cos(1e4 * v),
+        ],
+        ids=["mass", "mean", "abs-moment-1.5", "abs-moment-3", "log-abs", "oscillating"],
+    )
+    @pytest.mark.parametrize(
+        "bounds", [{}, {"lo": 1.0}, {"hi": -1.0}], ids=["full", "above-1", "below-minus-1"]
+    )
+    def test_expect_equals_the_uncached_rule_bitwise(self, law, fn, bounds):
+        # the same sums, errors and overflow node, from a fresh table and a cached one
+        want = _outcome(lambda: uncached_expect(law, fn, **bounds))
+        assert _outcome(lambda: law.expect(fn, **bounds)) == want
+        assert _outcome(lambda: law.expect(fn, **bounds)) == want
+
+    def test_overflow_names_the_first_node(self):
+        # the rule's first node is the finite end of its lowest piece, QUAD_CUT sd below
+        # the mean, and |x|^3 overflows there already
+        law = Normal(1.0, 1e150)
+
+        def fn(v):
+            return abs(v) ** 3
+
+        message = "E[fn(X)] under the normal law: fn overflows at x = -8e+150"
+        assert _outcome(lambda: uncached_expect(law, fn)) == (MomentOverflow, message)
+        with pytest.raises(MomentOverflow) as exc:
+            law.expect(fn)
+        assert str(exc.value) == message
+
+    def test_a_replaced_density_builds_its_own_table(self, monkeypatch):
+        law = Exponential(0.55)
+        before = law.expect(lambda v: 1.0)
+        monkeypatch.setattr(Exponential, "standard_pdf", lambda self, z: 2.0 * math.exp(-z))
+        assert law.expect(lambda v: 1.0) == pytest.approx(2.0 * before, rel=1e-15)
+        monkeypatch.undo()
+        assert law.expect(lambda v: 1.0) == before
 
 ROUND_TRIP_LAWS = {
     "exponential": Exponential(0.55),

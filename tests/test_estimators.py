@@ -29,6 +29,8 @@ from kestenlab.errors import (
     SeriesTooShort,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestReturnsFromPrices:
     def test_basic(self):

@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 import typing
@@ -315,6 +316,51 @@ class TestReturnSeries:
         assert np.load(path, allow_pickle=False).tobytes() == s.values.tobytes()
 
 
+def joined_rows_csv(header: str, *columns) -> str:
+    """``processes.write_csv``'s text written as one ",".join per row."""
+    out = [header + "\n"]
+    for start in range(0, len(columns[0]), processes.CSV_BLOCK_ROWS):
+        cells = []
+        for column in columns:
+            part = column[start : start + processes.CSV_BLOCK_ROWS]
+            if isinstance(part, np.ndarray):
+                part = part.tolist()
+            cells.append(map(repr, part))
+        out.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(out)
+
+
+EDGE_FLOATS = np.array([-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, -1.5, 0.1, 1e-7])
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            ("t,r", (range(EDGE_FLOATS.size), EDGE_FLOATS)),
+            ("lag,acf", (np.arange(EDGE_FLOATS.size), EDGE_FLOATS[::-1].copy())),
+            ("x,p", (EDGE_FLOATS, -EDGE_FLOATS)),
+            ("t,r", (range(0), np.array([]))),
+        ],
+        ids=["range-and-floats", "acf-lags", "two-float-columns", "no-rows"],
+    )
+    @pytest.mark.parametrize("block", [3, 16_384], ids=["short-last-block", "one-block"])
+    def test_bytes_equal_the_joined_rows(self, monkeypatch, tmp_path, header, columns, block):
+        monkeypatch.setattr(processes, "CSV_BLOCK_ROWS", block)
+        want = joined_rows_csv(header, *columns)
+        text = io.StringIO()
+        processes.write_csv(text, header, *columns)
+        assert text.getvalue() == want
+        processes.write_csv(tmp_path / "out.csv", header, *columns)
+        assert (tmp_path / "out.csv").read_bytes() == want.encode()
+
+    def test_many_blocks_of_a_path(self):
+        s = simulate(FIG3_SPEC, RngStream(3), 40_000, 10)  # two full blocks and a short one
+        text = io.StringIO()
+        processes.write_csv(text, "t,r", range(len(s)), s.values)
+        assert text.getvalue() == joined_rows_csv("t,r", range(len(s)), s.values)
+
+
 ROUND_TRIP_SPECS = {
     "inverse": InverseMultiplier(Uniform(0.0, 1.0), Normal(0.0, 1.0)),
     "scalar": KestenScalar(Exponential(0.55), Normal(0.0, 0.0065), r0=0.1),
@@ -614,6 +660,44 @@ class TestKernelAtItsOwnGeometry:
         want = np.where(t < self.N, x[..., np.minimum(t, self.N - 1)], np.nan)
         np.testing.assert_array_equal(buf[..., :m, :], want)
         assert np.isnan(buf[..., m:, :]).all()
+
+
+class TestScalarKernelHasNoWeightRow:
+    # a scalar spec and GARCH's sigma2 run the kernel with no weight row; their
+    # order-1 embeddings multiply every step by a weight of exactly 1.0
+    @staticmethod
+    def embedding(spec: KestenScalar) -> KestenAR:
+        return KestenAR(spec.a_law, spec.e_law, (Constant(1.0),), r_init=(spec.r0,))
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 3 * 1024 + 37])
+    def test_scalar_path_is_the_unit_weight_path_bitwise(self, n):
+        spec = KestenScalar(Exponential(0.55), Normal(0.0, 0.0065), r0=0.3)
+        path = simulate(spec, RngStream(9), n, 0).values
+        assert path.tobytes() == simulate(self.embedding(spec), RngStream(9), n, 0).values.tobytes()
+
+    def test_rerun_block_is_the_unit_weight_path_bitwise(self, monkeypatch):
+        # block 0's unit response underflows, and a start of 1e299 shows past what
+        # it keeps, so block 0 is rerun from that start: one call more than two passes
+        calls = []
+        run_blocks = processes._run_blocks
+        monkeypatch.setattr(
+            processes, "_run_blocks", lambda *args, **kw: calls.append(1) or run_blocks(*args, **kw)
+        )
+        spec = KestenScalar(Uniform(0.0, 0.01), Normal(0.0, 1.0), r0=1e299)
+        n = 3 * 1024 + 37
+        path = simulate(spec, RngStream(3), n, 0).values
+        assert len(calls) == 3
+        assert path.tobytes() == simulate(self.embedding(spec), RngStream(3), n, 0).values.tobytes()
+        assert len(calls) == 6
+
+    def test_garch_volatility_is_the_unit_weight_path_bitwise(self):
+        spec = Garch11(0.01, 0.09, 0.9, sigma0=0.1)
+        n = 3 * 1024 + 37
+        _returns, sigma2, z = garch11_paths(spec, RngStream(77), n)
+        zp, ones = z[:-1], np.ones((1, n - 1))
+        a = spec.beta + spec.alpha * zp * zp
+        weighted = processes._companion_path(a, ones, spec.omega * ones[0], (spec.sigma0**2,))
+        assert sigma2[1:].tobytes() == weighted.tobytes()
 
 
 @pytest.mark.parametrize(

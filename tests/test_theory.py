@@ -31,6 +31,7 @@ from kestenlab import (
     moment_lyapunov_root,
     stationarity_check,
 )
+from kestenlab.distributions import _DE_T
 from kestenlab.theory import _increasing_root, _moment_matrix
 from kestenlab.errors import (
     DegenerateLaw,
@@ -252,6 +253,21 @@ class TestGarchTheoryDrawsNothing:
         rep = kesten_conditions_report(law, Constant(0.01))
         assert rep.all_verified
         assert rep.mu_star == sol.mu_star
+
+    def test_root_and_log_moment_build_one_node_table_per_range(self, monkeypatch):
+        # the density is read once per node of a range, however many moments use it
+        calls = []
+        density = GarchCoefficient.standard_pdf
+        monkeypatch.setattr(
+            GarchCoefficient, "standard_pdf", lambda self, z: calls.append(z) or density(self, z)
+        )
+        law = GarchCoefficient(0.9, 0.09)
+        per_range = 2 * len(_DE_T)  # two pieces, [0.9, 1.62] and [1.62, inf)
+        cramer_root.__wrapped__(law)  # the solve, not its memo
+        law.log_moment()
+        assert len(calls) == per_range
+        assert kesten_conditions_report(law, Constant(0.01)).all_verified
+        assert len(calls) == 2 * per_range  # condition (g) adds the range [1, inf)
 
     def test_log_moment_is_the_rule_with_no_sample_size(self):
         # E[log a] is one integral, the same for every call and every equal law
@@ -758,6 +774,19 @@ class TestMomentLyapunovRoot:
         # a <= 1 and weights summing to at most 0.9: the product contracts surely
         spec = KestenAR(Uniform(0.0, 1.0), Normal(0.0, 1.0), (Uniform(0.4, 0.5), Uniform(0.3, 0.4)))
         with pytest.raises(NoPositiveRoot, match="up to p = 16"):
+            moment_lyapunov_root(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KestenAR(Exponential(0.6), Normal(0.0, 1.0), (Constant(0.0),)),
+            KestenScalar(Constant(0.0), Normal(0.0, 1.0)),
+        ],
+        ids=["zero-weight", "zero-coefficient"],
+    )
+    def test_order_one_product_zero_surely_has_no_positive_root(self, spec):
+        # E[log 0] is undefined, but E((a w)^mu) = 0 < 1 at every mu says why there is no root
+        with pytest.raises(NoPositiveRoot, match="the product is zero surely"):
             moment_lyapunov_root(spec)
 
     def test_non_stationary_rejected(self):
