@@ -35,6 +35,7 @@ from .errors import (
     MissingArtifacts,
     NonPositivePrice,
     NonStationary,
+    NumericalOverflow,
     ParseError,
     ReturnOverflow,
 )
@@ -488,6 +489,13 @@ def run(
 
     sim_rng = RngStream(config.seed, 0)
     series = simulate(process, sim_rng, config.n_samples, config.burn_in)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = float(series.values.mean()), float(series.values.std())
+    for what, value in (("mean", mean), ("std", std)):
+        if not math.isfinite(value):
+            raise NumericalOverflow(
+                f"the sample {what} of the series overflows float64; rescale the series"
+            )
 
     outputs: dict[str, list[str]] = {}
 
@@ -509,7 +517,6 @@ def run(
         if key in config.analyses:
             params = config.analyses[key]
             entries[key] = analysis.compute(series, config, params, partial(write, key))
-    mean, std = float(series.values.mean()), float(series.values.std())
     summary = RunSummary(
         process, config.n_samples, config.burn_in, config.seed, mean, std, **entries
     )

@@ -163,7 +163,14 @@ def _config_value(value):
 
 @dataclass(frozen=True)
 class CoefficientLaw(KindTagged):
-    """Base law.  Subclasses implement sampling, moments, densities and support."""
+    """Base law.
+
+    A law states its ``support``, whether it ``has_density`` (and then its
+    ``location``, ``scale`` and ``standard_pdf``), how to ``sample`` it, and
+    its ``_moment`` and ``_log_moment``.  The sign facts are derived from
+    these, on the one assumption that a law with a density has no atom: then
+    P(X = lo) = 0 at the lower end lo of its support.
+    """
 
     kind = "base"
     # how moment() answers a non-integer order: "closed-form" or "quadrature" (expect)
@@ -176,12 +183,14 @@ class CoefficientLaw(KindTagged):
 
     @property
     def nonnegative(self) -> bool:
-        raise NotImplementedError
+        """True when P(X >= 0) = 1."""
+        return self.support[0] >= 0
 
     @property
     def strictly_positive(self) -> bool:
-        """True when P(X > 0) = 1 (point masses at 0 excluded)."""
-        raise NotImplementedError
+        """True when P(X > 0) = 1: the support starts above 0, or at 0 with no atom there."""
+        lo = self.support[0]
+        return lo > 0 or (lo == 0 and self.has_density)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -229,9 +238,7 @@ class CoefficientLaw(KindTagged):
                 try:
                     products.append(density * fn(x))
                 except OverflowError:
-                    raise MomentOverflow(
-                        f"E[fn(X)] under the {self.kind} law: fn overflows at x = {x:.3g}"
-                    ) from None
+                    raise self._overflow(x) from None
             values = np.zeros(size)
             values[live] = products
             values *= weights
@@ -245,6 +252,10 @@ class CoefficientLaw(KindTagged):
                 f"steps h and h/2 differ by {gap:.3g} > {tol:.3g}"
             )
         return fine
+
+    def _overflow(self, x: float) -> MomentOverflow:
+        """What ``expect`` raises when fn overflows at x."""
+        return MomentOverflow(f"E[fn(X)] under the {self.kind} law: fn overflows at x = {x:.3g}")
 
     def abs_moment(self, mu: float) -> float:
         """E|X|^mu."""
@@ -282,23 +293,21 @@ class CoefficientLaw(KindTagged):
         raise NotImplementedError
 
     def log_moment(self) -> float:
-        """E[log X]."""
+        """E[log X]; PositivityRequired unless P(X > 0) = 1."""
+        if not self.strictly_positive:
+            raise PositivityRequired(
+                f"E[log X] requires P(X > 0) = 1; {self.kind} law violates it"
+            )
+        return self._log_moment()
+
+    def _log_moment(self) -> float:
+        """E[log X] of a strictly positive law."""
         raise NotImplementedError
 
     def pdf(self, x: float) -> float:
         if not self.has_density:
             raise NoDensity(f"{self.kind} law has no density")
         return self.standard_pdf((x - self.location) / self.scale) / self.scale
-
-    def survival(self, x: float) -> float:
-        """P(X > x)."""
-        raise NotImplementedError
-
-    def _check_log_pre(self) -> None:
-        if not self.strictly_positive:
-            raise PositivityRequired(
-                f"E[log X] requires P(X > 0) = 1; {self.kind} law violates it"
-            )
 
 
 @dataclass(frozen=True)
@@ -307,7 +316,7 @@ class Exponential(CoefficientLaw):
 
     mean_value: float = field(metadata={"key": "mean"})
     kind = "exponential"
-    nonnegative = strictly_positive = has_density = True
+    has_density = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -330,16 +339,11 @@ class Exponential(CoefficientLaw):
     def _moment(self, mu: float) -> float:
         return math.exp(math.lgamma(mu + 1.0) + mu * math.log(self.mean_value))
 
-    def log_moment(self) -> float:
+    def _log_moment(self) -> float:
         return math.log(self.mean_value) - EULER_GAMMA
 
     def standard_pdf(self, z: float) -> float:
         return math.exp(-z) if z >= 0 else 0.0
-
-    def survival(self, x: float) -> float:
-        if x <= 0:
-            return 1.0
-        return math.exp(-x / self.mean_value)
 
 
 @dataclass(frozen=True)
@@ -355,15 +359,6 @@ class Uniform(CoefficientLaw):
         super().__post_init__()
         if not self.lo < self.hi:
             raise LawError(f"uniform requires lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def nonnegative(self) -> bool:
-        return self.lo >= 0
-
-    @property
-    def strictly_positive(self) -> bool:
-        # P(X = lo) = 0, so lo == 0 is still strictly positive a.s.
-        return self.lo >= 0
 
     @property
     def support(self) -> tuple[float, float]:
@@ -384,8 +379,7 @@ class Uniform(CoefficientLaw):
         p = mu + 1.0  # an integer when lo < 0, so lo**p stays real
         return (self.hi**p - self.lo**p) / (p * (self.hi - self.lo))
 
-    def log_moment(self) -> float:
-        self._check_log_pre()
+    def _log_moment(self) -> float:
         lo, hi = self.lo, self.hi
         upper = hi * math.log(hi) - hi
         lower = lo * math.log(lo) - lo if lo > 0 else 0.0
@@ -393,13 +387,6 @@ class Uniform(CoefficientLaw):
 
     def standard_pdf(self, z: float) -> float:
         return 1.0 if 0.0 < z <= 1.0 else 0.0
-
-    def survival(self, x: float) -> float:
-        if x < self.lo:
-            return 1.0
-        if x >= self.hi:
-            return 0.0
-        return (self.hi - x) / (self.hi - self.lo)
 
 
 @dataclass(frozen=True)
@@ -409,7 +396,6 @@ class Normal(CoefficientLaw):
     mean_value: float = field(metadata={"key": "mean"})
     sd: float
     kind = "normal"
-    nonnegative = strictly_positive = False
     has_density = True
 
     def __post_init__(self) -> None:
@@ -440,10 +426,6 @@ class Normal(CoefficientLaw):
             for j in range(0, n + 1, 2)
         )
 
-    def log_moment(self) -> float:
-        self._check_log_pre()
-        raise AssertionError("unreachable")
-
     def abs_moment(self, mu: float) -> float:
         if self.mean_value != 0:
             return super().abs_moment(mu)
@@ -461,10 +443,6 @@ class Normal(CoefficientLaw):
     def standard_pdf(self, z: float) -> float:
         return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
-    def survival(self, x: float) -> float:
-        z = (x - self.mean_value) / self.sd
-        return 0.5 * math.erfc(z / math.sqrt(2.0))
-
 
 @dataclass(frozen=True)
 class Constant(CoefficientLaw):
@@ -472,14 +450,6 @@ class Constant(CoefficientLaw):
 
     value: float
     kind = "constant"
-
-    @property
-    def nonnegative(self) -> bool:
-        return self.value >= 0
-
-    @property
-    def strictly_positive(self) -> bool:
-        return self.value > 0
 
     @property
     def support(self) -> tuple[float, float]:
@@ -491,18 +461,16 @@ class Constant(CoefficientLaw):
     def _moment(self, mu: float) -> float:
         return self.value**mu
 
-    def log_moment(self) -> float:
-        self._check_log_pre()
+    def _log_moment(self) -> float:
         return math.log(self.value)
 
     def expect(self, fn, lo: float = -math.inf, hi: float = math.inf) -> float:
-        return fn(self.value) if lo <= self.value <= hi else 0.0
-
-    def abs_moment(self, mu: float) -> float:
-        return abs(self.value) ** mu
-
-    def survival(self, x: float) -> float:
-        return 1.0 if self.value > x else 0.0
+        if not lo <= self.value <= hi:
+            return 0.0
+        try:
+            return fn(self.value)
+        except OverflowError:
+            raise self._overflow(self.value) from None
 
 
 @dataclass(frozen=True)
@@ -520,7 +488,6 @@ class GarchCoefficient(CoefficientLaw):
     alpha: float
     kind = "garch_coeff"
     moment_method = "quadrature"
-    nonnegative = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -529,11 +496,6 @@ class GarchCoefficient(CoefficientLaw):
                 f"garch coefficient requires beta, alpha >= 0, "
                 f"got beta={self.beta}, alpha={self.alpha}"
             )
-
-    @property
-    def strictly_positive(self) -> bool:
-        # beta > 0 bounds a away from 0; beta == 0 leaves a = alpha*z^2 > 0 a.s.
-        return self.beta > 0 or self.alpha > 0
 
     @property
     def has_density(self) -> bool:
@@ -573,21 +535,12 @@ class GarchCoefficient(CoefficientLaw):
             return val
         return self.collapsed().expect(lambda x: x**mu)
 
-    def log_moment(self) -> float:
-        self._check_log_pre()
+    def _log_moment(self) -> float:
         return self.collapsed().expect(math.log)
 
     def standard_pdf(self, z: float) -> float:
         """The chi2(1) density of z^2."""
         return math.exp(-0.5 * z) / math.sqrt(2.0 * math.pi * z) if z > 0 else 0.0
-
-    def survival(self, x: float) -> float:
-        if x <= self.beta:
-            return 1.0
-        if self.alpha == 0:
-            return 0.0
-        return math.erfc(math.sqrt((x - self.beta) / self.alpha / 2.0))  # chi2(1) survival
-
 
 def check_keys(config: dict, known, what: str) -> None:
     """Raise InvalidConfig naming the first key of ``config`` that is not in ``known``."""

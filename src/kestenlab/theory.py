@@ -233,7 +233,7 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
         raise DegenerateLaw("a == 1 surely: E(a^mu) == 1 for every mu")
     if not a_law.nonnegative:
         raise NonnegativityRequired("the moment equation needs a nonnegative law")
-    if a_law.survival(1.0) <= 0.0:
+    if a_max <= 1.0:
         raise NoPositiveRoot(
             "P(a > 1) = 0: E(a^mu) < 1 for all mu > 0, the tail is thin "
             "(no amplification events)"

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -1075,6 +1076,49 @@ class TestCommandLine:
         assert (h["condition"], h["status"], h["evidence"]) == ("h", "not-checkable", None)
         assert h["note"] == "E|X|^3.00266 of the normal law with sd 1e+150 exceeds the float range"
         assert "(h) not-checkable" in res.stdout
+
+    @pytest.mark.parametrize("value", [1e105, -1e105], ids=["positive", "negative"])
+    def test_constant_noise_moment_beyond_the_float_range_is_not_checkable(
+        self, tmp_path, capsys, value
+    ):
+        # |e|^mu* at mu* = 3.0027 overflows for |e| = 1e105, either sign, while
+        # the series (about 1e105 in size) keeps a finite mean and std
+        process = {**SMALL_CONFIG["process"], "e_law": {"kind": "constant", "value": value}}
+        cfg = {**SMALL_CONFIG, "process": process, "burn_in": 100,
+               "analyses": {"conditions": {}}}
+        cfg_path = tmp_path / "constant.cfg"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (0, "")
+        conditions = json.loads((tmp_path / "out" / "conditions.json").read_text())
+        h = conditions["conditions"][-1]
+        assert (h["condition"], h["status"], h["evidence"]) == ("h", "not-checkable", None)
+
+    @pytest.mark.parametrize(
+        "process",
+        [
+            {"kind": "inverse_multiplier", "a_law": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+             "e_law": {"kind": "constant", "value": 1e300}},
+            {**SMALL_CONFIG["process"], "e_law": {"kind": "constant", "value": -1e200}},
+        ],
+        ids=["inverse-multiplier", "kesten-scalar"],
+    )
+    def test_sample_std_beyond_the_float_range_exits_3(self, tmp_path, capsys, process):
+        # every value is finite, but their squares are not, so the std is inf, which
+        # summary.json cannot hold as JSON
+        cfg = {**SMALL_CONFIG, "process": process, "seed": 1, "burn_in": 100,
+               "analyses": {"hill": {"k": 100}}}
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")])
+        assert (code, capsys.readouterr()) == (
+            3, ("", "error: the sample std of the series overflows float64; rescale the series\n")
+        )
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "text",

@@ -278,8 +278,25 @@ LAW_EXAMPLES = {
     Exponential: [Exponential(0.55)],
     Uniform: [Uniform(0.0, 1.6), Uniform(-3.0, 2.0)],
     Normal: [Normal(0.0, 1.0), Normal(0.3, 2.0)],
-    Constant: [Constant(2.5), Constant(-2.0)],
-    GarchCoefficient: [GarchCoefficient(0.9, 0.09), GarchCoefficient(0.5, 0.0)],
+    Constant: [Constant(2.5), Constant(0.0), Constant(-2.0)],
+    GarchCoefficient: [
+        GarchCoefficient(0.9, 0.09), GarchCoefficient(0.0, 0.5), GarchCoefficient(0.5, 0.0)
+    ],
+}
+
+# (nonnegative, strictly_positive, has_density) of every LAW_EXAMPLES law
+SIGN_FACTS = {
+    Exponential(0.55): (True, True, True),
+    Uniform(0.0, 1.6): (True, True, True),
+    Uniform(-3.0, 2.0): (False, False, True),
+    Normal(0.0, 1.0): (False, False, True),
+    Normal(0.3, 2.0): (False, False, True),
+    Constant(2.5): (True, True, False),
+    Constant(0.0): (True, False, False),
+    Constant(-2.0): (False, False, False),
+    GarchCoefficient(0.9, 0.09): (True, True, True),
+    GarchCoefficient(0.0, 0.5): (True, True, True),
+    GarchCoefficient(0.5, 0.0): (True, True, False),
 }
 
 
@@ -329,17 +346,17 @@ class TestLawFacts:
             assert law.moment(mu) == by_rule
 
     @pytest.mark.parametrize(
-        "cls, facts",
-        [
-            (Exponential, {"nonnegative": True, "strictly_positive": True, "has_density": True}),
-            (Normal, {"nonnegative": False, "strictly_positive": False, "has_density": True}),
-            (Uniform, {"has_density": True}),
-            (GarchCoefficient, {"nonnegative": True}),
-        ],
-        ids=["exponential", "normal", "uniform", "garch"],
+        "law", [law for laws in LAW_EXAMPLES.values() for law in laws], ids=repr
     )
-    def test_parameter_free_facts_are_class_attributes(self, cls, facts):
-        assert {name: vars(cls)[name] for name in facts} == facts
+    def test_sign_facts_hold_for_the_draws(self, law):
+        assert (law.nonnegative, law.strictly_positive, law.has_density) == SIGN_FACTS[law]
+        lo, hi = law.support
+        x = law.sample(RngStream(7).generator(), 10**4)
+        assert np.all((lo <= x) & (x <= hi))
+        if law.nonnegative:
+            assert np.all(x >= 0)
+        if law.strictly_positive:
+            assert np.all(x > 0)
 
     def test_constant_expect_inside_and_outside(self):
         law = Constant(2.5)
@@ -381,11 +398,10 @@ SCIPY_LAWS = {
 class TestScipyReference:
     """The closed forms and the quadrature rule that replace scipy, against scipy."""
 
-    def test_chi2_density_and_survival(self):
+    def test_chi2_density(self):
         law = GarchCoefficient(0.0, 0.5)
         for y in np.geomspace(1e-12, 700.0, 400).tolist():
             assert law.pdf(0.5 * y) == pytest.approx(stats.chi2.pdf(y, 1) / 0.5, rel=1e-13)
-            assert law.survival(0.5 * y) == pytest.approx(stats.chi2.sf(y, 1), rel=1e-13)
 
     def test_lgamma_moments(self):
         for mu in np.linspace(0.01, 70.0, 400).tolist():

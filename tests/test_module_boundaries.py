@@ -1,6 +1,7 @@
 """Each module of the package uses only the public names of the others, JSON
 text and type annotations are each read in one place, each predicted exponent
-is computed and stored once, and the package runs on numpy alone."""
+and each law's sign facts are computed once, and the package runs on numpy
+alone."""
 
 import ast
 import json
@@ -12,6 +13,7 @@ import pytest
 
 import kestenlab
 import kestenlab.cli as cli
+from kestenlab.distributions import CoefficientLaw
 
 SRC = Path(kestenlab.__file__).parent
 
@@ -90,6 +92,14 @@ def test_one_function_predicts_the_unit_exponent():
     ]
 
 
+def test_the_sign_facts_are_derived_once_for_every_law():
+    # each law states its support and density; the base class derives the rest
+    laws = CoefficientLaw.__subclasses__()
+    for name in ("nonnegative", "strictly_positive", "log_moment"):
+        assert [law.__name__ for law in laws if name in vars(law)] == [], name
+    assert [law.__name__ for law in [CoefficientLaw, *laws] if hasattr(law, "survival")] == []
+
+
 def test_no_module_imports_scipy():
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -110,6 +120,7 @@ def test_no_module_imports_scipy():
 IMPORT_THEN_RUN = """
 import contextlib, io, json, sys
 import kestenlab.cli as cli
+from kestenlab.distributions import CoefficientLaw
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 before = set(sys.modules)
 for config in sys.argv[1:]:
