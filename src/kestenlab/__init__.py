@@ -43,6 +43,7 @@ from .processes import (
     simulate,
     spec_digest,
     spec_from_config,
+    write_series,
     write_series_csv,
     write_series_npy,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "simulate",
     "spec_digest",
     "spec_from_config",
+    "write_series",
     "write_series_csv",
     "write_series_npy",
     # estimators

@@ -25,8 +25,6 @@ from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .distributions import RngStream, check_keys, law_from_config, read_record, read_value
 from .errors import (
@@ -43,6 +41,7 @@ from .estimators import (
     TailFit,
     acf,
     hill_estimator,
+    mean_std,
     returns_from_prices,
     tail_exponent_ls,
     tail_fit_with_ccdf,
@@ -60,7 +59,7 @@ from .processes import (
     read_csv_column,
     read_series_csv,
     simulate,
-    write_series_csv,
+    write_series,
     write_series_npy,
 )
 from .theory import (
@@ -489,8 +488,7 @@ def run(
 
     sim_rng = RngStream(config.seed, 0)
     series = simulate(process, sim_rng, config.n_samples, config.burn_in)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, std = float(series.values.mean()), float(series.values.std())
+    mean, std = mean_std(series)
     for what, value in (("mean", mean), ("std", std)):
         if not math.isfinite(value):
             raise NumericalOverflow(
@@ -542,7 +540,6 @@ def ingest_prices(csv_path: str | Path, column_spec: str | int = "close") -> Ret
     ``column_spec`` is a header name or a 0-based column index.
     """
     path = Path(csv_path)
-    raw = path.read_bytes()
 
     def select(header: list[str] | None) -> int:
         if header is None:
@@ -561,7 +558,7 @@ def ingest_prices(csv_path: str | Path, column_spec: str | int = "close") -> Ret
             raise ParseError(f"{path}: column index {col} out of range")
         return col
 
-    prices, rows = read_csv_column(path, raw, select)
+    prices, rows, raw = read_csv_column(path, select)
     if prices is None or not (prices.size >= 2 and ((prices > 0) & (prices < math.inf)).all()):
         prices, inf_line = [], None
         for line, cells, value in rows():
@@ -649,7 +646,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ing = sub.add_parser("ingest", help="turn a price CSV into a return series")
     p_ing.add_argument("csv")
     p_ing.add_argument("--price-col", default="close", help="column name or 0-based index")
-    p_ing.add_argument("--out", default=None, help="output series CSV path")
+    p_ing.add_argument(
+        "--out", default=None,
+        help="output series path: .npy writes an array, any other name a t,r CSV",
+    )
 
     p_fit = sub.add_parser("fit-tail", help="tail-exponent fit of a series CSV or .npy file")
     p_fit.add_argument("series")
@@ -682,7 +682,7 @@ def _cmd_run(args) -> int:
 def _cmd_ingest(args) -> int:
     series = ingest_prices(args.csv, args.price_col)
     out = Path(args.out) if args.out else Path(args.csv).with_suffix(".returns.csv")
-    write_series_csv(series, out)
+    write_series(series, out)
     meta = series.metadata()
     meta["source"] = str(args.csv)
     print(_canonical_json({"out": str(out), **meta}), end="")

@@ -9,6 +9,7 @@ cross-check, never silently substituted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,6 +46,30 @@ def _values(series) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InvalidConfig("series contains NaN or inf")
     return arr
+
+
+def _unit_scale(v: np.ndarray) -> float:
+    """The power of two s that brings max|v| into [0.5, 1).
+
+    Scaling by it is exact barring underflow, so a statistic of v * s
+    scales back exactly, and sums of squares of v * s stay finite."""
+    return math.ldexp(1.0, -math.frexp(float(np.abs(v).max()))[1])
+
+
+def mean_std(series) -> tuple[float, float]:
+    """Sample mean and std (ddof 0).
+
+    Where the plain computation overflows (finite values whose squares or
+    sum are not), both come from the series scaled by ``_unit_scale``; the
+    std of finite values is then finite."""
+    v = _values(series)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = float(v.mean()), float(v.std())
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            s = _unit_scale(v)
+            v = v * s
+            mean, std = float(v.mean()) / s, float(v.std()) / s
+    return mean, std
 
 
 @dataclass(frozen=True)
@@ -236,6 +261,10 @@ def acf(series, max_lag: int, absolute: bool = False) -> AcfResult:
     with np.errstate(over="ignore", invalid="ignore"):
         xo = v - v.mean()
         gamma0 = float(xo @ xo) / n
+        if not np.isfinite(gamma0):  # the ACF does not depend on the series' scale
+            v = v * _unit_scale(v)
+            xo = v - v.mean()
+            gamma0 = float(xo @ xo) / n
     if not np.isfinite(gamma0):
         raise NumericalOverflow("the series variance overflows float64; rescale the series")
     if gamma0 == 0.0:

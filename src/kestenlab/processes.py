@@ -17,6 +17,7 @@ import io
 import itertools
 import json
 import math
+import os
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -524,17 +525,29 @@ def _read_npy(path: Path) -> np.ndarray:
     return values
 
 
-def read_csv_column(path: Path, raw: bytes, select: Callable) -> tuple[np.ndarray | None, Callable]:
-    """Column ``select(header)`` of the CSV file ``path`` holding the bytes ``raw``.
+# Suffixes by which numpy's reader picks a decompressor (compared case-sensitively).
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
-    Returns numpy's C parse of the data rows (None where it fails) and the
-    row scan it stands for: a function yielding (line, cells, value) for
-    each data row whose cells are not all blank, where line is the row's
+
+def _file_key(st: os.stat_result) -> tuple:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def read_csv_column(path: Path, select: Callable) -> tuple[np.ndarray | None, Callable, bytes]:
+    """Column ``select(header)`` of the CSV file ``path``, and the file's bytes.
+
+    Returns numpy's C parse of the data rows (None where it fails or is not
+    tried), the row scan it stands for and the bytes ``raw`` both describe.
+    The row scan is a function yielding (line, cells, value) for each data
+    row of ``raw`` whose cells are not all blank, where line is the row's
     first physical line and value is float() of the column's cell (None
     when that fails).  ``select`` gets None for an empty file.  Bytes that
     are not UTF-8, and a row csv.reader refuses, raise ParseError naming
     their line.
     """
+    with open(path, "rb") as fh:
+        before = os.fstat(fh.fileno())
+        raw = fh.read()
 
     def scan(fh):
         reader = csv.reader(fh)
@@ -566,30 +579,59 @@ def read_csv_column(path: Path, raw: bytes, select: Callable) -> tuple[np.ndarra
                     value = None
                 yield line, cells, value
 
-    # numpy parses faster from a handle that translates line endings; only
-    # the row scan needs them kept (newline="") to read quoted line breaks
-    fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-    col = select(next(scan(fh), (1, None))[1])
-    # numpy's float parser strips these around a field and float() does not,
-    # so a file holding one of them is parsed by the row scan.
-    if any(c in raw for c in b"\x1c\x1d\x1e\x1f"):
-        return None, rows
+    # read with the line endings numpy sees, so a header record that spans
+    # physical lines holds a "\n"
+    header = next(scan(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")), (1, None))[1]
+    col = select(header)
+    # numpy's C reader runs only on a path (a file object is read line by line
+    # in Python), so it reads the file again.  The row scan parses raw instead
+    # where numpy would decompress by the suffix, where skiprows (which counts
+    # physical lines) would not skip exactly the header, where numpy's float
+    # parser would strip a \x1c-\x1f around a field (float() does not), and
+    # where the file is not the one raw was read from.
+    if (
+        before.st_size != len(raw)
+        or os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES
+        or any("\n" in cell for cell in header or ())
+        or any(c in raw for c in b"\x1c\x1d\x1e\x1f")
+    ):
+        return None, rows, raw
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
             values = np.loadtxt(
-                fh, delimiter=",", comments=None, quotechar='"', usecols=col, ndmin=1
+                os.path.abspath(path),  # never a URL to numpy
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                usecols=col,
+                ndmin=1,
+                skiprows=1,
+                encoding="utf-8",
             )
-    except ValueError:  # a row that does not parse, or bytes that are not UTF-8
-        return None, rows
-    return values, rows
+        after = os.stat(path)
+    except (ValueError, OSError):  # a row that does not parse, bytes not UTF-8, a lost file
+        return None, rows, raw
+    if _file_key(after) != _file_key(before):
+        return None, rows, raw
+    return values, rows, raw
+
+
+def _is_npy(path: str | Path) -> bool:
+    """The suffix rule for series files: ``.npy`` is an array, any other name a t,r CSV."""
+    return Path(path).suffix == ".npy"
+
+
+def write_series(series: ReturnSeries, path: str | Path) -> None:
+    """Write the series in the format its suffix names (see ``_is_npy``)."""
+    (write_series_npy if _is_npy(path) else write_series_csv)(series, path)
 
 
 def read_series_csv(path: str | Path) -> np.ndarray:
     """Read a t,r series CSV, or a ``.npy`` series by its suffix, into a
     value array of finite returns."""
     path = Path(path)
-    if path.suffix == ".npy":
+    if _is_npy(path):
         return _read_npy(path)
 
     def select(header: list[str] | None) -> int:
@@ -598,7 +640,7 @@ def read_series_csv(path: str | Path) -> np.ndarray:
             raise InvalidConfig(f"{path}: expected header 't,r', got {text!r}")
         return 1
 
-    values, rows = read_csv_column(path, path.read_bytes(), select)
+    values, rows, _ = read_csv_column(path, select)
     if values is None or not (values.size and np.isfinite(values).all()):
         values = []
         for line, cells, value in rows():

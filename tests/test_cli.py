@@ -1,4 +1,5 @@
 import contextlib
+import gzip
 import io
 import json
 import math
@@ -27,6 +28,7 @@ from kestenlab import (
     kesten_conditions_report,
     lyapunov_top,
     moment_lyapunov_root,
+    read_series_csv,
     simulate,
     spec_from_config,
     stationarity_check,
@@ -57,6 +59,7 @@ from kestenlab.errors import (
     NonPositivePrice,
     ParseError,
 )
+from kestenlab.processes import write_csv
 
 SMALL_CONFIG = {
     "process": {
@@ -806,10 +809,22 @@ class TestCommandLine:
         assert out == ""
         assert err.startswith(f"error: {path}: line {line}: ")
 
-    def test_npy_series_prints_as_its_csv(self, tmp_path, capsys):
+    @pytest.mark.parametrize("source", ["simulate", "ingest"])
+    def test_npy_series_prints_as_its_csv(self, tmp_path, capsys, source):
         series = simulate(FIG3_SPEC, RngStream(4), 5000)
-        write_series_csv(series, tmp_path / "series.csv")
-        write_series_npy(series, tmp_path / "series.npy")
+        if source == "simulate":
+            write_series_csv(series, tmp_path / "series.csv")
+            write_series_npy(series, tmp_path / "series.npy")
+        else:  # ingest picks the format by the --out suffix
+            prices = 100.0 * np.cumprod(np.concatenate([[1.0], 1.0 + series.values / 100]))
+            write_csv(tmp_path / "prices.csv", "date,close", range(prices.size), prices)
+            for name in ("series.csv", "series.npy"):
+                argv = ["ingest", str(tmp_path / "prices.csv"), "--out", str(tmp_path / name)]
+                assert main(argv) == 0
+                assert json.loads(capsys.readouterr().out)["out"] == str(tmp_path / name)
+            assert np.load(tmp_path / "series.npy").tobytes() == (
+                read_series_csv(tmp_path / "series.csv").tobytes()
+            )
         for argv in (["fit-tail"], ["acf", "--max-lag", "10", "--absolute"]):
             printed = []
             for name in ("series.csv", "series.npy"):
@@ -865,29 +880,26 @@ class TestCommandLine:
         assert err == f"error: {path}: no data rows\n"
 
     @pytest.mark.parametrize(
-        "argv, data, code, line",
+        "argv, name, data, line",
         [
-            (
-                ["acf", "--max-lag", "2"],
-                ("t,r\n" + "".join(f"{t},{(-1) ** t * 1e308!r}\n" for t in range(40))).encode(),
-                3,
-                None,
-            ),
-            (["ingest"], b"date,close\nd0,1e-300\nd1,1e300\n", 2, 3),
-            (["fit-tail"], b"t,r\n0,0.01\n1,0.\xe92\n", 2, 3),
-            (["ingest"], b"date,close\nd0,100\n\nd1,1\xe901\n", 2, 4),
+            (["ingest"], "input.csv", b"date,close\nd0,1e-300\nd1,1e300\n", 3),
+            (["fit-tail"], "input.csv", b"t,r\n0,0.01\n1,0.\xe92\n", 3),
+            (["ingest"], "input.csv", b"date,close\nd0,100\n\nd1,1\xe901\n", 4),
+            # read as the bytes they are, never decompressed by the name
+            (["fit-tail"], "input.csv.gz", gzip.compress(b"t,r\n0,0.01\n1,0.02\n"), 1),
+            (["ingest"], "input.csv.gz", gzip.compress(b"date,close\nd0,100\nd1,101\n"), 1),
         ],
-        ids=["acf-variance-overflow", "ingest-return-overflow", "series-not-utf8", "prices-not-utf8"],
+        ids=["ingest-return-overflow", "series-not-utf8", "prices-not-utf8", "series-gzip",
+             "prices-gzip"],
     )
-    def test_bad_input_ends_in_one_error_line(self, tmp_path, argv, data, code, line):
-        path = tmp_path / "input.csv"
+    def test_bad_input_ends_in_one_error_line(self, tmp_path, argv, name, data, line):
+        path = tmp_path / name
         path.write_bytes(data)
         res = _cli(argv[0], str(path), *argv[1:])
-        assert res.returncode == code
-        prefix = "error: " if line is None else f"error: {path}: line {line}: "
-        assert res.stderr.startswith(prefix)
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: {path}: line {line}: ")
         assert res.stderr.count("\n") == 1  # no traceback and no numpy warning
-        assert "nan" not in res.stdout
+        assert res.stdout == ""
 
     @pytest.mark.parametrize(
         "process",
@@ -1105,20 +1117,29 @@ class TestCommandLine:
         ],
         ids=["inverse-multiplier", "kesten-scalar"],
     )
-    def test_sample_std_beyond_the_float_range_exits_3(self, tmp_path, capsys, process):
-        # every value is finite, but their squares are not, so the std is inf, which
-        # summary.json cannot hold as JSON
+    def test_sample_std_of_values_whose_squares_overflow(self, tmp_path, capsys, process):
+        # every value is finite but their squares are not, while the std (about 1e302
+        # and 1e200) is representable: the std and the ACF come from the series scaled
+        # by the power of two s that brings max |r| into [0.5, 1), which is exact
         cfg = {**SMALL_CONFIG, "process": process, "seed": 1, "burn_in": 100,
-               "analyses": {"hill": {"k": 100}}}
+               "analyses": {"hill": {"k": 100},
+                            "acf": {"max_lag": 10, "kinds": ["raw", "absolute"]}}}
         cfg_path = tmp_path / "huge.cfg"
         cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")])
-        assert (code, capsys.readouterr()) == (
-            3, ("", "error: the sample std of the series overflows float64; rescale the series\n")
-        )
-        assert not (tmp_path / "out" / "manifest.json").exists()
+            code = main(["run", str(cfg_path), "--output-dir", str(out)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        values = np.load(out / "series.npy")
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(float(values.std()))
+        s = 2.0 ** -math.frexp(float(np.abs(values).max()))[1]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["sample_std"] == float((values * s).std()) / s > 1e199
+        for absolute, kind in ((False, "raw"), (True, "absolute")):
+            write_acf_csv(acf(values * s, 10, absolute=absolute), tmp_path / "acf.csv")
+            assert (out / f"acf_{kind}.csv").read_bytes() == (tmp_path / "acf.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "text",

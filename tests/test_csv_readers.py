@@ -1,8 +1,9 @@
 """Differential fuzz test of the one CSV reader.
 
 ``read_series_csv`` and ``ingest_prices`` both read through
-``processes.read_csv_column``: numpy's C reader first, then one
-line-numbered ``csv.reader`` row scan.  The reference readers below are the
+``processes.read_csv_column``: numpy's C reader on the file's path first,
+then one line-numbered ``csv.reader`` row scan of the bytes read.  The
+reference readers below are the
 pure row-scan versions they replaced, copied verbatim; on every generated
 file both must return bit-equal arrays or raise the same exception type
 with the same message.  The intended differences: a series file with no
@@ -12,11 +13,15 @@ instead of ``returns_from_prices``' ReturnOverflow, and series rows follow
 the CSV rules price rows always followed (see ``series_expectation``).
 """
 
+import bz2
 import csv
+import gzip
 import hashlib
 import io
 import itertools
+import lzma
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -30,7 +35,13 @@ from kestenlab.errors import InvalidConfig, NonPositivePrice, ParseError, Return
 from kestenlab.estimators import returns_from_prices
 from kestenlab.processes import ReturnSeries, read_series_csv
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+# The readers open files; a handle left to the garbage collector warns in a
+# finalizer, which pytest reports as an unraisable-exception warning.
+pytestmark = [
+    pytest.mark.filterwarnings("error::RuntimeWarning"),
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 
 def reference_read_series_csv(path: str | Path) -> np.ndarray:
@@ -253,6 +264,7 @@ def _overflowing_price(path: Path) -> tuple[int, float]:
 @FUZZ
 @given(text=csv_files(["date,close", "close", "date,open,close"]))
 @example(text="date,close\nd0,1e-300\n\nd1,1e300\n")
+@example(text='"da\nte",close\nd0,100\nd1,101\n')  # a header over two physical lines
 def test_price_reader_matches_reference(scratch, text):
     scratch.write_bytes(text.encode())
     got, got_exc = _outcome(ingest_prices, scratch)
@@ -266,3 +278,132 @@ def test_price_reader_matches_reference(scratch, text):
     if want is not None:
         assert got.spec_digest == want.spec_digest
         assert _bits(got.values) == _bits(want.values)
+
+
+# the path route: numpy's reader gets the file's name, and only where it
+# reads exactly the bytes the row scan and the digest read
+
+SERIES_TEXT = "t,r\n0,0.5\n1,-0.25\n2,0.125\n"
+PRICES_TEXT = "date,close\nd0,100\nd1,101.5\nd2,99.25\n"
+
+
+def read_prices(path: Path) -> tuple:
+    series = ingest_prices(path)
+    return series.values, series.spec_digest
+
+
+def reference_read_prices(path: Path) -> tuple:
+    series = reference_ingest_prices(path)
+    return series.values, series.spec_digest
+
+
+def _loadtxt_calls(monkeypatch, before_call=None) -> list:
+    """Record the first argument of each np.loadtxt call, which then runs
+    as it would (after ``before_call``, when given)."""
+    calls = []
+    real = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        calls.append(fname)
+        if before_call is not None:
+            before_call()
+        return real(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+def _same(got, want) -> bool:
+    if isinstance(got, tuple):
+        return _bits(got[0]) == _bits(want[0]) and got[1:] == want[1:]
+    return _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "read, reference, text, by_numpy",
+    [
+        (read_series_csv, reference_read_series_csv, SERIES_TEXT, True),
+        (read_prices, reference_read_prices, PRICES_TEXT, True),
+        (read_prices, reference_read_prices, '"da\nte",close\nd0,100\nd1,101.5\n', False),
+    ],
+    ids=["series", "prices", "prices-header-over-two-lines"],
+)
+def test_numpy_reads_a_plain_file_once_by_its_path(
+    tmp_path, monkeypatch, read, reference, text, by_numpy
+):
+    # a file object would be read line by line in Python; skiprows counts
+    # physical lines, so a header record over two of them goes to the row scan
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    calls = _loadtxt_calls(monkeypatch)
+    assert _same(read(path), reference(path))
+    assert [(type(c), c) for c in calls] == ([(str, os.path.abspath(path))] if by_numpy else [])
+
+
+COMPRESSORS = {
+    ".gz": gzip.compress,
+    ".bz2": bz2.compress,
+    ".xz": lambda data: lzma.compress(data, format=lzma.FORMAT_XZ),
+    ".lzma": lambda data: lzma.compress(data, format=lzma.FORMAT_ALONE),
+}
+
+
+@pytest.mark.parametrize("suffix", list(COMPRESSORS))
+@pytest.mark.parametrize("compressed", [False, True], ids=["plain", "compressed"])
+@pytest.mark.parametrize(
+    "read, text",
+    [(read_series_csv, SERIES_TEXT), (read_prices, PRICES_TEXT)],
+    ids=["series", "prices"],
+)
+def test_a_compressor_suffix_reads_the_bytes_as_they_are(
+    tmp_path, monkeypatch, read, text, compressed, suffix
+):
+    # numpy picks a decompressor from these suffixes; the file's own bytes are read
+    data = COMPRESSORS[suffix](text.encode()) if compressed else text.encode()
+    plain, named = tmp_path / "x.csv", tmp_path / f"x.csv{suffix}"
+    plain.write_bytes(data)
+    named.write_bytes(data)
+    want, want_exc = _outcome(read, plain)
+    calls = _loadtxt_calls(monkeypatch)
+    got, got_exc = _outcome(read, named)
+    assert calls == []
+    if compressed:  # ParseError at the first byte that is not UTF-8, as for any name
+        assert want_exc[0] is ParseError and want_exc[1].startswith(f"{plain}: line 1: byte ")
+        assert got_exc == (ParseError, want_exc[1].replace(str(plain), str(named)))
+        if suffix == ".gz":
+            assert got_exc[1] == f"{named}: line 1: byte 0x8b is not valid UTF-8"
+    else:
+        assert got_exc is want_exc is None
+        assert _same(got, want)
+
+
+@pytest.mark.parametrize("how", ["appended", "replaced"])
+@pytest.mark.parametrize(
+    "read, text, row",
+    [(read_series_csv, SERIES_TEXT, "3,0.0625\n"), (read_prices, PRICES_TEXT, "d3,98.5\n")],
+    ids=["series", "prices"],
+)
+def test_a_file_rewritten_after_its_bytes_were_read_is_parsed_from_those_bytes(
+    tmp_path, monkeypatch, read, text, row, how
+):
+    # the digest and the values come from the same bytes: numpy's parse of the
+    # rewritten file is dropped, by its size or by its inode
+    path, spare = tmp_path / "input.csv", tmp_path / "spare.csv"
+    spare.write_text(text)
+    want = read(spare)
+    path.write_text(text)
+
+    def rewrite():
+        if how == "appended":
+            with path.open("a") as fh:
+                fh.write(row)
+        else:  # same size, new file
+            spare.write_text(text.replace("0.5", "0.7").replace("100", "107"))
+            os.replace(spare, path)
+
+    calls = _loadtxt_calls(monkeypatch, rewrite)
+    got = read(path)
+    assert len(calls) == 1
+    assert _same(got, want)
+    if read is read_prices:
+        assert got[1] == hashlib.sha256(text.encode()).hexdigest()

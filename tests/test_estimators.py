@@ -18,7 +18,7 @@ from kestenlab import (
     tail_exponent_ls,
 )
 from kestenlab import estimators
-from kestenlab.estimators import CCDF_PLOT_POINTS, tail_fit_with_ccdf, thin_ccdf
+from kestenlab.estimators import CCDF_PLOT_POINTS, mean_std, tail_fit_with_ccdf, thin_ccdf
 from kestenlab.cli import config_from_dict, run
 from kestenlab.errors import (
     DegenerateTail,
@@ -245,6 +245,15 @@ class TestAcf:
     def test_series_kind_label(self, fig3_series):
         assert acf(fig3_series, 2).series_kind == "raw"
         assert acf(fig3_series, 2, absolute=True).series_kind == "absolute"
+
+    def test_values_whose_squares_overflow_are_scaled_exactly(self):
+        # alternating +-1e308: the sum of the squares, and the mean's partial sums,
+        # leave the float range; times s = 2^-1024 they are exact and stay inside it
+        x = np.array([(-1.0) ** t * 1e308 for t in range(40)])
+        s = 2.0**-1024
+        assert acf(x, 2).values.tobytes() == acf(x * s, 2).values.tobytes()
+        assert mean_std(x) == (float((x * s).mean()) / s, float((x * s).std()) / s)
+        assert math.isfinite(mean_std(x)[1])
 
 
 @pytest.mark.parametrize(
