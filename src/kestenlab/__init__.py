@@ -8,7 +8,7 @@ the empirical estimation pipeline (CCDF, log-log tail fits, Hill
 cross-check, autocorrelations) at desk scale.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .distributions import (
     CoefficientLaw,

@@ -38,8 +38,10 @@ from .errors import (
     ReturnOverflow,
 )
 from .estimators import (
+    MIN_TAIL_POINTS,
     TailFit,
     acf,
+    check_max_lag,
     hill_estimator,
     mean_std,
     returns_from_prices,
@@ -69,6 +71,7 @@ from .theory import (
     StationarityCheck,
     TheoryReport,
     UnitExponentPrediction,
+    check_lyapunov_params,
     check_moment_spec,
     classify_regime,
     cramer_root,
@@ -299,6 +302,11 @@ def _hill(series, config: ExperimentConfig, params: dict, write) -> HillEstimate
     return entry
 
 
+def _check_hill(params: dict, process: ProcessSpec) -> None:
+    if params["k"] < MIN_TAIL_POINTS:
+        raise InvalidConfig(f"hill k must be >= {MIN_TAIL_POINTS}, got {params['k']}")
+
+
 def _report_hill(entry: HillEstimate, out_dir: Path) -> list[str]:
     return [f"hill cross-check (k={entry.k}): {entry.estimate:.4f}"]
 
@@ -316,6 +324,7 @@ def _acf(series, config: ExperimentConfig, params: dict, write) -> dict:
 
 
 def _check_acf(params: dict, process: ProcessSpec) -> None:
+    check_max_lag(params["max_lag"])
     kinds = params["kinds"]
     if not kinds or len(set(kinds)) < len(kinds) or not set(kinds) <= {"raw", "absolute"}:
         raise InvalidConfig(f"acf kinds must be distinct raw/absolute, got {kinds!r}")
@@ -383,13 +392,14 @@ def _report_moment_lyapunov(entry: CramerSolution, out_dir: Path) -> list[str]:
 ANALYSES: dict[str, Analysis] = {
     "cramer": Analysis({}, _SCALAR_FEEDBACK, _cramer, _report_cramer),
     "tail_fit": Analysis({"threshold": None}, None, _tail_fit, _report_tail_fit),
-    "hill": Analysis({"k": 10_000}, None, _hill, _report_hill),
+    "hill": Analysis({"k": 10_000}, None, _hill, _report_hill, _check_hill),
     "acf": Analysis(
         {"max_lag": 50, "kinds": ["raw"]}, None, _acf, _report_acf, _check_acf
     ),
     "conditions": Analysis({}, _SCALAR_FEEDBACK, _conditions, _report_conditions),
     "lyapunov": Analysis(
-        {"t_horizon": 1000, "trials": 100}, _MATRIX_PRODUCT, _lyapunov, _report_lyapunov
+        {"t_horizon": 1000, "trials": 100}, _MATRIX_PRODUCT, _lyapunov, _report_lyapunov,
+        lambda params, process: check_lyapunov_params(**params),
     ),
     "moment_lyapunov": Analysis(
         {},
@@ -467,7 +477,6 @@ def run(
     digest = config_digest(config)
     started = _utcnow()
     out_dir = resolve_output_dir(config, None if output_dir is None else str(output_dir), name)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     process = config.process
     feedback = _scalar_feedback_laws(process)
@@ -476,13 +485,14 @@ def run(
     if feedback is not None:
         stat = stationarity_check(feedback[0])
         entries["stationarity"] = stat
-        # fail fast on a provably non-stationary scalar recursion
-        if stat.verdict == "non-stationary" and isinstance(process, KestenScalar):
+        # fail fast on a provably non-stationary scalar recursion (GARCH's sigma^2 is one)
+        if stat.verdict == "non-stationary":
             raise NonStationary(
                 f"E[log a] = {stat.log_moment:+.4g} > 0: the recursion has no "
                 "stationary solution; refusing to simulate"
             )
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(process, InverseMultiplier) and process.a_law.has_density:
         entries["unit_exponent_prediction"] = unit_exponent_prediction(process.a_law)
 

@@ -244,6 +244,12 @@ def hill_estimator(series, k: int) -> float:
     return 1.0 / h
 
 
+def check_max_lag(max_lag: int) -> None:
+    """InvalidConfig unless max_lag >= 1."""
+    if max_lag < 1:
+        raise InvalidConfig(f"max_lag must be >= 1, got {max_lag}")
+
+
 def acf(series, max_lag: int, absolute: bool = False) -> AcfResult:
     """Biased sample autocorrelation out to max_lag.
 
@@ -251,8 +257,7 @@ def acf(series, max_lag: int, absolute: bool = False) -> AcfResult:
     valid correlation sequence bounded by 1 in absolute value.
     """
     v = _values(series)
-    if max_lag < 1:
-        raise InvalidConfig(f"max_lag must be >= 1, got {max_lag}")
+    check_max_lag(max_lag)
     if absolute:
         v = np.abs(v)
     n = v.size

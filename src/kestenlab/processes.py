@@ -440,9 +440,13 @@ def garch_to_kesten(
 
 
 def as_ar(spec: KestenScalar | KestenAR) -> KestenAR:
-    """Order-1 embedding of a scalar spec (identity on KestenAR)."""
+    """Order-1 embedding of a scalar spec (identity on KestenAR); InvalidConfig for other kinds."""
     if isinstance(spec, KestenAR):
         return spec
+    if not isinstance(spec, KestenScalar):
+        raise InvalidConfig(
+            f"a companion form needs a kesten_scalar or kesten_ar process, got {spec.kind}"
+        )
     return KestenAR(spec.a_law, spec.e_law, (Constant(1.0),), False, (spec.r0,))
 
 

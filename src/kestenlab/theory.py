@@ -30,7 +30,6 @@ from .errors import (
     NonStationary,
     NoPositiveRoot,
     NoSignChange,
-    QuadratureError,
     TheoryError,
     VarianceNotFinite,
 )
@@ -241,12 +240,22 @@ def cramer_root(a_law: CoefficientLaw) -> CramerSolution:
     return _moment_root(a_law.moment, a_law.log_moment(), a_law.moment_method, "a")
 
 
+def _doubling_scan(phi) -> tuple[float, float]:
+    """The first mu in 1, 2, 4, ..., MU_CAP with phi(mu) = E(c^mu) >= 1, and phi
+    there; (MU_CAP, phi(MU_CAP)) when there is none."""
+    mu, val = 1.0, phi(1.0)
+    while val < 1.0 and mu < MU_CAP:
+        mu *= 2.0
+        val = phi(mu)
+    return mu, val
+
+
 def _moment_root(phi, elog: float, method: str, c: str) -> CramerSolution:
     """Positive root of phi(mu) = E(c^mu) = 1 for a nonnegative c with E[log c] = elog.
 
-    NonStationary unless elog < 0.  The bracket is found by doubling mu from
-    1 until phi exceeds 1 (halving instead when it already does) and refined
-    by ``_increasing_root``; ``c`` names the variable in the messages.
+    NonStationary unless elog < 0.  The bracket is found by ``_doubling_scan``,
+    then by halving mu until phi drops below 1, and refined by
+    ``_increasing_root``; ``c`` names the variable in the messages.
     """
     if elog >= 0:
         raise NonStationary(
@@ -254,21 +263,15 @@ def _moment_root(phi, elog: float, method: str, c: str) -> CramerSolution:
             "the moment equation has no positive root"
         )
 
-    # bracket the increasing-branch crossing
-    hi = 1.0
-    val_hi = phi(hi)
-    while val_hi <= 1.0:
-        if val_hi == 1.0:
-            # exact hit (e.g. the unit-mean exponential at mu = 1); hi is an integer,
-            # and every law computes its integer moments exactly
-            return CramerSolution(hi, (hi, hi), 0.0, method)
-        if hi >= MU_CAP:
-            raise NoPositiveRoot(
-                f"E({c}^mu) stays below 1 up to mu = {MU_CAP:g}; "
-                "treating the regime as thin-tailed"
-            )
-        hi *= 2.0
-        val_hi = phi(hi)
+    hi, val_hi = _doubling_scan(phi)
+    if val_hi < 1.0:
+        raise NoPositiveRoot(
+            f"E({c}^mu) stays below 1 up to mu = {MU_CAP:g}; treating the regime as thin-tailed"
+        )
+    if val_hi == 1.0:
+        # exact hit (e.g. the unit-mean exponential at mu = 1); hi is an integer,
+        # and every law computes its integer moments exactly
+        return CramerSolution(hi, (hi, hi), 0.0, method)
     lo = hi / 2.0
     val_lo = phi(lo)
     while val_lo >= 1.0:
@@ -366,173 +369,96 @@ def inverse_tail_prediction(a_law: CoefficientLaw, x: float) -> float:
 # condition checklist ---------------------------------------------------------
 
 
-# A moment these errors stop cannot be read, so its condition is not-checkable.
-_UNREADABLE = (QuadratureError, MomentOverflow)
-
-
-def _integral_check(cid: str, integral, note: str) -> ConditionCheck:
-    """Verified with the integral as evidence; not-checkable if it cannot be read."""
+def _check(cid: str, read) -> ConditionCheck:
+    """Entry ``cid`` from read() -> (status, evidence, note); a LawError, the law's
+    own refusal to answer, makes it not-checkable with the law's message."""
     try:
-        return ConditionCheck(cid, "verified", integral(), note)
-    except _UNREADABLE as exc:
+        return ConditionCheck(cid, *read())
+    except LawError as exc:
         return ConditionCheck(cid, "not-checkable", None, str(exc))
 
 
-def kesten_conditions_report(
-    a_law: CoefficientLaw, e_law: CoefficientLaw
-) -> TheoryReport:
+def kesten_conditions_report(a_law: CoefficientLaw, e_law: CoefficientLaw) -> TheoryReport:
     """Checklist (a)-(h) for stationarity and power-law convergence.
 
-    Violations are report entries, never exceptions.  Condition (c)
-    (non-lattice log a) is `verified` for laws with a density and
-    `assumed` otherwise; it is not mechanically decidable from samples.
+    Violations are report entries, never exceptions: each condition is one
+    read of the laws, and a LawError makes it `not-checkable`.  Condition (c)
+    (non-lattice log a) is `verified` for laws with a density and `assumed`
+    otherwise; it is not mechanically decidable from samples.  (e)-(h) read
+    E(a^mu) at real mu, so a signed a leaves them not checkable.
     """
-    a_eff = a_law.collapsed()
-    e_eff = e_law.collapsed()
-    entries: list[ConditionCheck] = []
+    a, e = a_law.collapsed(), e_law.collapsed()
+    lam1 = mu_star = None  # the lambda1 of (f), which (g) and (h) need; the root of (h)
 
-    # (a) E[log a] < 0
-    try:
-        stat = stationarity_check(a_eff)
+    def moment(mu: float) -> float:
+        if not a.nonnegative:
+            raise NonnegativityRequired(
+                f"E(a^mu) at real mu needs a nonnegative a; the {a.kind} law admits negative values"
+            )
+        return a.moment(mu)
+
+    def log_a():  # (a) E[log a] < 0
+        stat = stationarity_check(a)
         status = "verified" if stat.stationary else "violated"
-        entries.append(
-            ConditionCheck("a", status, stat.log_moment, f"E[log a] {stat.verdict}")
-        )
-        log_a_ok = stat.stationary
-    except LawError as exc:  # PositivityRequired and friends
-        entries.append(ConditionCheck("a", "not-checkable", None, str(exc)))
-        log_a_ok = False
+        return status, stat.log_moment, f"E[log a] {stat.verdict}"
 
-    # (b) E[max(log|e|, 0)] < inf, summed over the tails e >= 1 and e <= -1
-    entries.append(
-        _integral_check(
-            "b",
-            lambda: e_eff.expect(math.log, lo=1.0) + e_eff.expect(lambda x: math.log(-x), hi=-1.0),
-            "finite positive-part log moment",
-        )
-    )
+    def log_e():  # (b) E[max(log|e|, 0)] < inf, summed over the tails e >= 1 and e <= -1
+        value = e.expect(math.log, lo=1.0) + e.expect(lambda x: math.log(-x), hi=-1.0)
+        return "verified", value, "finite positive-part log moment"
 
-    # (c) log a non-lattice
-    if a_eff.has_density:
-        entries.append(
-            ConditionCheck("c", "verified", None, "continuous law: log a non-lattice")
-        )
-    else:
-        entries.append(
-            ConditionCheck("c", "assumed", None, "discrete law: lattice check skipped")
-        )
+    def non_lattice():  # (c) log a non-lattice
+        if a.has_density:
+            return "verified", None, "continuous law: log a non-lattice"
+        return "assumed", None, "discrete law: lattice check skipped"
 
-    # (d) (1-a)^{-1} e not a constant: violated when e is a point mass and
-    # a is one too, or e == 0
-    a_lo, a_hi = a_eff.support
-    e_lo, e_hi = e_eff.support
-    if e_lo == e_hi and (a_lo == a_hi or e_lo == 0.0):
-        entries.append(
-            ConditionCheck(
-                "d", "violated", None, "(1 - a)^{-1} e reduces to a constant"
+    def non_degenerate():  # (d) (1-a)^{-1} e not a constant (e a point mass and a too, or e == 0)
+        (a_lo, a_hi), (e_lo, e_hi) = a.support, e.support
+        if e_lo == e_hi and (a_lo == a_hi or e_lo == 0.0):
+            return "violated", None, "(1 - a)^{-1} e reduces to a constant"
+        return "verified", None, "non-degenerate pair"
+
+    def lambda0():  # (e) some lambda0 with E(a^lambda0) < 1
+        for lam in (1e-3, 1e-2, 0.1, 0.5, 1.0):
+            if (v := moment(lam)) < 1.0:
+                return "verified", v, f"E(a^{lam:g}) = {v:.6g} < 1"
+        return "violated", None, "no small moment below 1 found"
+
+    def lambda1():  # (f) some lambda1 with E(a^lambda1) >= 1
+        nonlocal lam1
+        lam, v = _doubling_scan(moment)
+        if v < 1.0:
+            return "violated", v, (
+                f"E(a^mu) < 1 up to mu = {MU_CAP:g}: no lambda1 exists (thin-tail regime)"
             )
-        )
-    else:
-        entries.append(ConditionCheck("d", "verified", None, "non-degenerate pair"))
+        lam1 = lam
+        return "verified", v, f"E(a^{lam:g}) = {v:.6g} >= 1"
 
-    # (e) some lambda0 with E(a^lambda0) < 1
-    lam0 = unread = None
-    try:
-        if a_eff.nonnegative:
-            for cand in (1e-3, 1e-2, 0.1, 0.5, 1.0):
-                v = a_eff.moment(cand)
-                if v < 1.0:
-                    lam0 = (cand, v)
-                    break
-    except _UNREADABLE as exc:
-        unread = str(exc)
-    if unread is not None:
-        entries.append(ConditionCheck("e", "not-checkable", None, unread))
-    elif lam0 is not None:
-        entries.append(
-            ConditionCheck(
-                "e", "verified", lam0[1], f"E(a^{lam0[0]:g}) = {lam0[1]:.6g} < 1"
-            )
-        )
-    else:
-        entries.append(
-            ConditionCheck("e", "violated", None, "no small moment below 1 found")
-        )
+    def tilted_log_a():  # (g) E[a^lambda1 max(log a, 0)] < inf
+        if lam1 is None:
+            return "not-checkable", None, "no lambda1 from (f)"
+        value = a.expect(lambda x: x**lam1 * math.log(x), lo=1.0)
+        return "verified", value, f"tilted log moment at {lam1:g}"
 
-    # (f) some lambda1 with E(a^lambda1) >= 1
-    lam1 = last_val = unread = None
-    try:
-        if a_eff.nonnegative:
-            cand = 1.0
-            while cand <= MU_CAP:
-                v = a_eff.moment(cand)
-                last_val = v
-                if v >= 1.0:
-                    lam1 = (cand, v)
-                    break
-                cand *= 2.0
-    except _UNREADABLE as exc:
-        unread = str(exc)
-    if unread is not None:
-        entries.append(ConditionCheck("f", "not-checkable", None, unread))
-    elif lam1 is not None:
-        entries.append(
-            ConditionCheck(
-                "f", "verified", lam1[1], f"E(a^{lam1[0]:g}) = {lam1[1]:.6g} >= 1"
-            )
-        )
-    else:
-        entries.append(
-            ConditionCheck(
-                "f",
-                "violated",
-                last_val,
-                f"E(a^mu) < 1 up to mu = {MU_CAP:g}: no lambda1 exists "
-                "(thin-tail regime)",
-            )
-        )
+    def e_at_root():  # (h) E(|e|^mu*) < inf at the solved root
+        nonlocal mu_star
+        if checks["a"].status == "verified" and lam1 is not None:
+            try:
+                mu_star = cramer_root(a).mu_star
+            except TheoryError:
+                pass
+        if mu_star is None:
+            return "not-checkable", None, "no moment-equation root"
+        return "verified", e.abs_moment(mu_star), f"E|e|^mu* at mu* = {mu_star:.4g}"
 
-    # (g) E[a^lambda1 max(log a, 0)] < inf
-    if lam1 is not None:
-        lam = lam1[0]
-        entries.append(
-            _integral_check(
-                "g",
-                lambda: a_eff.expect(lambda x: x**lam * math.log(x), lo=1.0),
-                f"tilted log moment at {lam:g}",
-            )
-        )
-    else:
-        entries.append(
-            ConditionCheck("g", "not-checkable", None, "no lambda1 from (f)")
-        )
-
-    # (h) E(|e|^mu*) < inf at the solved root
-    mu_star: float | None = None
-    no_root = "no moment-equation root"
-    if log_a_ok and lam1 is not None:
-        try:
-            mu_star = cramer_root(a_eff).mu_star
-        except TheoryError:
-            pass
-        except _UNREADABLE as exc:  # a root the rule cannot reach
-            no_root = str(exc)
-    if mu_star is not None:
-        entries.append(
-            _integral_check(
-                "h", lambda: e_eff.abs_moment(mu_star), f"E|e|^mu* at mu* = {mu_star:.4g}"
-            )
-        )
-    else:
-        entries.append(ConditionCheck("h", "not-checkable", None, no_root))
-
-    # expectation-accuracy case from E(a) alone
-    try:
-        case, predicted, _ = _expectation_case(a_eff)
+    checks: dict[str, ConditionCheck] = {}
+    reads = (log_a, log_e, non_lattice, non_degenerate, lambda0, lambda1, tilted_log_a, e_at_root)
+    for cid, read in zip("abcdefgh", reads):
+        checks[cid] = _check(cid, read)
+    try:  # expectation-accuracy case from E(a) alone
+        case, predicted, _ = _expectation_case(a)
     except LawError:
         case, predicted = "?", "unknown"
-
-    return TheoryReport(tuple(entries), case, predicted, mu_star)
+    return TheoryReport(tuple(checks.values()), case, predicted, mu_star)
 
 
 # matrix case -----------------------------------------------------------------
@@ -578,6 +504,14 @@ def _batched_log_norms(
     return out
 
 
+def check_lyapunov_params(t_horizon: int, trials: int) -> None:
+    """InvalidConfig unless t_horizon >= 100 and trials >= 10."""
+    if t_horizon < 100:
+        raise InvalidConfig(f"t_horizon must be >= 100, got {t_horizon}")
+    if trials < 10:
+        raise InvalidConfig(f"trials must be >= 10, got {trials}")
+
+
 def lyapunov_top(
     ar_spec: KestenAR | KestenScalar,
     t_horizon: int = 1000,
@@ -589,10 +523,7 @@ def lyapunov_top(
     Averages (1/t) log||A_1 ... A_t|| over independent trials; negativity is
     the norm-independent stationarity criterion for the order-K recursion.
     """
-    if t_horizon < 100:
-        raise InvalidConfig(f"t_horizon must be >= 100, got {t_horizon}")
-    if trials < 10:
-        raise InvalidConfig(f"trials must be >= 10, got {trials}")
+    check_lyapunov_params(t_horizon, trials)
     spec = as_ar(ar_spec)
     log_norms = _batched_log_norms(spec, rng.generator(), (t_horizon,), trials)
     g = log_norms[t_horizon] / t_horizon

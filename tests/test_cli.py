@@ -632,6 +632,19 @@ class TestCommandLine:
         assert res.returncode == 3
         assert "+0.1159" in res.stderr
 
+    def test_non_stationary_garch_exits_3_before_simulating(self, tmp_path):
+        # sigma^2 is a scalar feedback recursion with E[log(beta + alpha z^2)] > 0
+        process = {"kind": "garch11", "omega": 0.01, "alpha": 0.05, "beta": 0.96}
+        cfg_path = tmp_path / "garch.cfg"
+        cfg_path.write_text(json.dumps({**SMALL_CONFIG, "process": process, "burn_in": 1000}))
+        res = _cli("run", str(cfg_path), "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 3
+        assert res.stderr == (
+            "error: E[log a] = +0.007756 > 0: the recursion has no stationary solution; "
+            "refusing to simulate\n"
+        )
+        assert not (tmp_path / "out").exists()  # so no series.npy and no manifest
+
     RUN = ["run", "{cfg}", "--output-dir", "{out}"]
 
     @pytest.mark.parametrize(
@@ -640,6 +653,7 @@ class TestCommandLine:
             (RUN, {"acf": {"max_lag": 0}}),
             (RUN, {"lyapunov": {"t_horizon": 50}}),
             (RUN, {"lyapunov": {"trials": 5}}),
+            (RUN, {"hill": {"k": 3}}),
             (["lyapunov", "--config", "{cfg}"], {"lyapunov": {"t_horizon": 50}}),
             (["acf", "{series}", "--max-lag", "0"], {"acf": {}}),
         ],
@@ -647,15 +661,16 @@ class TestCommandLine:
             "run-acf-max_lag",
             "run-lyapunov-t_horizon",
             "run-lyapunov-trials",
+            "run-hill-k",
             "lyapunov-t_horizon",
             "acf-max_lag",
         ],
     )
     def test_bad_analysis_parameter_exit_code(self, tmp_path, argv, analyses):
-        # each value passes the config's type checks and fails the analysis bounds
+        # each value passes the config's type checks and fails the analysis bounds,
+        # which a run checks when it loads the config, before anything is simulated
         cfg_path = tmp_path / "bad.cfg"
-        cfg = config_from_dict({**SMALL_CONFIG, "analyses": analyses})
-        cfg_path.write_text(config_to_json(cfg))
+        cfg_path.write_text(json.dumps({**SMALL_CONFIG, "analyses": analyses}))
         series = tmp_path / "series.csv"
         series.write_text("t,r\n" + "".join(f"{t},{0.01 * (-1) ** t}\n" for t in range(200)))
         paths = {"cfg": cfg_path, "series": series, "out": tmp_path / "out"}
@@ -663,6 +678,7 @@ class TestCommandLine:
         assert res.returncode == 2, res.stderr
         assert "error:" in res.stderr
         assert "Traceback" not in res.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "key, value", [("grid", [1.0, 6.0]), ("t_horizon", 6), ("trials", 200000)],

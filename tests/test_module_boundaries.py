@@ -74,6 +74,14 @@ def test_one_root_step_serves_both_moment_equations():
     ]
 
 
+def test_one_doubling_scan_serves_the_moment_root_and_the_checklist():
+    # E(c^mu) over mu = 1, 2, 4, ..., MU_CAP is walked in one loop
+    assert _callers({"_doubling_scan"}) == [
+        "theory._moment_root",
+        "theory.kesten_conditions_report.lambda1",
+    ]
+
+
 def test_one_bracket_serves_the_scalar_and_order_one_moment_equations():
     assert _callers({"_moment_root"}) == ["theory.cramer_root", "theory.moment_lyapunov_root"]
 

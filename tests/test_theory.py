@@ -14,7 +14,9 @@ from conftest import FIG2_SPEC, FIG4_SPEC
 from kestenlab import (
     Constant,
     Exponential,
+    Garch11,
     GarchCoefficient,
+    InverseMultiplier,
     KestenAR,
     KestenScalar,
     Normal,
@@ -354,6 +356,9 @@ class TestStationarityCheck:
 
 # kesten_conditions_report(a, e).to_dict(), recorded before the law facts
 # moved onto the law classes: (a, e) -> (conditions, regime case, predicted, mu*)
+# (e)-(h) read E(a^mu) at real mu, which a signed a does not have
+SIGNED_A = "E(a^mu) at real mu needs a nonnegative a; the uniform law admits negative values"
+
 CONDITION_PINS = [
     (
         Uniform(0.0, 1.6),
@@ -420,6 +425,21 @@ CONDITION_PINS = [
         ],
         ("B", "mu < 1", None),
     ),
+    (
+        Uniform(-0.5, 1.2),
+        Normal(0.0, 1.0),
+        [
+            ("a", "not-checkable", None, "E[log X] requires P(X > 0) = 1; uniform law violates it"),
+            ("b", "verified", 0.12205043635709781, "finite positive-part log moment"),
+            ("c", "verified", None, "continuous law: log a non-lattice"),
+            ("d", "verified", None, "non-degenerate pair"),
+            ("e", "not-checkable", None, SIGNED_A),
+            ("f", "not-checkable", None, SIGNED_A),
+            ("g", "not-checkable", None, "no lambda1 from (f)"),
+            ("h", "not-checkable", None, "no moment-equation root"),
+        ],
+        ("C", "mu > 1", None),
+    ),
 ]
 
 
@@ -431,7 +451,7 @@ class TestConditionsReport:
     @pytest.mark.parametrize(
         "a_law, e_law, conditions, regime",
         CONDITION_PINS,
-        ids=["two-sided-b", "quadrature-h", "garch-point-mass", "constant-pair"],
+        ids=["two-sided-b", "quadrature-h", "garch-point-mass", "constant-pair", "signed-a"],
     )
     def test_pinned_reports(self, a_law, e_law, conditions, regime):
         # branches no bundled config reaches: the two-sided (b) quadrature,
@@ -641,6 +661,27 @@ class TestLyapunovTop:
             lyapunov_top(spec, 50, 10, RngStream(0))
         with pytest.raises(ValueError):
             lyapunov_top(spec, 100, 5, RngStream(0))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Garch11(0.01, 0.09, 0.9), InverseMultiplier(Uniform(0.0, 1.0), Normal(0.0, 1.0))],
+    ids=["garch11", "inverse_multiplier"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        as_ar,
+        lambda spec: lyapunov_top(spec, 100, 10, RngStream(0)),
+        lambda spec: integer_moment_growth(spec, 2),
+        moment_lyapunov_root,
+    ],
+    ids=["as_ar", "lyapunov_top", "integer_moment_growth", "moment_lyapunov_root"],
+)
+def test_a_spec_without_a_companion_form_is_refused_by_kind(spec, call):
+    message = f"a companion form needs a kesten_scalar or kesten_ar process, got {spec.kind}$"
+    with pytest.raises(InvalidConfig, match=message):
+        call(spec)
 
 
 # a signed order-2 spec: only even integer moments of its product are meaningful
