@@ -47,7 +47,6 @@ from .estimators import (
     returns_from_prices,
     tail_exponent_ls,
     tail_fit_with_ccdf,
-    thin_ccdf,
     write_acf_csv,
     write_ccdf_csv,
 )
@@ -273,7 +272,6 @@ def _report_cramer(entry: RegimeClassification, out_dir: Path) -> list[str]:
 
 def _tail_fit(series, config: ExperimentConfig, params: dict, write) -> TailFit:
     fit, x, p = tail_fit_with_ccdf(series, params["threshold"])
-    x, p = thin_ccdf(x, p)
     write("ccdf.csv", lambda path: write_ccdf_csv(x, p, path))
     write("tail_fit.json", fit)
     return fit

@@ -165,20 +165,24 @@ def empirical_ccdf(series, absolute: bool = True) -> tuple[np.ndarray, np.ndarra
     return x, p
 
 
-def thin_ccdf(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of an absolute ``empirical_ccdf`` that ``ccdf.csv`` keeps.
-
-    At most ``CCDF_PLOT_POINTS`` distinct x are kept whole.  Otherwise the
-    rows are the first, the last, and the first x at or above each of
-    ``CCDF_PLOT_POINTS`` log-spaced points from the smallest positive x to
-    the largest: exact (x, p) pairs, at most ``CCDF_PLOT_POINTS`` of them
-    (one more when the first x is 0).
-    """
-    if x.size <= CCDF_PLOT_POINTS:
-        return x, p
+def _plot_rows(x: np.ndarray) -> np.ndarray:
+    """The indices of sorted x that ``ccdf.csv`` keeps when x holds more than
+    ``CCDF_PLOT_POINTS`` distinct values: the first, the last, and the first
+    at or above each of ``CCDF_PLOT_POINTS`` log-spaced points from the
+    smallest positive x to the largest.  On distinct x these are exact
+    (x, p) rows, at most ``CCDF_PLOT_POINTS`` of them (one more when the
+    first x is 0); on a sample with ties they name the same values."""
     smallest_positive = x[np.searchsorted(x, 0.0, side="right")]
     grid = np.geomspace(smallest_positive, x[-1], CCDF_PLOT_POINTS)
-    rows = np.unique(np.concatenate(([0, x.size - 1], np.searchsorted(x, grid))))
+    return np.unique(np.concatenate(([0, x.size - 1], np.searchsorted(x, grid))))
+
+
+def thin_ccdf(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of an absolute ``empirical_ccdf`` that ``ccdf.csv`` keeps: all
+    of them when at most ``CCDF_PLOT_POINTS`` distinct x, else ``_plot_rows``."""
+    if x.size <= CCDF_PLOT_POINTS:
+        return x, p
+    rows = _plot_rows(x)
     return x[rows], p[rows]
 
 
@@ -195,19 +199,30 @@ def tail_exponent_ls(series, threshold: float | None = None) -> TailFit:
 def tail_fit_with_ccdf(
     series, threshold: float | None = None
 ) -> tuple[TailFit, np.ndarray, np.ndarray]:
-    """``tail_exponent_ls`` and the absolute ``empirical_ccdf`` (x, p) it regresses
-    on, from one sort of |r|."""
-    absv = np.abs(_values(series))
+    """``tail_exponent_ls`` and the ``ccdf.csv`` rows, ``thin_ccdf`` of the
+    absolute ``empirical_ccdf``, from one in-place sort of a copy of |r|.
+
+    Neither needs the full CCDF: the regression reads the distinct values
+    above the threshold, and p = (n - rank) / n of each, rank being the
+    count of values at or below it; the rows are every distinct value, or
+    where more than ``CCDF_PLOT_POINTS`` are, the distinct values at
+    ``_plot_rows`` of the sorted sample, and their p is read the same way
+    by searchsorted."""
+    s = np.abs(_values(series))
+    s.sort()
+    n = s.size
     if threshold is None:
-        threshold = float(np.quantile(absv, DEFAULT_TAIL_QUANTILE))
-    n_tail = int((absv > threshold).sum())
+        threshold = float(np.quantile(s, DEFAULT_TAIL_QUANTILE))
+    first = int(np.searchsorted(s, threshold, side="right"))  # the first value above it
+    n_tail = n - first
     if n_tail < MIN_TAIL_POINTS:
         raise InsufficientTail(
             f"only {n_tail} exceedances above threshold {threshold!r}; "
             f"need at least {MIN_TAIL_POINTS}"
         )
-    x, p = empirical_ccdf(absv, absolute=False)
-    mask = (x > threshold) & (p > 0)
+    x, counts = np.unique(s[first:], return_counts=True)
+    p = (n - (first + np.cumsum(counts))) / n
+    mask = p > 0
     if int(mask.sum()) < 3:
         raise InsufficientTail("fewer than 3 distinct tail points above threshold")
     lx = np.log(x[mask])
@@ -221,7 +236,10 @@ def tail_fit_with_ccdf(
     intercept = float(lp.mean() - slope * lx_mean)
     resid = lp - (slope * lx + intercept)
     stderr = float(np.sqrt(resid @ resid / max(m - 2, 1) / sxx))
-    return TailFit(float(threshold), -slope, intercept, n_tail, stderr), x, p
+    fit = TailFit(float(threshold), -slope, intercept, n_tail, stderr)
+    few = np.count_nonzero(s[1:] != s[:-1]) < CCDF_PLOT_POINTS  # every distinct value is a row
+    x = np.unique(s) if few else np.unique(s[_plot_rows(s)])
+    return fit, x, (n - np.searchsorted(s, x, side="right")) / n
 
 
 def hill_estimator(series, k: int) -> float:
@@ -233,11 +251,11 @@ def hill_estimator(series, k: int) -> float:
     n = absv.size
     if not MIN_TAIL_POINTS <= k < n:
         raise InsufficientTail(f"need {MIN_TAIL_POINTS} <= k < n, got k={k}, n={n}")
-    part = np.partition(absv, n - k - 1)
-    x_nk = part[n - k - 1]
+    absv.partition(n - k - 1)  # in place: absv is this call's own copy
+    x_nk = absv[n - k - 1]
     if not x_nk > 0:
         raise DegenerateTail(f"order statistic x_(n-k) = {x_nk!r} is not positive")
-    spacings = np.log(part[n - k :]) - np.log(x_nk)
+    spacings = np.log(absv[n - k :]) - np.log(x_nk)
     h = float(spacings.mean())
     if h <= 0:
         raise DegenerateTail("zero log-spacings in the top order statistics")

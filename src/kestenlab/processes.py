@@ -250,7 +250,7 @@ def _gather(x: np.ndarray, block: int, start: int, buf: np.ndarray, tile: np.nda
     buf[..., : tail.shape[-1], full:] = tail[..., None]
 
 
-def _run_blocks(a, w, e, rows: list, block: int, out=None) -> list:
+def _run_blocks(a, w, e, rows: list, block: int, out=None, rejoin: bool = False) -> list:
     """Run step t of all blocks at once from the draws a[t::block]: rows[i][r, b]
     is lag i of run r in block b, e enters run 0 only, and ``out`` gets run 0;
     ``w`` None is the scalar recursion, which has no weight row.
@@ -259,13 +259,24 @@ def _run_blocks(a, w, e, rows: list, block: int, out=None) -> list:
     steps at a time through contiguous (steps, blocks) buffers made once per
     call, so a step reads adjacent memory and not one value per block; the
     draws pass through one staging tile, shared by a, each weight row and e
-    (``_gather`` says why)."""
+    (``_gather`` says why).
+
+    With ``rejoin``, ``out`` already holds a run of the same draws from other
+    starts, and the call stops after the first chunk at whose end every block
+    has rejoined it: its last len(rows) steps equal out's bit for bit (int64
+    views, so +-0.0 and NaN are exact), or the block has ended.  A rejoined
+    state reads the same draws with the same arithmetic, so the rest of
+    ``out`` is already this run.  The steps that agree are counted across
+    chunks, so an order above PATH_CHUNK is checked too."""
     steps = min(block, a.size)
     chunk, full = min(PATH_CHUNK, block), a.size // block
     ac, ec, oc = (np.empty((chunk, -(-a.size // block))) for _ in range(3))
     wc = None if w is None else np.empty((len(w), *ac.shape))
     tile = np.empty((full, chunk))
     gathered = [(x, buf) for x, buf in ((a, ac), (w, wc), (e, ec)) if x is not None]
+    if rejoin:
+        before, agree = np.empty_like(oc), np.zeros(oc.shape[1], dtype=np.int64)
+        length = np.minimum(block, a.size - block * np.arange(oc.shape[1]))
     for start in range(0, steps, chunk):
         m = min(chunk, steps - start)
         for x, buf in gathered:
@@ -276,10 +287,17 @@ def _run_blocks(a, w, e, rows: list, block: int, out=None) -> list:
             rows = companion_step(ac[i, :n], wi, [r[:, :n] for r in rows])
             rows[0][0] += ec[i, :n]
             oc[i, :n] = rows[0][0]
-        if out is not None:
-            out[: full * block].reshape(full, block)[:, start : start + m] = oc[:m, :full].T
-            tail = out[full * block + start : full * block + start + m]
-            tail[:] = oc[: tail.size, full:].ravel()
+        if out is None:
+            continue
+        if rejoin:  # agree[b]: how many of block b's latest steps equal out's
+            _gather(out, block, start, before[:m], tile)
+            miss = oc[:m].view(np.int64) != before[:m].view(np.int64)
+            agree = np.where(miss.any(axis=0), np.argmax(miss[::-1], axis=0), agree + m)
+        out[: full * block].reshape(full, block)[:, start : start + m] = oc[:m, :full].T
+        tail = out[full * block + start : full * block + start + m]
+        tail[:] = oc[: tail.size, full:].ravel()
+        if rejoin and ((agree >= len(rows)) | (length <= start + m)).all():
+            break
     return rows
 
 
@@ -288,13 +306,17 @@ def _companion_path(a: np.ndarray, w, e: np.ndarray, r_init: tuple) -> np.ndarra
     ``w`` None is the scalar recursion r_t = a_t r_{t-1} + e_t from r_init = (r_{-1},).
 
     The steps are cut into blocks of max(PATH_BLOCK, K).  A first pass runs
-    every block from a zero start and from the K unit starts and keeps the
-    block ends, from which a loop over the blocks finds each true start (a
-    block whose unit response lost its finite start's share is rerun from
-    it); a second pass reruns every block from its start with the plain
-    loop's arithmetic.  Both passes read their draws a chunk of PATH_CHUNK
-    steps at a time (``_run_blocks``), which changes no arithmetic.  A
-    diverging path comes back holding inf or NaN.
+    every block from a zero start, which it writes to the path, and from
+    the K unit starts, and keeps the block ends, from which a loop over the
+    blocks finds each true start (a block whose unit response lost its
+    finite start's share is rerun from it).  A second pass reruns every
+    block from its start with the plain loop's arithmetic until each block
+    has rejoined its zero-start run, which the contraction brings about
+    within a few dozen steps on a mixing path; from there the first pass's
+    steps stand.  A path of one block is run once, from r_init.  Both
+    passes read their draws a chunk of PATH_CHUNK steps at a time
+    (``_run_blocks``), which changes no arithmetic.  A diverging path comes
+    back holding inf or NaN.
     """
     k, total, block = len(r_init), a.size, max(PATH_BLOCK, len(r_init))
 
@@ -302,14 +324,19 @@ def _companion_path(a: np.ndarray, w, e: np.ndarray, r_init: tuple) -> np.ndarra
         return a[span], None if w is None else w[:, span], e[span]
 
     blocks = max(-(-total // block), 1)
-    cut = (blocks - 1) * block  # the last block's end is not needed
+    out = np.empty(total)
     with np.errstate(all="ignore"):
-        unit = np.broadcast_to(np.eye(k, k + 1, 1)[:, :, None], (k, k + 1, blocks - 1))
-        ends = _run_blocks(*draws(slice(cut)), list(unit), block)
+        if blocks == 1:  # the one block starts at r_init: no first pass
+            _run_blocks(a, w, e, [np.full((1, 1), float(r)) for r in r_init], block, out)
+            return out
+        unit = np.broadcast_to(np.eye(k, k + 1, 1)[:, :, None], (k, k + 1, blocks))
+        # [end row, zero start or 1 + lag, block]; the last block runs for its
+        # zero start, which the second pass rejoins, and its end is not needed
+        ends = np.array(_run_blocks(a, w, e, list(unit), block, out))[:, :, : blocks - 1]
         # lost[j, b]: the lag-j start size whose share block b's composed end loses:
         # any where a unit response overflowed; where one underflowed into the
         # subnormals or to 0, any that would show next to the zero-start end
-        size = np.abs(np.array(ends))  # [end row, zero start or 1 + lag, block]
+        size = np.abs(ends)
         fp = np.finfo(np.float64)
         small = (size[:, 1:] < fp.tiny).any(axis=0)
         lost = np.where(small, fp.eps / fp.tiny * size[:, 0].min(axis=0), np.inf)
@@ -324,8 +351,7 @@ def _companion_path(a: np.ndarray, w, e: np.ndarray, r_init: tuple) -> np.ndarra
             else:  # a zero lag adds nothing, even through an inf response
                 live = starts[b] != 0.0
                 starts[b + 1] = [end[0, b] + end[1:, b][live] @ starts[b][live] for end in ends]
-        out = np.empty(total)
-        _run_blocks(a, w, e, list(starts.T[:, None, :]), block, out)
+        _run_blocks(a, w, e, list(starts.T[:, None, :]), block, out, rejoin=True)
     return out
 
 

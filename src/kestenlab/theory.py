@@ -388,7 +388,7 @@ def kesten_conditions_report(a_law: CoefficientLaw, e_law: CoefficientLaw) -> Th
     E(a^mu) at real mu, so a signed a leaves them not checkable.
     """
     a, e = a_law.collapsed(), e_law.collapsed()
-    lam1 = mu_star = None  # the lambda1 of (f), which (g) and (h) need; the root of (h)
+    elog = lam1 = mu_star = None  # E[log a] of (a); the lambda1 of (f), which (g) and (h) need
 
     def moment(mu: float) -> float:
         if not a.nonnegative:
@@ -397,10 +397,18 @@ def kesten_conditions_report(a_law: CoefficientLaw, e_law: CoefficientLaw) -> Th
             )
         return a.moment(mu)
 
-    def log_a():  # (a) E[log a] < 0
+    def root() -> float | None:  # mu*, solved wherever E[log a] < 0
+        try:
+            return cramer_root(a).mu_star if elog is not None and elog < 0 else None
+        except TheoryError:
+            return None
+
+    def log_a():  # (a) E[log a] < 0; inside the boundary band the sign is not decided
+        nonlocal elog
         stat = stationarity_check(a)
-        status = "verified" if stat.stationary else "violated"
-        return status, stat.log_moment, f"E[log a] {stat.verdict}"
+        elog = stat.log_moment
+        status = {"stationary": "verified", "boundary": "not-checkable"}.get(stat.verdict, "violated")
+        return status, elog, f"E[log a] {stat.verdict}"
 
     def log_e():  # (b) E[max(log|e|, 0)] < inf, summed over the tails e >= 1 and e <= -1
         value = e.expect(math.log, lo=1.0) + e.expect(lambda x: math.log(-x), hi=-1.0)
@@ -421,6 +429,9 @@ def kesten_conditions_report(a_law: CoefficientLaw, e_law: CoefficientLaw) -> Th
         for lam in (1e-3, 1e-2, 0.1, 0.5, 1.0):
             if (v := moment(lam)) < 1.0:
                 return "verified", v, f"E(a^{lam:g}) = {v:.6g} < 1"
+        # a root below 1e-3: E(a^mu) is convex and 1 at 0 and at mu*, so below 1 between
+        if (mu := root()) is not None and (v := moment(mu / 2.0)) < 1.0:
+            return "verified", v, f"E(a^{mu / 2.0:g}) = 1 - {1.0 - v:.6g} < 1"
         return "violated", None, "no small moment below 1 found"
 
     def lambda1():  # (f) some lambda1 with E(a^lambda1) >= 1
@@ -441,11 +452,7 @@ def kesten_conditions_report(a_law: CoefficientLaw, e_law: CoefficientLaw) -> Th
 
     def e_at_root():  # (h) E(|e|^mu*) < inf at the solved root
         nonlocal mu_star
-        if checks["a"].status == "verified" and lam1 is not None:
-            try:
-                mu_star = cramer_root(a).mu_star
-            except TheoryError:
-                pass
+        mu_star = root() if lam1 is not None else None
         if mu_star is None:
             return "not-checkable", None, "no moment-equation root"
         return "verified", e.abs_moment(mu_star), f"E|e|^mu* at mu* = {mu_star:.4g}"

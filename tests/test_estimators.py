@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from kestenlab import (
     KestenScalar,
     Normal,
     RngStream,
+    TailFit,
     acf,
     empirical_ccdf,
     hill_estimator,
@@ -17,7 +19,7 @@ from kestenlab import (
     simulate,
     tail_exponent_ls,
 )
-from kestenlab import estimators
+from kestenlab import cli, estimators
 from kestenlab.estimators import CCDF_PLOT_POINTS, mean_std, tail_fit_with_ccdf, thin_ccdf
 from kestenlab.cli import config_from_dict, run
 from kestenlab.errors import (
@@ -147,22 +149,41 @@ class TestTailExponentLs:
         d = fit.to_dict()
         assert set(d) == {"threshold", "exponent", "intercept", "n_tail", "stderr"}
 
-    def test_fit_and_ccdf_from_one_sort(self):
-        x = exact_pareto(3.0, 10**5, seed=15) * np.where(np.arange(10**5) % 3, 1.0, -1.0)
-        fit, cx, cp = tail_fit_with_ccdf(x)
-        assert fit == tail_exponent_ls(x)
-        ex, ep = empirical_ccdf(x, absolute=True)
-        assert np.array_equal(cx, ex) and np.array_equal(cp, ep)
+    @pytest.mark.parametrize(
+        "values",
+        [
+            exact_pareto(3.0, 10**5, seed=15) * np.where(np.arange(10**5) % 3, 1.0, -1.0),
+            np.round(exact_pareto(2.0, 10**5, seed=16), 2),  # ties, more than 512 distinct
+            np.concatenate([[0.0, -0.0], exact_pareto(3.0, 10**4, seed=9)]),  # zero is a row
+            np.concatenate([np.arange(1.0, 301.0), np.arange(1.0, 301.0)[::-1]] * 20),  # 300 distinct
+        ],
+        ids=["signed", "ties", "zero", "few-distinct"],
+    )
+    def test_fit_and_ccdf_from_one_sort(self, values):
+        # the fit of the full CCDF's points above the threshold, and thin_ccdf
+        # of the full CCDF, bit for bit, though neither full CCDF is built
+        fit, cx, cp = tail_fit_with_ccdf(values)
+        assert fit == _fit_of_full_ccdf(values, fit.threshold)
+        kept_x, kept_p = thin_ccdf(*empirical_ccdf(values, absolute=True))
+        assert cx.tobytes() == kept_x.tobytes() and cp.tobytes() == kept_p.tobytes()
 
     def test_tail_fit_analysis_sorts_once(self, tmp_path, monkeypatch):
-        calls = []
-        original = estimators.empirical_ccdf
+        # one tail_fit_with_ccdf call, no empirical_ccdf, and every np.unique on
+        # fewer values than the series: the tail slice and the plotted rows
+        calls, unique_sizes = [], []
+        original, unique = estimators.tail_fit_with_ccdf, np.unique
 
-        def counting(series, absolute=True):
-            calls.append(absolute)
-            return original(series, absolute)
+        def counting(series, threshold=None):
+            calls.append(len(series))
+            return original(series, threshold)
 
-        monkeypatch.setattr(estimators, "empirical_ccdf", counting)
+        def sized(ar, *args, **kwargs):
+            unique_sizes.append(np.size(ar))
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "tail_fit_with_ccdf", counting)
+        monkeypatch.setattr(estimators, "empirical_ccdf", None)
+        monkeypatch.setattr(np, "unique", sized)
         config = config_from_dict(
             {
                 "process": FIG3_SPEC.to_config(),
@@ -173,7 +194,37 @@ class TestTailExponentLs:
             }
         )
         run(config, output_dir=tmp_path)
-        assert len(calls) == 1
+        assert calls == [10**4]
+        assert unique_sizes and max(unique_sizes) < 10**4 // 10
+
+    @pytest.mark.parametrize("threshold", [None, 2.7])  # both about 5% in the tail
+    def test_tail_fit_memory_is_bounded(self, threshold):
+        # the |r| copy that is sorted in place, and np.quantile's partitioned copy
+        # of it: 2 n floats, where the full CCDF took more than 5 n
+        values = exact_pareto(3.0, 10**6, seed=17)
+        tracemalloc.start()
+        try:
+            tail_fit_with_ccdf(values, threshold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 8 * values.size
+
+
+def _fit_of_full_ccdf(values: np.ndarray, threshold: float) -> TailFit:
+    """The OLS fit over the full empirical CCDF's points above the threshold,
+    as the tail fit formed it from np.unique of all of |r|."""
+    x, p = empirical_ccdf(values, absolute=True)
+    mask = (x > threshold) & (p > 0)
+    lx, lp = np.log(x[mask]), np.log(p[mask])
+    lx_mean = lx.mean()
+    sxx = float(np.sum((lx - lx_mean) ** 2))
+    slope = float(np.sum((lx - lx_mean) * lp) / sxx)
+    intercept = float(lp.mean() - slope * lx_mean)
+    resid = lp - (slope * lx + intercept)
+    stderr = float(np.sqrt(resid @ resid / max(lx.size - 2, 1) / sxx))
+    n_tail = int((np.abs(values) > threshold).sum())
+    return TailFit(threshold, -slope, intercept, n_tail, stderr)
 
 
 class TestHillEstimator:
@@ -181,6 +232,16 @@ class TestHillEstimator:
     def test_recovers_pareto_exponent(self, mu, band):
         x = exact_pareto(mu, 10**6, seed=int(20 + mu))
         assert abs(hill_estimator(x, 10**4) - mu) < band
+
+    def test_partitions_its_own_copy(self):
+        # in place on the |r| copy: the same introselect as np.partition, and the
+        # caller's series is left as it was
+        x = exact_pareto(2.5, 10**4, seed=23) * np.where(np.arange(10**4) % 2, 1.0, -1.0)
+        before, n, k = x.copy(), x.size, 500
+        part = np.partition(np.abs(x), n - k - 1)
+        want = 1.0 / float((np.log(part[n - k :]) - np.log(part[n - k - 1])).mean())
+        assert hill_estimator(x, k) == want
+        assert x.tobytes() == before.tobytes()
 
     def test_degenerate_constant_series(self):
         with pytest.raises(DegenerateTail):

@@ -93,6 +93,11 @@ def test_one_step_serves_the_path_kernel_and_the_matrix_monte_carlo():
     ]
 
 
+def test_one_row_rule_serves_the_full_ccdf_and_the_sorted_sample():
+    # ccdf.csv's rows are picked in one place, from distinct values or from ties
+    assert _callers({"_plot_rows"}) == ["estimators.thin_ccdf", "estimators.tail_fit_with_ccdf"]
+
+
 def test_one_function_predicts_the_unit_exponent():
     assert _callers({"unit_exponent_prediction"}) == [
         "cli.run",

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import tracemalloc
 import typing
 import warnings
@@ -431,7 +432,10 @@ def _loop_path(a: list, w: list, e: list, r_init: tuple) -> np.ndarray:
     """r_t = a_t * sum_k w_kt r_{t-k} + e_t, one step at a time in Python floats."""
     state, out = list(r_init), []
     for t in range(len(a)):
-        r = a[t] * sum(w[j][t] * state[j] for j in range(len(state))) + e[t]
+        acc = w[0][t] * state[0]  # summed left to right, as companion_step sums
+        for j in range(1, len(state)):
+            acc += w[j][t] * state[j]
+        r = a[t] * acc + e[t]
         out.append(r)
         state = [r] + state[:-1]
     return np.array(out)
@@ -629,6 +633,17 @@ class TestChunkedProduct:
         ), (7, 40), 10) == "matrix product norm is not finite at step 1"
 
 
+# E[log a] = -0.03: over a block of 1024 steps the start's share falls below an
+# ulp in some blocks and not in others
+PARTLY_REJOINING = KestenScalar(Exponential(math.exp(np.euler_gamma - 0.03)), Normal(0.0, 1.0), r0=1.0)
+# order PATH_CHUNK + 6, whose lags past the first weigh little: every block
+# rejoins within a few chunks, so the K steps that agree span chunks
+LONG_ORDER = KestenAR(
+    Exponential(0.6), Normal(0.0, 1.0), (Uniform(0.6, 0.8),) + (Uniform(0.0, 1e-6),) * 69,
+    r_init=(1.0,) * 70,
+)
+
+
 class TestKernelAtItsOwnGeometry:
     # PATH_BLOCK and PATH_CHUNK as shipped: TestCompanionKernel patches in small ones
     BLOCK, CHUNK = 1024, 64
@@ -639,8 +654,46 @@ class TestKernelAtItsOwnGeometry:
 
     @pytest.mark.parametrize("spec", [FIG3_SPEC, FIG4_SPEC], ids=["scalar", "order-3"])
     def test_path_matches_plain_loop(self, spec):
+        # bit for bit: every block rejoins its zero-start run long before its end,
+        # so the composed starts' rounding never reaches the path
         path, ref = _path_and_loop(spec, self.N)
-        assert np.max(np.abs(path - ref)) <= 1e-12 * ref.std()
+        assert path.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, chunks, arrays",
+        [(FIG3_SPEC, 1, "aeo"), (Garch11(0.01, 0.09, 0.9), 16, "aeo"), (LONG_ORDER, 5, "aweo")],
+        ids=["fig3-stops", "garch-runs-through", "order-70-stops-across-chunks"],
+    )
+    def test_second_pass_stops_where_the_blocks_rejoin(self, monkeypatch, spec, chunks, arrays):
+        # the chunk starts each _run_blocks call gathers at; the second pass is the
+        # last call and gathers the draws and the first pass's path once per chunk
+        calls, gather, run_blocks = [], processes._gather, processes._run_blocks
+
+        def gathering(x, block, start, buf, tile):
+            calls[-1].append(start)
+            gather(x, block, start, buf, tile)
+
+        monkeypatch.setattr(processes, "_gather", gathering)
+        monkeypatch.setattr(
+            processes, "_run_blocks", lambda *args, **kw: calls.append([]) or run_blocks(*args, **kw)
+        )
+        simulate(spec, RngStream(5), self.N, 0)
+        assert calls[-1] == [start for start in range(0, chunks * self.CHUNK, self.CHUNK) for _ in arrays]
+
+    @pytest.mark.parametrize("spec", [FIG3_SPEC, FIG4_SPEC], ids=["scalar", "order-3"])
+    def test_one_block_runs_once_from_its_start(self, monkeypatch, spec):
+        # a path that fits in one block has no block start to find: one run of
+        # one block from r_init, no unit runs and no second pass
+        calls, run_blocks = [], processes._run_blocks
+
+        def counting(a, w, e, rows, *args, **kw):
+            calls.append([row.shape for row in rows])
+            return run_blocks(a, w, e, rows, *args, **kw)
+
+        monkeypatch.setattr(processes, "_run_blocks", counting)
+        path, ref = _path_and_loop(spec, self.BLOCK)
+        assert calls == [[(1, 1)] * (1 if spec is FIG3_SPEC else 3)]
+        assert path.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["one-row", "K=3"])
     @pytest.mark.parametrize(
@@ -660,6 +713,89 @@ class TestKernelAtItsOwnGeometry:
         want = np.where(t < self.N, x[..., np.minimum(t, self.N - 1)], np.nan)
         np.testing.assert_array_equal(buf[..., :m, :], want)
         assert np.isnan(buf[..., m:, :]).all()
+
+
+def _full_second_pass(a: np.ndarray, w, e: np.ndarray, r_init: tuple) -> np.ndarray:
+    """The path kernel as it was before its second pass stopped where the blocks
+    rejoin: block starts composed with numpy's dot, then every step of every
+    block rerun from its start."""
+    k, total, block = len(r_init), a.size, max(processes.PATH_BLOCK, len(r_init))
+
+    def draws(span: slice) -> tuple:
+        return a[span], None if w is None else w[:, span], e[span]
+
+    blocks = max(-(-total // block), 1)
+    cut = (blocks - 1) * block
+    with np.errstate(all="ignore"):
+        unit = np.broadcast_to(np.eye(k, k + 1, 1)[:, :, None], (k, k + 1, blocks - 1))
+        ends = processes._run_blocks(*draws(slice(cut)), list(unit), block)
+        size = np.abs(np.array(ends))
+        fp = np.finfo(np.float64)
+        small = (size[:, 1:] < fp.tiny).any(axis=0)
+        lost = np.where(small, fp.eps / fp.tiny * size[:, 0].min(axis=0), np.inf)
+        lost[~np.isfinite(size[:, 1:]).all(axis=0)] = 0.0
+        starts = np.full((blocks, k), r_init, dtype=np.float64)
+        for b in range(blocks - 1):
+            if np.isfinite(starts[b]).all() and (np.abs(starts[b]) > lost[:, b]).any():
+                span = slice(b * block, (b + 1) * block)
+                rows = processes._run_blocks(*draws(span), list(starts[b][:, None, None]), block)
+                starts[b + 1] = [row[0, 0] for row in rows]
+            else:
+                live = starts[b] != 0.0
+                starts[b + 1] = [end[0, b] + end[1:, b][live] @ starts[b][live] for end in ends]
+        out = np.empty(total)
+        processes._run_blocks(a, w, e, list(starts.T[:, None, :]), block, out)
+    return out
+
+
+def _draws(spec, n: int, seed: int) -> tuple:
+    """The (a, w, e) draws simulate runs spec's path on; w None for a scalar spec."""
+    gen = RngStream(seed).generator()
+    if isinstance(spec, KestenScalar):
+        return spec.a_law.sample(gen, n), None, spec.e_law.sample(gen, n)
+    a, w = spec.draw_coefficients(gen, n)
+    return a, w, spec.e_law.sample(gen, n)
+
+
+@pytest.mark.parametrize("geometry", [(1024, 64), (4, 3)], ids=["shipped", "block-4-chunk-3"])
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (PARTLY_REJOINING, 16 * 1024),
+        (LONG_ORDER, 4 * 1024 + 37),
+        (KestenScalar(Uniform(0.0, 1.9), Normal(0.0, 1.0), r0=5.0), 3 * 1024 + 37),
+        (KestenScalar(Uniform(-0.9, 1.2), Normal(0.0, 1.0), r0=-0.0), 3 * 1024 + 37),
+        (FIG4_SPEC, 3 * 1024 + 37),
+        (FIG4_SPEC, 1000),
+        # lag terms that reach the block starts' last bits, summed by np.dot
+        (KestenAR(Uniform(0.9, 1.09), Normal(0.0, 1.0), (Uniform(0.3, 0.36),) * 3,
+                  r_init=(1.0, 2.0, -3.0)), 3 * 1024 + 37),
+    ],
+    ids=[
+        "partly-rejoining", "order-70", "slow-mixing", "signed", "order-3-fig4", "order-3-short",
+        "order-3-slow",
+    ],
+)
+def test_path_is_the_full_second_pass_bitwise(monkeypatch, geometry, spec, n):
+    monkeypatch.setattr(processes, "PATH_BLOCK", geometry[0])
+    monkeypatch.setattr(processes, "PATH_CHUNK", geometry[1])
+    a, w, e = _draws(spec, n, 5)
+    r_init = (spec.r0,) if isinstance(spec, KestenScalar) else spec.r_init
+    path = processes._companion_path(a, w, e, r_init)
+    assert path.tobytes() == _full_second_pass(a, w, e, r_init).tobytes()
+
+
+def test_some_blocks_rejoin_and_some_do_not():
+    # the premise of the partly-rejoining case: compare each block's last step
+    # with the same block run from a zero start
+    n, block = 16 * 1024, processes.PATH_BLOCK
+    a, _, e = _draws(PARTLY_REJOINING, n, 5)
+    zero = np.empty(n)
+    processes._run_blocks(a, None, e, [np.zeros((1, n // block))], block, zero)
+    path = simulate(PARTLY_REJOINING, RngStream(5), n, 0).values
+    last = np.arange(block - 1, n, block)
+    rejoined = path[last].view(np.int64) == zero[last].view(np.int64)
+    assert 0 < rejoined.sum() < rejoined.size
 
 
 class TestScalarKernelHasNoWeightRow:

@@ -463,6 +463,33 @@ class TestConditionsReport:
         assert (rep["regime_case"], rep["predicted"]) == (case, predicted)
         assert rep["mu_star"] == _approx(mu_star)
 
+    def test_stationary_law_in_the_boundary_band(self):
+        # E[log a] = -5e-5 lies inside BOUNDARY_TOL, yet the moment equation solves:
+        # (a) cannot decide the sign, (e) reads half the root, which lies below
+        # every fixed candidate, and (h) reads the root itself
+        a_law = Exponential(math.exp(np.euler_gamma - 5e-5))
+        rep = kesten_conditions_report(a_law, Normal(0.0, 1.0))
+        mu = cramer_root(a_law).mu_star
+        assert mu == pytest.approx(6.08e-5, rel=1e-3)
+        a, e, h = (rep.condition(cid) for cid in "aeh")
+        assert (a.status, a.note) == ("not-checkable", "E[log a] boundary")
+        assert a.evidence == pytest.approx(-5e-5, rel=1e-9)
+        assert (e.status, e.evidence) == ("verified", a_law.moment(mu / 2.0))
+        assert e.evidence < 1.0 and e.note.startswith(f"E(a^{mu / 2.0:g}) = 1 - ")
+        assert (h.status, h.evidence) == ("verified", Normal(0.0, 1.0).abs_moment(mu))
+        assert rep.mu_star == mu
+
+    def test_nonstationary_law_in_the_boundary_band(self):
+        # E[log a] = +5e-5: no lambda0 and no root, and (a) still does not decide
+        rep = kesten_conditions_report(Exponential(math.exp(np.euler_gamma + 5e-5)), Normal(0.0, 1.0))
+        got = [(c.condition, c.status, c.note) for c in rep.conditions if c.condition in "aeh"]
+        assert got == [
+            ("a", "not-checkable", "E[log a] boundary"),
+            ("e", "violated", "no small moment below 1 found"),
+            ("h", "not-checkable", "no moment-equation root"),
+        ]
+        assert rep.mu_star is None
+
     def test_narrow_noise_law_away_from_zero(self):
         # E|e|^mu for e ~ N(m, s^2) with s << m: m^mu (1 + mu (mu - 1) s^2 / (2 m^2))
         rep = kesten_conditions_report(Exponential(0.55), Normal(5.0, 0.01))
