@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.resources
-import itertools
 import json
 import math
 import os
@@ -42,6 +41,7 @@ from .estimators import (
     TailFit,
     acf,
     check_max_lag,
+    check_threshold,
     hill_estimator,
     mean_std,
     returns_from_prices,
@@ -389,7 +389,10 @@ def _report_moment_lyapunov(entry: CramerSolution, out_dir: Path) -> list[str]:
 # in report order; a run computes the requested analyses in this order too
 ANALYSES: dict[str, Analysis] = {
     "cramer": Analysis({}, _SCALAR_FEEDBACK, _cramer, _report_cramer),
-    "tail_fit": Analysis({"threshold": None}, None, _tail_fit, _report_tail_fit),
+    "tail_fit": Analysis(
+        {"threshold": None}, None, _tail_fit, _report_tail_fit,
+        lambda params, process: check_threshold(params["threshold"]),
+    ),
     "hill": Analysis({"k": 10_000}, None, _hill, _report_hill, _check_hill),
     "acf": Analysis(
         {"max_lag": 50, "kinds": ["raw"]}, None, _acf, _report_acf, _check_acf
@@ -566,25 +569,22 @@ def ingest_prices(csv_path: str | Path, column_spec: str | int = "close") -> Ret
             raise ParseError(f"{path}: column index {col} out of range")
         return col
 
-    prices, rows, raw = read_csv_column(path, select)
-    if prices is None or not (prices.size >= 2 and ((prices > 0) & (prices < math.inf)).all()):
-        prices, inf_line = [], None
-        for line, cells, value in rows():
-            if value is None:
-                raise ParseError(f"{path}: line {line}: cannot parse price from {cells!r}")
-            if not value > 0:
-                raise NonPositivePrice(f"{path}: line {line}: price {value!r} is not positive")
-            if value == math.inf and inf_line is None:
-                inf_line = line
-            prices.append(value)
-        if len(prices) < 2:
-            raise ParseError(f"{path}: need at least two price rows, got {len(prices)}")
-        if inf_line is not None:  # the one non-finite value that passes value > 0
-            raise ParseError(f"{path}: line {inf_line}: price inf is not finite")
+    prices, row, raw = read_csv_column(path, select)
+    positive = prices > 0  # False at NaN: a cell float() cannot parse, or nan
+    if not positive.all():
+        line, cells, value = row(int(positive.argmin()))
+        if value is None:
+            raise ParseError(f"{path}: line {line}: cannot parse price from {cells!r}")
+        raise NonPositivePrice(f"{path}: line {line}: price {value!r} is not positive")
+    if prices.size < 2:
+        raise ParseError(f"{path}: need at least two price rows, got {prices.size}")
+    if prices.max() == math.inf:  # the one non-finite value that passes value > 0
+        line = row(int(prices.argmax()))[0]
+        raise ParseError(f"{path}: line {line}: price inf is not finite")
     try:
         returns = returns_from_prices(prices)
     except ReturnOverflow as exc:
-        line, _, value = next(itertools.islice(rows(), exc.position, None))
+        line, _, value = row(exc.position)
         raise ParseError(
             f"{path}: line {line}: the return into price {value!r} is not finite"
         ) from None

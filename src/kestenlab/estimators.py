@@ -196,6 +196,12 @@ def tail_exponent_ls(series, threshold: float | None = None) -> TailFit:
     return tail_fit_with_ccdf(series, threshold)[0]
 
 
+def check_threshold(threshold: float | None) -> None:
+    """InvalidConfig unless the tail threshold is None or a number >= 0."""
+    if threshold is not None and not threshold >= 0:  # NaN too
+        raise InvalidConfig(f"tail threshold must be >= 0, got {threshold!r}")
+
+
 def tail_fit_with_ccdf(
     series, threshold: float | None = None
 ) -> tuple[TailFit, np.ndarray, np.ndarray]:
@@ -208,6 +214,7 @@ def tail_fit_with_ccdf(
     where more than ``CCDF_PLOT_POINTS`` are, the distinct values at
     ``_plot_rows`` of the sorted sample, and their p is read the same way
     by searchsorted."""
+    check_threshold(threshold)
     s = np.abs(_values(series))
     s.sort()
     n = s.size

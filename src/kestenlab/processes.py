@@ -313,10 +313,9 @@ def _companion_path(a: np.ndarray, w, e: np.ndarray, r_init: tuple) -> np.ndarra
     block from its start with the plain loop's arithmetic until each block
     has rejoined its zero-start run, which the contraction brings about
     within a few dozen steps on a mixing path; from there the first pass's
-    steps stand.  A path of one block is run once, from r_init.  Both
-    passes read their draws a chunk of PATH_CHUNK steps at a time
-    (``_run_blocks``), which changes no arithmetic.  A diverging path comes
-    back holding inf or NaN.
+    steps stand.  Both passes read their draws a chunk of PATH_CHUNK steps
+    at a time (``_run_blocks``), which changes no arithmetic.  A diverging
+    path comes back holding inf or NaN.
     """
     k, total, block = len(r_init), a.size, max(PATH_BLOCK, len(r_init))
 
@@ -326,9 +325,6 @@ def _companion_path(a: np.ndarray, w, e: np.ndarray, r_init: tuple) -> np.ndarra
     blocks = max(-(-total // block), 1)
     out = np.empty(total)
     with np.errstate(all="ignore"):
-        if blocks == 1:  # the one block starts at r_init: no first pass
-            _run_blocks(a, w, e, [np.full((1, 1), float(r)) for r in r_init], block, out)
-            return out
         unit = np.broadcast_to(np.eye(k, k + 1, 1)[:, :, None], (k, k + 1, blocks))
         # [end row, zero start or 1 + lag, block]; the last block runs for its
         # zero start, which the second pass rejoins, and its end is not needed
@@ -563,17 +559,17 @@ def _file_key(st: os.stat_result) -> tuple:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def read_csv_column(path: Path, select: Callable) -> tuple[np.ndarray | None, Callable, bytes]:
-    """Column ``select(header)`` of the CSV file ``path``, and the file's bytes.
+def read_csv_column(path: Path, select: Callable) -> tuple[np.ndarray, Callable, bytes]:
+    """Column ``select(header)`` of the CSV file ``path``, a row locator, and the file's bytes.
 
-    Returns numpy's C parse of the data rows (None where it fails or is not
-    tried), the row scan it stands for and the bytes ``raw`` both describe.
-    The row scan is a function yielding (line, cells, value) for each data
-    row of ``raw`` whose cells are not all blank, where line is the row's
-    first physical line and value is float() of the column's cell (None
-    when that fails).  ``select`` gets None for an empty file.  Bytes that
-    are not UTF-8, and a row csv.reader refuses, raise ParseError naming
-    their line.
+    Returns (values, row, raw).  ``values`` holds a float64 for each data
+    row of ``raw`` whose cells are not all blank: float() of the column's
+    cell, NaN where that fails.  ``row(i)`` is the i-th such row as (line,
+    cells, value), where line is the row's first physical line and value
+    is float() of the cell (None when that fails); it rescans ``raw``, so
+    a caller asks for it only to name a bad row.  ``select`` gets None for
+    an empty file.  Bytes that are not UTF-8, and a row csv.reader refuses,
+    raise ParseError naming their line.
     """
     with open(path, "rb") as fh:
         before = os.fstat(fh.fileno())
@@ -609,42 +605,45 @@ def read_csv_column(path: Path, select: Callable) -> tuple[np.ndarray | None, Ca
                     value = None
                 yield line, cells, value
 
+    def row(i: int) -> tuple:
+        return next(itertools.islice(rows(), i, None))
+
     # read with the line endings numpy sees, so a header record that spans
     # physical lines holds a "\n"
     header = next(scan(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")), (1, None))[1]
     col = select(header)
     # numpy's C reader runs only on a path (a file object is read line by line
-    # in Python), so it reads the file again.  The row scan parses raw instead
-    # where numpy would decompress by the suffix, where skiprows (which counts
-    # physical lines) would not skip exactly the header, where numpy's float
-    # parser would strip a \x1c-\x1f around a field (float() does not), and
-    # where the file is not the one raw was read from.
-    if (
+    # in Python), so it reads the file again; its rows are the row scan's, in
+    # order.  The row scan parses raw instead where numpy fails, where numpy
+    # would decompress by the suffix, where skiprows (which counts physical
+    # lines) would not skip exactly the header, where numpy's float parser
+    # would strip a \x1c-\x1f around a field (float() does not), and where
+    # the file is not the one raw was read from.
+    if not (
         before.st_size != len(raw)
         or os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES
         or any("\n" in cell for cell in header or ())
         or any(c in raw for c in b"\x1c\x1d\x1e\x1f")
     ):
-        return None, rows, raw
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
-            values = np.loadtxt(
-                os.path.abspath(path),  # never a URL to numpy
-                delimiter=",",
-                comments=None,
-                quotechar='"',
-                usecols=col,
-                ndmin=1,
-                skiprows=1,
-                encoding="utf-8",
-            )
-        after = os.stat(path)
-    except (ValueError, OSError):  # a row that does not parse, bytes not UTF-8, a lost file
-        return None, rows, raw
-    if _file_key(after) != _file_key(before):
-        return None, rows, raw
-    return values, rows, raw
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
+                values = np.loadtxt(
+                    os.path.abspath(path),  # never a URL to numpy
+                    delimiter=",",
+                    comments=None,
+                    quotechar='"',
+                    usecols=col,
+                    ndmin=1,
+                    skiprows=1,
+                    encoding="utf-8",
+                )
+            if _file_key(os.stat(path)) == _file_key(before):
+                return values, row, raw
+        except (ValueError, OSError):  # a row that does not parse, bytes not UTF-8, a lost file
+            pass
+    values = [math.nan if value is None else value for _, _, value in rows()]
+    return np.array(values, dtype=np.float64), row, raw
 
 
 def _is_npy(path: str | Path) -> bool:
@@ -670,14 +669,12 @@ def read_series_csv(path: str | Path) -> np.ndarray:
             raise InvalidConfig(f"{path}: expected header 't,r', got {text!r}")
         return 1
 
-    values, rows, _ = read_csv_column(path, select)
-    if values is None or not (values.size and np.isfinite(values).all()):
-        values = []
-        for line, cells, value in rows():
-            if value is None or not math.isfinite(value):
-                row = ",".join(cells).rstrip()
-                raise ParseError(f"{path}: line {line}: no finite return in {row!r}")
-            values.append(value)
-        if not values:
-            raise ParseError(f"{path}: no data rows")
-    return np.asarray(values, dtype=np.float64)
+    values, row, _ = read_csv_column(path, select)
+    finite = np.isfinite(values)
+    if not finite.all():
+        line, cells, _ = row(int(finite.argmin()))
+        text = ",".join(cells).rstrip()
+        raise ParseError(f"{path}: line {line}: no finite return in {text!r}")
+    if not values.size:
+        raise ParseError(f"{path}: no data rows")
+    return values

@@ -654,6 +654,7 @@ class TestCommandLine:
             (RUN, {"lyapunov": {"t_horizon": 50}}),
             (RUN, {"lyapunov": {"trials": 5}}),
             (RUN, {"hill": {"k": 3}}),
+            (RUN, {"tail_fit": {"threshold": -1}}),
             (["lyapunov", "--config", "{cfg}"], {"lyapunov": {"t_horizon": 50}}),
             (["acf", "{series}", "--max-lag", "0"], {"acf": {}}),
         ],
@@ -662,6 +663,7 @@ class TestCommandLine:
             "run-lyapunov-t_horizon",
             "run-lyapunov-trials",
             "run-hill-k",
+            "run-tail-threshold",
             "lyapunov-t_horizon",
             "acf-max_lag",
         ],
@@ -800,6 +802,8 @@ class TestCommandLine:
             ("ingest", 'date,close\n"a\nb",100\nd1,-5\n', 4),
             ("fit-tail", 't,r\n"0\n1",0.01\n2,abc\n', 4),
             ("ingest", "date,close\nd0,1\nd1," + "1" * 200_000 + "\n", 3),
+            # the row scan reads every row before any value is checked
+            ("ingest", "date,close\nd0,abc\nd1," + "1" * 200_000 + "\n", 3),
         ],
         ids=[
             "fit-tail-text",
@@ -814,6 +818,7 @@ class TestCommandLine:
             "ingest-negative-after-multi-line-cell",
             "fit-tail-text-after-multi-line-cell",
             "ingest-cell-over-csv-field-limit",
+            "ingest-cell-over-csv-field-limit-after-a-bad-cell",
         ],
     )
     def test_bad_row_exit_code(self, tmp_path, capsys, command, text, line):
@@ -915,6 +920,18 @@ class TestCommandLine:
         assert res.returncode == 2
         assert res.stderr.startswith(f"error: {path}: line {line}: ")
         assert res.stderr.count("\n") == 1  # no traceback and no numpy warning
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("threshold, shown", [("-1", "-1.0"), ("nan", "nan")])
+    def test_bad_tail_threshold_exits_2(self, tmp_path, threshold, shown):
+        # below 0, |r| = 0 would enter the log-log regression; NaN selects nothing
+        r = np.random.default_rng(0).standard_normal(1000)
+        r[:100] = 0.0
+        path = tmp_path / "series.csv"
+        path.write_text("t,r\n" + "".join(f"{t},{float(v)!r}\n" for t, v in enumerate(r)))
+        res = _cli("fit-tail", str(path), "--threshold", threshold)
+        assert res.returncode == 2
+        assert res.stderr == f"error: tail threshold must be >= 0, got {shown}\n"
         assert res.stdout == ""
 
     @pytest.mark.parametrize(

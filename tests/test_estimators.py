@@ -143,6 +143,12 @@ class TestTailExponentLs:
         with pytest.raises(InsufficientTail):
             tail_exponent_ls(x, float(x.max()))
 
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-300, math.nan])
+    def test_threshold_below_zero_or_nan_is_refused(self, threshold):
+        x = np.concatenate([np.zeros(100), exact_pareto(2.0, 900, seed=13)])
+        with pytest.raises(InvalidConfig, match="tail threshold must be >= 0"):
+            tail_fit_with_ccdf(x, threshold)
+
     def test_result_fields(self):
         x = exact_pareto(2.0, 10**5, seed=14)
         fit = tail_exponent_ls(x)

@@ -5,6 +5,7 @@ alone."""
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -187,3 +188,18 @@ def test_cli_loads_no_scipy_and_runs_load_no_numpy_module(tmp_path):
     assert proc.returncode == 0, proc.stderr
     scipy_modules, new_numpy_modules = map(json.loads, proc.stdout.splitlines())
     assert (scipy_modules, new_numpy_modules) == ([], [])
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.skipif(not (PERFBENCH / "spans.py").exists(), reason="no perfbench/spans.py")
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # spans.install reads each wrapped name with getattr and no default, so a
+    # renamed or dropped name would only show in a traced benchmark run
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(PERFBENCH)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
