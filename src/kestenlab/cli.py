@@ -53,10 +53,9 @@ from .estimators import (
 from .processes import (
     Garch11,
     InverseMultiplier,
-    KestenScalar,
     ProcessSpec,
     ReturnSeries,
-    garch_to_kesten,
+    kinds_with,
     read_csv_column,
     read_series_csv,
     simulate,
@@ -111,15 +110,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "process": self.process.to_config()}
-
-
-def _scalar_feedback_laws(process: ProcessSpec):
-    """(a_law, e_law) of the scalar feedback recursion behind a process, if any."""
-    if isinstance(process, KestenScalar):
-        return process.a_law, process.e_law
-    if isinstance(process, Garch11):
-        return garch_to_kesten(process.omega, process.alpha, process.beta)
-    return None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -229,19 +219,16 @@ class Analysis:
     ``compute(series, config, params, write)`` writes the analysis files with
     ``write(filename, payload)`` and returns its ``summary.json`` entry: a
     value of the ``RunSummary`` field named after the analysis, which
-    ``report(entry, out_dir)`` renders as lines.  ``processes`` lists the
-    accepted process kinds (None: any).
+    ``report(entry, out_dir)`` renders as lines.  ``needs`` names the spec
+    fact the analysis reads, "feedback" or "companion"; a process kind on
+    which it is None is refused (``needs`` None: any kind).
     """
 
     defaults: dict
-    processes: tuple[str, ...] | None
+    needs: str | None
     compute: Callable[[ReturnSeries, ExperimentConfig, dict, Callable], object]
     report: Callable[[object, Path], list[str]]
     check: Callable[[dict, ProcessSpec], None] | None = None  # rejects bad parameters
-
-
-_SCALAR_FEEDBACK = ("kesten_scalar", "garch11")
-_MATRIX_PRODUCT = ("kesten_scalar", "kesten_ar")
 
 
 def _solution_text(sol: CramerSolution) -> str:
@@ -257,7 +244,7 @@ def _garch_returns_text(sol: CramerSolution) -> str:
 
 
 def _cramer(series, config: ExperimentConfig, params: dict, write) -> RegimeClassification:
-    entry = classify_regime(_scalar_feedback_laws(config.process)[0])
+    entry = classify_regime(config.process.feedback[0])
     write("cramer.json", entry)
     return entry
 
@@ -346,7 +333,7 @@ class ConditionsSummary:
 
 
 def _conditions(series, config: ExperimentConfig, params: dict, write) -> ConditionsSummary:
-    report_ = kesten_conditions_report(*_scalar_feedback_laws(config.process))
+    report_ = kesten_conditions_report(*config.process.feedback)
     write("conditions.json", report_)
     return ConditionsSummary(report_.all_verified)
 
@@ -388,7 +375,7 @@ def _report_moment_lyapunov(entry: CramerSolution, out_dir: Path) -> list[str]:
 
 # in report order; a run computes the requested analyses in this order too
 ANALYSES: dict[str, Analysis] = {
-    "cramer": Analysis({}, _SCALAR_FEEDBACK, _cramer, _report_cramer),
+    "cramer": Analysis({}, "feedback", _cramer, _report_cramer),
     "tail_fit": Analysis(
         {"threshold": None}, None, _tail_fit, _report_tail_fit,
         lambda params, process: check_threshold(params["threshold"]),
@@ -397,16 +384,13 @@ ANALYSES: dict[str, Analysis] = {
     "acf": Analysis(
         {"max_lag": 50, "kinds": ["raw"]}, None, _acf, _report_acf, _check_acf
     ),
-    "conditions": Analysis({}, _SCALAR_FEEDBACK, _conditions, _report_conditions),
+    "conditions": Analysis({}, "feedback", _conditions, _report_conditions),
     "lyapunov": Analysis(
-        {"t_horizon": 1000, "trials": 100}, _MATRIX_PRODUCT, _lyapunov, _report_lyapunov,
+        {"t_horizon": 1000, "trials": 100}, "companion", _lyapunov, _report_lyapunov,
         lambda params, process: check_lyapunov_params(**params),
     ),
     "moment_lyapunov": Analysis(
-        {},
-        _MATRIX_PRODUCT,
-        _moment_lyapunov,
-        _report_moment_lyapunov,
+        {}, "companion", _moment_lyapunov, _report_moment_lyapunov,
         lambda params, process: check_moment_spec(process),
     ),
 }
@@ -418,10 +402,8 @@ def _analysis_params(name: str, params, process: ProcessSpec) -> dict:
     if name not in ANALYSES:
         raise InvalidConfig(f"unknown analysis {name!r}; known: {', '.join(ANALYSES)}")
     analysis = ANALYSES[name]
-    if analysis.processes is not None and process.kind not in analysis.processes:
-        raise InvalidConfig(
-            f"{name!r} analysis needs a {' or '.join(analysis.processes)} process"
-        )
+    if analysis.needs is not None and getattr(type(process), analysis.needs) is None:
+        raise InvalidConfig(f"{name!r} analysis needs a {kinds_with(analysis.needs)} process")
     what = f"config.analyses.{name}"
     params = read_value(dict, {} if params is None else params, what)
     check_keys(params, analysis.defaults, what)
@@ -480,7 +462,7 @@ def run(
     out_dir = resolve_output_dir(config, None if output_dir is None else str(output_dir), name)
 
     process = config.process
-    feedback = _scalar_feedback_laws(process)
+    feedback = process.feedback
     entries: dict = {}  # the optional RunSummary fields
 
     if feedback is not None:

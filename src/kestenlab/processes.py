@@ -6,7 +6,9 @@ feedback recursion r_t = a_t * sum_k w_kt r_{t-k} + e_t with the scalar
 r_t = a_t r_{t-1} + e_t as its K = 1 case, and GARCH(1,1), whose squared
 volatility is the scalar recursion.  Every recursion runs on one blocked
 kernel over ``companion_step``, the step theory's matrix products share.
-``simulate`` is the one entry point for every kind.
+``simulate`` is the one entry point for every kind.  Each spec states
+the laws of the scalar recursion behind it (``feedback``) and its order-K
+form (``companion``), each None on a kind without one.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ class InverseMultiplier(KindTagged):
     a_law: CoefficientLaw
     e_law: CoefficientLaw
     kind = "inverse_multiplier"
+    feedback = companion = None
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,15 @@ class KestenScalar(KindTagged):
     def __post_init__(self) -> None:
         if not math.isfinite(self.r0):
             raise InvalidConfig(f"kesten_scalar r0 must be finite, got {self.r0}")
+
+    @property
+    def feedback(self) -> tuple[CoefficientLaw, CoefficientLaw]:
+        return self.a_law, self.e_law
+
+    @property
+    def companion(self) -> KestenAR:
+        """The order-1 embedding: one lag, weight exactly 1."""
+        return KestenAR(self.a_law, self.e_law, (Constant(1.0),), False, (self.r0,))
 
 
 @dataclass(frozen=True)
@@ -98,6 +110,8 @@ class KestenAR(KindTagged):
     r_init: tuple[float, ...] = ()
 
     kind = "kesten_ar"
+    feedback = None
+    companion = property(lambda self: self)  # its own order-K form
 
     def __post_init__(self) -> None:
         if len(self.weight_laws) < 1:
@@ -149,6 +163,7 @@ class Garch11(KindTagged):
     beta: float
     sigma0: float = 0.1
     kind = "garch11"
+    companion = None
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (self.omega, self.alpha, self.beta, self.sigma0))):
@@ -160,8 +175,20 @@ class Garch11(KindTagged):
         if not self.sigma0 > 0:
             raise InvalidConfig(f"garch11 sigma0 must be positive, got {self.sigma0}")
 
+    @property
+    def feedback(self) -> tuple[CoefficientLaw, CoefficientLaw]:
+        """sigma2_t = (beta + alpha z^2) sigma2_{t-1} + omega: GarchCoefficient(beta,
+        alpha), a Constant when alpha == 0, and the constant noise omega."""
+        return GarchCoefficient(self.beta, self.alpha).collapsed(), Constant(self.omega)
+
 
 ProcessSpec = InverseMultiplier | KestenScalar | KestenAR | Garch11
+
+
+def kinds_with(fact: str) -> str:
+    """The kinds whose specs state ``fact`` ("feedback" or "companion"), as "x or y"."""
+    specs = ProcessSpec.__args__
+    return " or ".join(cls.kind for cls in specs if getattr(cls, fact) is not None)
 
 
 def spec_from_config(config: dict) -> ProcessSpec:
@@ -351,16 +378,22 @@ def _companion_path(a: np.ndarray, w, e: np.ndarray, r_init: tuple) -> np.ndarra
     return out
 
 
-def _checked(path: np.ndarray) -> np.ndarray:
-    """The path, or NumericalOverflow at its first step not inside +-OVERFLOW_LIMIT."""
+_UNSTATIONARY = (
+    "the coefficient law is likely outside the stationary regime "
+    "(see theory.stationarity_check / theory.lyapunov_top)"
+)
+
+
+def _checked(path: np.ndarray, what: str = "the recursion", cause: str = _UNSTATIONARY):
+    """The path, or NumericalOverflow at its first step not inside +-OVERFLOW_LIMIT,
+    naming the path and the likely cause."""
     # two reductions that write nothing; either reads NaN if the path holds one
     if -OVERFLOW_LIMIT < path.min() and path.max() < OVERFLOW_LIMIT:
         return path
     inside = (path > -OVERFLOW_LIMIT) & (path < OVERFLOW_LIMIT)  # False at NaN
     raise NumericalOverflow(
-        f"the recursion exceeded {OVERFLOW_LIMIT:g} in absolute value at step "
-        f"{int(np.argmin(inside))}; the coefficient law is likely outside the "
-        "stationary regime (see theory.stationarity_check / theory.lyapunov_top)"
+        f"{what} exceeded {OVERFLOW_LIMIT:g} in absolute value at step "
+        f"{int(np.argmin(inside))}; {cause}"
     )
 
 
@@ -396,7 +429,9 @@ def _paths(
             a[mask] = spec.a_law.sample(gen, bad)
         else:
             raise DegenerateSpec("a concentrates at 1: resampling did not terminate")
-        paths = (e / (1.0 - a),)
+        with np.errstate(over="ignore"):
+            path = e / (1.0 - a)
+        paths = (_checked(path, "the path e / (1 - a)", "rescale the e law"),)
     elif isinstance(spec, KestenAR):
         a, w = spec.draw_coefficients(gen, total)
         e = spec.e_law.sample(gen, total)
@@ -448,28 +483,18 @@ def garch11_paths(
 def garch_to_kesten(
     omega: float, alpha: float, beta: float
 ) -> tuple[CoefficientLaw, CoefficientLaw]:
-    """Coefficient pair of the feedback recursion satisfied by sigma^2.
-
-    sigma2_t = (beta + alpha z^2) sigma2_{t-1} + omega, so the feedback
-    law is GarchCoefficient(beta, alpha) - collapsed to a constant when
-    alpha == 0 - and the noise law is Constant(omega).
-    """
-    if not omega > 0:
-        raise InvalidConfig(f"omega must be positive, got {omega}")
-    if alpha < 0 or beta < 0:
-        raise InvalidConfig("alpha and beta must be nonnegative")
-    return GarchCoefficient(beta, alpha).collapsed(), Constant(omega)
+    """Coefficient pair of the feedback recursion satisfied by sigma^2:
+    ``Garch11.feedback``, which also refuses what Garch11 refuses."""
+    return Garch11(omega, alpha, beta).feedback
 
 
-def as_ar(spec: KestenScalar | KestenAR) -> KestenAR:
-    """Order-1 embedding of a scalar spec (identity on KestenAR); InvalidConfig for other kinds."""
-    if isinstance(spec, KestenAR):
-        return spec
-    if not isinstance(spec, KestenScalar):
+def as_ar(spec: ProcessSpec) -> KestenAR:
+    """The spec's companion form (``spec.companion``); InvalidConfig for a kind without one."""
+    if (companion := spec.companion) is None:
         raise InvalidConfig(
-            f"a companion form needs a kesten_scalar or kesten_ar process, got {spec.kind}"
+            f"a companion form needs a {kinds_with('companion')} process, got {spec.kind}"
         )
-    return KestenAR(spec.a_law, spec.e_law, (Constant(1.0),), False, (spec.r0,))
+    return companion
 
 
 # series files: CSV and .npy round trips -------------------------------------

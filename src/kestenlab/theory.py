@@ -597,8 +597,9 @@ def integer_moment_growth(ar_spec: KestenAR | KestenScalar, p: int) -> float:
 
 
 def check_moment_spec(ar_spec: KestenAR | KestenScalar) -> None:
-    """InvalidConfig for normalized weights, whose mixed moments have no closed form."""
-    if getattr(ar_spec, "normalize_weights", False):
+    """InvalidConfig for normalized weights, whose mixed moments have no closed form,
+    and (``as_ar``) for a kind without a companion form."""
+    if as_ar(ar_spec).normalize_weights:
         raise InvalidConfig(
             "moment_lyapunov needs unnormalized weights: normalized weights "
             "have no closed-form mixed moments"

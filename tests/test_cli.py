@@ -3,6 +3,7 @@ import gzip
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -645,6 +646,27 @@ class TestCommandLine:
         )
         assert not (tmp_path / "out").exists()  # so no series.npy and no manifest
 
+    @pytest.mark.parametrize("sd", [1e300, 1e306], ids=["past-the-limit", "past-float64"])
+    def test_inverse_multiplier_overflow_exits_3_naming_its_step(self, tmp_path, sd):
+        # e / (1 - a) takes the overflow rule every path takes: past 1e300, and past
+        # the float range, one stderr line names the step, and numpy prints nothing
+        process = {
+            "kind": "inverse_multiplier",
+            "a_law": {"kind": "uniform", "lo": 0.0, "hi": 2.0},
+            "e_law": {"kind": "normal", "mean": 0.0, "sd": sd},
+        }
+        data = {**SMALL_CONFIG, "process": process, "n_samples": 10**5, "burn_in": 0,
+                "analyses": {"acf": {}}}
+        cfg_path = tmp_path / "wide.cfg"
+        cfg_path.write_text(json.dumps(data))
+        res = _cli("run", str(cfg_path), "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 3
+        assert re.fullmatch(
+            r"error: the path e / \(1 - a\) exceeded 1e\+300 in absolute value at step "
+            r"\d+; rescale the e law\n",
+            res.stderr,
+        ), res.stderr
+
     RUN = ["run", "{cfg}", "--output-dir", "{out}"]
 
     @pytest.mark.parametrize(
@@ -1145,15 +1167,16 @@ class TestCommandLine:
         "process",
         [
             {"kind": "inverse_multiplier", "a_law": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
-             "e_law": {"kind": "constant", "value": 1e300}},
+             "e_law": {"kind": "constant", "value": 1e200}},
             {**SMALL_CONFIG["process"], "e_law": {"kind": "constant", "value": -1e200}},
         ],
         ids=["inverse-multiplier", "kesten-scalar"],
     )
     def test_sample_std_of_values_whose_squares_overflow(self, tmp_path, capsys, process):
-        # every value is finite but their squares are not, while the std (about 1e302
-        # and 1e200) is representable: the std and the ACF come from the series scaled
-        # by the power of two s that brings max |r| into [0.5, 1), which is exact
+        # every value is finite (and inside the 1e300 overflow limit) but their squares
+        # are not, while the std is representable: the std and the ACF come from the
+        # series scaled by the power of two s that brings max |r| into [0.5, 1), which
+        # is exact
         cfg = {**SMALL_CONFIG, "process": process, "seed": 1, "burn_in": 100,
                "analyses": {"hill": {"k": 100},
                             "acf": {"max_lag": 10, "kinds": ["raw", "absolute"]}}}

@@ -1,20 +1,25 @@
 """Each module of the package uses only the public names of the others, JSON
 text and type annotations are each read in one place, each predicted exponent
-and each law's sign facts are computed once, and the package runs on numpy
-alone."""
+and each law's sign facts are computed once, each process kind states its
+feedback laws and companion form once, and the package runs on numpy alone."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kestenlab
 import kestenlab.cli as cli
-from kestenlab.distributions import CoefficientLaw
+from kestenlab.distributions import CoefficientLaw, Constant, Exponential, Normal, Uniform
+from kestenlab.errors import InvalidConfig
+from kestenlab.processes import Garch11, InverseMultiplier, KestenAR, KestenScalar, ProcessSpec
 
 SRC = Path(kestenlab.__file__).parent
 
@@ -114,6 +119,39 @@ def test_the_sign_facts_are_derived_once_for_every_law():
     assert [law.__name__ for law in [CoefficientLaw, *laws] if hasattr(law, "survival")] == []
 
 
+def test_each_kind_states_its_feedback_laws_and_companion_form_once():
+    # on its spec class: which kinds have a scalar recursion or an order-K form is
+    # decided in processes, and the cli and theory read the facts
+    assert _callers({"GarchCoefficient"}) == ["processes.Garch11.feedback"]
+    assert _callers({"KestenAR"}) == ["processes.KestenScalar.companion"]
+
+
+SPECS = [
+    InverseMultiplier(Uniform(0.0, 1.0), Normal(0.0, 1.0)),
+    KestenScalar(Exponential(0.55), Normal(0.0, 1.0)),
+    KestenAR(Exponential(0.6), Normal(0.0, 1.0), (Constant(0.5), Constant(0.3))),
+    Garch11(0.01, 0.09, 0.9),
+]
+KINDS_WITH = {"feedback": "kesten_scalar or garch11", "companion": "kesten_scalar or kesten_ar"}
+
+
+def test_the_table_covers_every_kind_and_every_fact_an_analysis_names():
+    assert [type(spec) for spec in SPECS] == list(typing.get_args(ProcessSpec))
+    assert {a.needs for a in cli.ANALYSES.values()} == {None, *KINDS_WITH}
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=[spec.kind for spec in SPECS])
+@pytest.mark.parametrize("name", [n for n, a in cli.ANALYSES.items() if a.needs is not None])
+def test_an_analysis_accepts_a_kind_exactly_when_it_states_the_fact(spec, name):
+    fact = cli.ANALYSES[name].needs
+    if getattr(spec, fact) is not None:
+        cli._analysis_params(name, {}, spec)
+        return
+    message = f"'{name}' analysis needs a {KINDS_WITH[fact]} process"
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+        cli._analysis_params(name, {}, spec)
+
+
 def test_no_module_imports_scipy():
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -145,6 +183,7 @@ print(json.dumps(sorted(m for m in set(sys.modules) - before if m.split(".")[0] 
 
 
 FIG3 = json.loads((SRC / "configs" / "fig3.cfg").read_text())
+FIG4 = json.loads((SRC / "configs" / "fig4.cfg").read_text())
 GARCH = {
     "process": {"kind": "garch11", "omega": 0.01, "alpha": 0.09, "beta": 0.9, "sigma0": 0.1},
     "seed": 131,
@@ -193,13 +232,59 @@ def test_cli_loads_no_scipy_and_runs_load_no_numpy_module(tmp_path):
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+# A fresh interpreter installs the benchmark tracer, then runs the commands of
+# every benchmark workload, each argv a JSON list on the command line, at a
+# small size in process.  It prints their exit codes and the traced layers.
+TRACED_COMMANDS = """
+import contextlib, io, json, sys
+import kestenlab.cli as cli
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(json.loads(argv)) for argv in sys.argv[1:]]
+print(json.dumps({"codes": codes, "layers": tracer.layers()}))
+"""
+
+
 @pytest.mark.skipif(not (PERFBENCH / "spans.py").exists(), reason="no perfbench/spans.py")
-def test_the_benchmark_tracer_finds_every_name_it_wraps():
-    # spans.install reads each wrapped name with getattr and no default, so a
-    # renamed or dropped name would only show in a traced benchmark run
+def test_the_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
+    # spans.install reads each wrapped name with getattr and no default, and a
+    # hook reads the arguments of the call it wraps (on_log_norms the horizons,
+    # on_ccdf_csv the file it stats): either would fail only in a traced run
+    bench = ast.parse((PERFBENCH / "run.py").read_text())
+    garch = next(
+        ast.literal_eval(node.value) for node in bench.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "GARCH_CONFIG"
+    )
+    commands = []
+    for name, config in (("fig3", FIG3), ("fig4", FIG4), ("garch", garch)):
+        config = {**config, "seed": 131, "output_dir": None}
+        if name != "garch":  # the benchmark runs its GARCH config as it is
+            config["n_samples"] = 20_000
+        (tmp_path / f"{name}.cfg").write_text(json.dumps(config))
+        commands.append(["run", f"{name}.cfg", "--output-dir", name])
+    gen = np.random.default_rng(7)
+    close = 100.0 * np.exp(np.cumsum(0.01 * gen.standard_t(4, 2000)))
+    lines = [f"d{i},{c!r}" for i, c in enumerate(close.tolist())]
+    (tmp_path / "prices.csv").write_text("date,close\n" + "\n".join(lines) + "\n")
+    commands += [
+        ["ingest", "prices.csv", "--out", "returns.csv"],
+        ["fit-tail", "returns.csv"],
+        ["acf", "returns.csv", "--max-lag", "10", "--absolute"],
+    ]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(PERFBENCH)])}
     proc = subprocess.run(
-        [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-c", TRACED_COMMANDS, *map(json.dumps, commands)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout)
+    assert traced["codes"] == [0] * len(commands), proc.stderr
+    layers = traced["layers"]
+    for key in (
+        "processes.simulate_s", "processes.steps", "processes.series_csv_bytes",
+        "estimators.ccdf_points", "estimators.ccdf_csv_bytes",
+        "theory.cramer_calls", "theory.matrix_products",
+    ):
+        assert layers[key] > 0, key

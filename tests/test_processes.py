@@ -96,6 +96,23 @@ class TestInverseMultiplier:
         fit = tail_exponent_ls(fig2_series)
         assert abs(fit.exponent - 1.0) < 0.15
 
+    @pytest.mark.parametrize("sd", [1e300, 1e306], ids=["past-the-limit", "past-float64"])
+    def test_overflow_names_its_step_and_not_stationarity(self, sd):
+        # the path takes the overflow rule every path takes, past 1e300 and past the
+        # float range alike, with no numpy warning; the message names the step and
+        # not stationarity, which an iid process does not have
+        spec = InverseMultiplier(Uniform(0.0, 2.0), Normal(0.0, sd))
+        gen = RngStream(0).generator()
+        a, e = spec.a_law.sample(gen, 10**5), spec.e_law.sample(gen, 10**5)
+        with np.errstate(over="ignore"):
+            step = int(np.argmax(np.abs(e / (1.0 - a)) >= 1e300))
+        with pytest.raises(NumericalOverflow) as exc:
+            simulate(spec, RngStream(0), 10**5)
+        assert str(exc.value) == (
+            f"the path e / (1 - a) exceeded 1e+300 in absolute value at step {step}; "
+            "rescale the e law"
+        )
+
 
 class TestKestenScalar:
     def test_no_feedback_reduces_to_noise(self):
@@ -273,6 +290,20 @@ class TestGarch11:
 
 
 class TestGarchToKesten:
+    @pytest.mark.parametrize(
+        "params",
+        [(math.inf, 0.1, 0.8), (0.01, math.nan, 0.8), (0.0, 0.1, 0.8), (0.01, -0.1, 0.8)],
+        ids=["inf-omega", "nan-alpha", "zero-omega", "negative-alpha"],
+    )
+    def test_refuses_what_garch11_refuses(self, params):
+        # one set of GARCH parameter rules, with one message, whichever door is used
+        with pytest.raises(InvalidConfig) as spec_error:
+            Garch11(*params)
+        with pytest.raises(InvalidConfig) as law_error:
+            garch_to_kesten(*params)
+        assert type(law_error.value) is type(spec_error.value) is InvalidConfig
+        assert str(law_error.value) == str(spec_error.value)
+
     def test_fitted_index_mapping(self):
         a_law, e_law = garch_to_kesten(0.01, 0.09, 0.9)
         assert a_law == GarchCoefficient(0.9, 0.09)
@@ -374,6 +405,24 @@ ROUND_TRIP_SPECS = {
     ),
     "garch": Garch11(0.01, 0.09, 0.9, sigma0=0.1),
 }
+
+
+def test_each_kind_states_its_feedback_laws_and_companion_form():
+    # (feedback, companion) per spec: the scalar recursion's (a_law, e_law), and the
+    # order-K form, None on a kind without one
+    a, e = Exponential(0.55), Normal(0.0, 1.0)
+    ar = KestenAR(a, e, (Uniform(0.7, 0.8), Uniform(0.1, 0.2)))
+    facts = [
+        (InverseMultiplier(Uniform(0.0, 1.0), e), (None, None)),
+        (KestenScalar(a, e, 0.25), ((a, e), KestenAR(a, e, (Constant(1.0),), False, (0.25,)))),
+        (ar, (None, ar)),
+        (Garch11(0.01, 0.09, 0.9), ((GarchCoefficient(0.9, 0.09), Constant(0.01)), None)),
+        (Garch11(0.01, 0.0, 0.9), ((Constant(0.9), Constant(0.01)), None)),
+    ]
+    for spec, fact in facts:
+        assert (spec.feedback, spec.companion) == fact
+    assert ar.companion is ar
+    assert {type(spec) for spec, _ in facts} == set(typing.get_args(ProcessSpec))
 
 
 class TestSpecConfig:
