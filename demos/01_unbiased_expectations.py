@@ -14,9 +14,9 @@ from kestenlab import (
     RngStream,
     Uniform,
     empirical_ccdf,
-    inverse_tail_prediction,
     simulate,
     tail_exponent_ls,
+    unit_exponent_prediction,
 )
 
 spec = InverseMultiplier(a_law=Uniform(0.0, 1.0), e_law=Normal(0.0, 1.0))
@@ -36,7 +36,7 @@ print(f"\nlog-log LS tail fit above {fit.threshold:.2f}: "
 f1 = spec.a_law.pdf(1.0)
 print(f"density of a at 1: {f1:.1f}; "
       f"predicted two-sided multiplier tail at x=100: "
-      f"{inverse_tail_prediction(spec.a_law, 100.0):.4f}")
+      f"{unit_exponent_prediction(spec.a_law).tail_constant / 100.0:.4f}")
 
 # survival points for external plotting (log-log axes show a straight line)
 x, p = empirical_ccdf(series)

@@ -36,7 +36,7 @@ print(np.vstack([0.6 * np.array([0.75, 0.15, 0.10]), np.eye(2, 3)]))
 
 est = lyapunov_top(spec, t_horizon=500, trials=64, rng=RngStream(9))
 print(f"\ntop Lyapunov exponent: {est.gamma_hat:.4f} +- {est.stderr:.4f} "
-      f"({'stationary' if est.stationary else 'non-stationary'})")
+      f"({'stationary' if est.gamma_hat < 0 else 'non-stationary'})")
 
 print("moment growth rate at integer orders: " + ", ".join(
     f"Lambda({p}) = {integer_moment_growth(spec, p):+.4f}" for p in range(1, 7)

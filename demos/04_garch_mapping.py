@@ -15,13 +15,13 @@ from kestenlab import (
     acf,
     cramer_root,
     garch11_paths,
-    garch_to_kesten,
     simulate,
     stationarity_check,
 )
 
 omega, alpha, beta = 0.01, 0.09, 0.9
-a_law, e_law = garch_to_kesten(omega, alpha, beta)
+spec = Garch11(omega, alpha, beta, sigma0=0.1)
+a_law, e_law = spec.feedback
 print(f"sigma^2 recursion coefficient: a = {beta} + {alpha} z^2, noise e = {omega}")
 print(f"E(a) = {a_law.moment(1.0)!r}  (a hair below 1)")
 print(f"E[log a] = {a_law.log_moment():.4f} -> {stationarity_check(a_law).verdict}, "
@@ -33,7 +33,6 @@ print(f"=> |r| has exponent ~{2 * solution.mu_star:.1f}; "
       "at E(a) = 1 this degrades to 2, i.e. infinite-variance returns")
 
 # the rewrite is exact pathwise, not just in distribution
-spec = Garch11(omega, alpha, beta, sigma0=0.1)
 rng = RngStream(314)
 n = 50_000
 _returns, sigma2, _z = garch11_paths(spec, rng, n)

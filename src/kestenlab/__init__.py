@@ -38,7 +38,6 @@ from .processes import (
     ReturnSeries,
     as_ar,
     garch11_paths,
-    garch_to_kesten,
     read_series_csv,
     simulate,
     spec_digest,
@@ -57,11 +56,11 @@ from .theory import (
     cramer_root,
     expected_acf,
     integer_moment_growth,
-    inverse_tail_prediction,
     kesten_conditions_report,
     lyapunov_top,
     moment_lyapunov_root,
     stationarity_check,
+    unit_exponent_prediction,
 )
 
 __all__ = [
@@ -84,7 +83,6 @@ __all__ = [
     "ReturnSeries",
     "as_ar",
     "garch11_paths",
-    "garch_to_kesten",
     "read_series_csv",
     "simulate",
     "spec_digest",
@@ -110,9 +108,9 @@ __all__ = [
     "cramer_root",
     "expected_acf",
     "integer_moment_growth",
-    "inverse_tail_prediction",
     "kesten_conditions_report",
     "lyapunov_top",
     "moment_lyapunov_root",
     "stationarity_check",
+    "unit_exponent_prediction",
 ]

@@ -157,10 +157,6 @@ class RunManifest:
     to_dict = asdict
 
 
-def manifest_from_dict(data: dict) -> RunManifest:
-    return read_record([RunManifest], data, "manifest")
-
-
 def _load_json(text: str | bytes, what: str):
     """The JSON value in ``text``; InvalidConfig if it is not UTF-8 JSON or
     nests too deep to decode."""
@@ -573,11 +569,11 @@ def ingest_prices(csv_path: str | Path, column_spec: str | int = "close") -> Ret
     return ReturnSeries(returns, hashlib.sha256(raw).hexdigest(), None, 0, 0)
 
 
-def report(manifest: RunManifest | str | Path) -> str:
-    """One-screen human-readable summary of a completed run."""
-    if not isinstance(manifest, RunManifest):
-        manifest = _read_json(Path(manifest), RunManifest, "manifest")
-    out_dir = Path(manifest.output_dir)
+def report(path: str | Path) -> str:
+    """One-screen human-readable summary of the run whose ``manifest.json`` is at
+    ``path``; the bundle files are read beside it, wherever the run wrote them."""
+    manifest = _read_json(Path(path), RunManifest, "manifest")
+    out_dir = Path(path).parent
     for files in manifest.outputs.values():
         for fname in files:
             if not (out_dir / fname).exists():
@@ -613,7 +609,7 @@ def report(manifest: RunManifest | str | Path) -> str:
             if name == "cramer" and isinstance(proc, Garch11):
                 lines.append(_garch_returns_text(entry.solution))
     n_files = sum(len(v) for v in manifest.outputs.values())
-    lines.append(f"outputs: {manifest.output_dir} ({n_files} files)")
+    lines.append(f"outputs: {out_dir} ({n_files} files)")
     return "\n".join(lines)
 
 
@@ -665,7 +661,7 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     name = Path(args.config).stem
     manifest = run(config, output_dir=args.output_dir, seed=args.seed, name=name)
-    print(report(manifest))
+    print(report(Path(manifest.output_dir) / "manifest.json"))
     return 0
 
 

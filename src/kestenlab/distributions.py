@@ -111,8 +111,7 @@ class RngStream:
     """A named position in seed space: (seed, stream_id).
 
     Equal streams reproduce bitwise-equal draws; distinct stream ids give
-    statistically independent sequences (numpy SeedSequence spawn keys),
-    so parallel workers can each own a stream without coordination.
+    statistically independent sequences (numpy SeedSequence spawn keys).
     """
 
     seed: int

@@ -206,8 +206,7 @@ def spec_digest(spec: ProcessSpec) -> str:
 class ReturnSeries:
     """A simulated or ingested sequence of returns with its provenance.
 
-    Construction rejects non-finite values: a NaN or infinity in a path
-    signals a parameter regime outside stationarity, never valid data.
+    Construction rejects non-finite values.
     """
 
     values: np.ndarray
@@ -221,10 +220,7 @@ class ReturnSeries:
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidConfig("return series must be a nonempty 1-d array")
         if not np.isfinite(arr).all():
-            raise InvalidConfig(
-                "return series contains NaN/inf; the generating parameters "
-                "are likely outside the stationary regime"
-            )
+            raise InvalidConfig("return series contains NaN or inf")
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -478,14 +474,6 @@ def garch11_paths(
     if not isinstance(spec, Garch11):
         raise InvalidConfig(f"garch11_paths needs a Garch11 spec, got {type(spec).__name__}")
     return _paths(spec, rng, n, burn_in)[0]
-
-
-def garch_to_kesten(
-    omega: float, alpha: float, beta: float
-) -> tuple[CoefficientLaw, CoefficientLaw]:
-    """Coefficient pair of the feedback recursion satisfied by sigma^2:
-    ``Garch11.feedback``, which also refuses what Garch11 refuses."""
-    return Garch11(omega, alpha, beta).feedback
 
 
 def as_ar(spec: ProcessSpec) -> KestenAR:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -83,10 +82,6 @@ class StationarityCheck:
     log_moment: float
     verdict: str  # "stationary" | "non-stationary" | "boundary"
     tolerance = BOUNDARY_TOL
-
-    @property
-    def stationary(self) -> bool:
-        return self.verdict == "stationary"
 
     def to_dict(self) -> dict:
         return {**asdict(self), "tolerance": self.tolerance}
@@ -159,10 +154,6 @@ class LyapunovEstimate:
             raise TheoryError("Lyapunov estimate must be finite")
         if self.stderr < 0:
             raise TheoryError("stderr must be nonnegative")
-
-    @property
-    def stationary(self) -> bool:
-        return self.gamma_hat < 0
 
     def to_dict(self) -> dict:
         return {**asdict(self), "norm": "inf"}  # the matrix norm of _batched_log_norms
@@ -343,27 +334,6 @@ def unit_exponent_prediction(a_law: CoefficientLaw) -> UnitExponentPrediction:
     for r = (1 - a)^{-1} e; NoDensity for a law without one."""
     f1 = a_law.pdf(1.0)
     return UnitExponentPrediction(f1, 1.0 if f1 > 0 else None, 2.0 * f1)
-
-
-def inverse_tail_prediction(a_law: CoefficientLaw, x: float) -> float:
-    """Predicted asymptotic tail 2 f_a(1) / x of the inverse-multiplier process.
-
-    The magnitude |1 - a|^{-1} inherits a unit-exponent power law from the
-    density of a near 1; when that density vanishes the prediction does not
-    apply and 0 is returned with a warning.
-    """
-    if not x > 0:
-        raise InvalidConfig(f"x must be positive, got {x}")
-    prediction = unit_exponent_prediction(a_law)
-    if prediction.predicted_mu is None:
-        warnings.warn(
-            "density of a at 1 is zero: the unit-exponent tail prediction "
-            "is not applicable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return prediction.tail_constant / x
 
 
 # condition checklist ---------------------------------------------------------

@@ -21,7 +21,6 @@ from kestenlab import (
     as_ar,
     cramer_root,
     garch11_paths,
-    garch_to_kesten,
     hill_estimator,
     lyapunov_top,
     moment_lyapunov_root,
@@ -153,7 +152,7 @@ def test_criterion_5_garch_mapping():
     rng = RngStream(314)
     n = 10**5
     _r, sigma2, _z = garch11_paths(spec, rng, n)
-    a_law, e_law = garch_to_kesten(omega, alpha, beta)
+    a_law, e_law = spec.feedback
     a = a_law.sample(rng.generator(), n)
     x = np.empty(n)
     x[0] = spec.sigma0**2

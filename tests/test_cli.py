@@ -48,7 +48,6 @@ from kestenlab.cli import (
     ingest_prices,
     load_config,
     main,
-    manifest_from_dict,
     report,
     run,
 )
@@ -230,10 +229,10 @@ class TestConfig:
             config_from_dict({**SMALL_CONFIG, **change})
 
     def test_manifest_keys_are_its_fields(self):
-        assert manifest_from_dict(MANIFEST).to_dict() == MANIFEST
+        assert read_record([RunManifest], MANIFEST, "manifest").to_dict() == MANIFEST
         for bad in ({**MANIFEST, "seeds": 1}, {k: v for k, v in MANIFEST.items() if k != "seed"}):
             with pytest.raises(InvalidConfig):
-                manifest_from_dict(bad)
+                read_record([RunManifest], bad, "manifest")
 
 
 class TestRecords:
@@ -309,8 +308,8 @@ class TestRun:
 
     def test_report_text(self, tmp_path):
         cfg = config_from_dict(SMALL_CONFIG)
-        manifest = run(cfg, output_dir=tmp_path / "out")
-        text = report(manifest)
+        run(cfg, output_dir=tmp_path / "out")
+        text = report(tmp_path / "out" / "manifest.json")
         assert "regime: C (E(a) = 0.55 < 1)" in text
         assert "predicted mu = 3.0027" in text
         assert "fitted mu" in text
@@ -331,7 +330,7 @@ class TestRun:
         assert len(listed) == len(set(listed))
         for fname in listed:
             assert (tmp_path / "out" / fname).exists(), fname
-        text = report(manifest)
+        text = report(tmp_path / "out" / "manifest.json")
         assert f"({len(listed)} files)" in text
         # one report line per analysis, in the report's fixed order
         heads = [
@@ -405,10 +404,33 @@ class TestRun:
 
     def test_report_missing_artifacts(self, tmp_path):
         cfg = config_from_dict(SMALL_CONFIG)
-        manifest = run(cfg, output_dir=tmp_path / "out")
+        run(cfg, output_dir=tmp_path / "out")
         (tmp_path / "out" / "tail_fit.json").unlink()
         with pytest.raises(MissingArtifacts):
-            report(manifest)
+            report(tmp_path / "out" / "manifest.json")
+
+    def test_report_reads_the_bundle_beside_its_manifest(self, tmp_path, monkeypatch):
+        # two runs store the same relative output_dir; reported from the second
+        # run's directory, the first run's manifest still gets its own numbers
+        cfg = config_from_dict(SMALL_CONFIG)
+        stds = {}
+        for name, seed in (("a", 42), ("b", 7)):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            manifest = run(cfg, output_dir="runs/small", seed=seed)
+            assert manifest.output_dir == "runs/small"
+            summary = json.loads((tmp_path / name / "runs/small/summary.json").read_text())
+            stds[name] = f"sample std {summary['sample_std']:.4g}\n"
+        assert stds["a"] != stds["b"]
+        bundle = tmp_path / "a" / "runs" / "small"
+        text = report(bundle / "manifest.json")
+        assert stds["a"] in text and stds["b"] not in text
+        n_files = sum(len(files) for files in manifest.outputs.values())
+        assert text.endswith(f"outputs: {bundle} ({n_files} files)")
+        # a bundle moved away from where it was written still reports
+        moved = tmp_path / "moved"
+        bundle.rename(moved)
+        assert report(moved / "manifest.json") == text.replace(str(bundle), str(moved))
 
     def test_failed_run_leaves_no_manifest(self, tmp_path):
         # hill needs k < n, so this run dies mid-analysis; whatever was
@@ -1212,7 +1234,7 @@ class TestCommandLine:
         monkeypatch.chdir(tmp_path)
         (tmp_path / MANIFEST["output_dir"]).mkdir()
         (tmp_path / MANIFEST["output_dir"] / "summary.json").write_text("not json")
-        path = tmp_path / "manifest.json"
+        path = tmp_path / MANIFEST["output_dir"] / "manifest.json"
         path.write_text(text)
         assert main(["report", str(path)]) == 2
         out, err = capsys.readouterr()
@@ -1243,8 +1265,8 @@ class TestCommandLine:
         out_dir.mkdir()
         (out_dir / "summary.json").write_text(json.dumps(SUMMARY))
         (out_dir / fname).write_text(json.dumps(data))
-        (tmp_path / "manifest.json").write_text(json.dumps(MANIFEST))
-        assert main(["report", "manifest.json"]) == 2
+        (out_dir / "manifest.json").write_text(json.dumps(MANIFEST))
+        assert main(["report", f"{MANIFEST['output_dir']}/manifest.json"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {MANIFEST['output_dir']}/{fname}: ")
@@ -1264,8 +1286,8 @@ class TestCommandLine:
         }
         (tmp_path / MANIFEST["output_dir"]).mkdir()
         (tmp_path / MANIFEST["output_dir"] / "summary.json").write_text(json.dumps(old))
-        (tmp_path / "manifest.json").write_text(json.dumps(MANIFEST))
-        assert main(["report", "manifest.json"]) == 2
+        (tmp_path / MANIFEST["output_dir"] / "manifest.json").write_text(json.dumps(MANIFEST))
+        assert main(["report", f"{MANIFEST['output_dir']}/manifest.json"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {MANIFEST['output_dir']}/summary.json: summary.cramer")
@@ -1281,8 +1303,8 @@ class TestCommandLine:
         (tmp_path / MANIFEST["output_dir"] / "summary.json").write_text(
             json.dumps({**SUMMARY, "stationarity": stationarity})
         )
-        (tmp_path / "manifest.json").write_text(json.dumps(MANIFEST))
-        assert main(["report", "manifest.json"]) == 2
+        (tmp_path / MANIFEST["output_dir"] / "manifest.json").write_text(json.dumps(MANIFEST))
+        assert main(["report", f"{MANIFEST['output_dir']}/manifest.json"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {MANIFEST['output_dir']}/summary.json: ")
@@ -1311,7 +1333,7 @@ class TestCommandLine:
         out_dir = tmp_path / MANIFEST["output_dir"]
         out_dir.mkdir()
         (out_dir / "summary.json").write_text(json.dumps(SUMMARY))
-        (tmp_path / "manifest.json").write_text(json.dumps(MANIFEST))
+        (out_dir / "manifest.json").write_text(json.dumps(MANIFEST))
         prefix = "error: "
         if where == "config":
             (tmp_path / "bad.cfg").write_bytes(data)
@@ -1319,9 +1341,9 @@ class TestCommandLine:
         elif where == "law":
             argv = ["cramer", "--law", data.decode()]
         else:
-            path = tmp_path / where if where == "manifest.json" else out_dir / where
+            path = out_dir / where
             path.write_bytes(data)
-            argv = ["report", "manifest.json"]
+            argv = ["report", f"{MANIFEST['output_dir']}/manifest.json"]
             prefix = f"error: {path.relative_to(tmp_path)}: "
         assert main(argv) == 2
         out, err = capsys.readouterr()

@@ -1,7 +1,10 @@
-"""The demos and the public API agree, checked without running the demos."""
+"""The demos and the public API agree, and each demo runs to its end."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,17 @@ def test_demo_imports_are_public(demo):
     imported = _public_imports(demo.read_text(), str(demo))
     assert imported, f"{demo.name} imports nothing from kestenlab"
     assert sorted(set(imported) - set(kestenlab.__all__)) == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    # a fresh interpreter on the source tree, in a directory of its own
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
 
 
 def test_readme_imports_are_public():

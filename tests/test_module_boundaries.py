@@ -105,10 +105,12 @@ def test_one_row_rule_serves_the_full_ccdf_and_the_sorted_sample():
 
 
 def test_one_function_predicts_the_unit_exponent():
-    assert _callers({"unit_exponent_prediction"}) == [
-        "cli.run",
-        "theory.inverse_tail_prediction",
-    ]
+    assert _callers({"unit_exponent_prediction"}) == ["cli.run"]
+
+
+def test_no_module_warns():
+    # a bad input ends in a typed error, never in a warning and a made-up value
+    assert _callers({"warnings.warn", "warn"}) == []
 
 
 def test_the_sign_facts_are_derived_once_for_every_law():

@@ -27,11 +27,11 @@ from kestenlab import (
     cramer_root,
     expected_acf,
     integer_moment_growth,
-    inverse_tail_prediction,
     kesten_conditions_report,
     lyapunov_top,
     moment_lyapunov_root,
     stationarity_check,
+    unit_exponent_prediction,
 )
 from kestenlab.distributions import _DE_T
 from kestenlab.theory import _increasing_root, _moment_matrix
@@ -599,24 +599,27 @@ class TestExpectedAcf:
             expected_acf(Exponential(0.8), 1)
 
 
-class TestInverseTailPrediction:
+class TestUnitExponentPrediction:
     def test_standard_uniform(self):
-        assert inverse_tail_prediction(Uniform(0.0, 1.0), 100.0) == pytest.approx(0.02)
+        prediction = unit_exponent_prediction(Uniform(0.0, 1.0))
+        assert prediction.predicted_mu == 1.0
+        assert prediction.tail_constant / 100.0 == pytest.approx(0.02)
 
     def test_unit_exponential(self):
-        assert inverse_tail_prediction(Exponential(1.0), 100.0) == pytest.approx(
+        assert unit_exponent_prediction(Exponential(1.0)).tail_constant / 100.0 == pytest.approx(
             2 * math.exp(-1) / 100, rel=1e-12
         )
 
     def test_density_vanishes_at_one(self):
-        with pytest.warns(RuntimeWarning, match="not applicable"):
-            assert inverse_tail_prediction(Uniform(2.0, 3.0), 10.0) == 0.0
+        # the unit-exponent tail does not apply: no exponent is predicted
+        prediction = unit_exponent_prediction(Uniform(2.0, 3.0))
+        assert (prediction.predicted_mu, prediction.tail_constant) == (None, 0.0)
 
     def test_no_density(self):
         with pytest.raises(NoDensity):
-            inverse_tail_prediction(Constant(0.5), 10.0)
+            unit_exponent_prediction(Constant(0.5))
         with pytest.raises(NoDensity, match="^garch_coeff law has no density$"):
-            inverse_tail_prediction(GarchCoefficient(0.5, 0.0), 10.0)
+            unit_exponent_prediction(GarchCoefficient(0.5, 0.0))
 
     def test_support_boundary_uses_left_limit(self):
         # Uniform.pdf is left-continuous: 1/(hi - lo) on (lo, hi]
@@ -633,7 +636,7 @@ class TestInverseTailPrediction:
         s = simulate(spec, RngStream(19), 10**6)
         absr = np.abs(s.values)
         for x in (50.0, 100.0, 200.0):
-            predicted = inverse_tail_prediction(spec.a_law, x)
+            predicted = unit_exponent_prediction(spec.a_law).tail_constant / x
             empirical = (absr > x).mean()
             assert predicted / 1.5 <= empirical <= predicted * 1.5
 
