@@ -20,7 +20,7 @@ from kestenlab import (
 )
 
 spec = InverseMultiplier(a_law=Uniform(0.0, 1.0), e_law=Normal(0.0, 1.0))
-series = simulate(spec, RngStream(seed=1), n=200_000)
+series = simulate(spec, RngStream(seed=1), n=200_000, burn_in=0)
 
 print("r = e / (1 - a) with a ~ U(0,1), e ~ N(0,1)")
 print(f"simulated {len(series)} draws; resampled {series.resamples} near-singular ones")

@@ -35,7 +35,7 @@ print(f"=> |r| has exponent ~{2 * solution.mu_star:.1f}; "
 # the rewrite is exact pathwise, not just in distribution
 rng = RngStream(314)
 n = 50_000
-_returns, sigma2, _z = garch11_paths(spec, rng, n)
+_returns, sigma2, _z = garch11_paths(spec, rng, n, burn_in=0)
 a = a_law.sample(rng.generator(), n)  # same stream -> the same normals
 x = np.empty(n)
 x[0] = spec.sigma0 ** 2

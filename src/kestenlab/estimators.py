@@ -24,7 +24,7 @@ from .errors import (
     ReturnOverflow,
     SeriesTooShort,
 )
-from .processes import write_csv
+from .processes import series_values, write_csv
 
 MIN_TAIL_POINTS = 10
 
@@ -35,17 +35,6 @@ CCDF_PLOT_POINTS = 512
 # When the caller gives no threshold, fit above the 95th percentile of |r|;
 # an absolute 2% cutoff only makes sense for series scaled to ~1% std.
 DEFAULT_TAIL_QUANTILE = 0.95
-
-
-def _values(series) -> np.ndarray:
-    """Accept a ReturnSeries or any nonempty, finite 1-d array-like."""
-    vals = getattr(series, "values", series)
-    arr = np.asarray(vals, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidConfig("expected a nonempty 1-d series")
-    if not np.isfinite(arr).all():
-        raise InvalidConfig("series contains NaN or inf")
-    return arr
 
 
 def _unit_scale(v: np.ndarray) -> float:
@@ -62,7 +51,7 @@ def mean_std(series) -> tuple[float, float]:
     Where the plain computation overflows (finite values whose squares or
     sum are not), both come from the series scaled by ``_unit_scale``; the
     std of finite values is then finite."""
-    v = _values(series)
+    v = series_values(series)
     with np.errstate(over="ignore", invalid="ignore"):
         mean, std = float(v.mean()), float(v.std())
         if not (math.isfinite(mean) and math.isfinite(std)):
@@ -156,7 +145,7 @@ def empirical_ccdf(series, absolute: bool = True) -> tuple[np.ndarray, np.ndarra
     p = P(X > x) = (n - rank)/n, so the largest observation maps to
     probability 0 and survival is strictly decreasing in x.
     """
-    v = _values(series)
+    v = series_values(series)
     if absolute:
         v = np.abs(v)
     n = v.size
@@ -215,7 +204,7 @@ def tail_fit_with_ccdf(
     ``_plot_rows`` of the sorted sample, and their p is read the same way
     by searchsorted."""
     check_threshold(threshold)
-    s = np.abs(_values(series))
+    s = np.abs(series_values(series))
     s.sort()
     n = s.size
     if threshold is None:
@@ -254,7 +243,7 @@ def hill_estimator(series, k: int) -> float:
 
     Reciprocal of the mean log-spacing log(x_(n-i+1) / x_(n-k)), i = 1..k.
     """
-    absv = np.abs(_values(series))
+    absv = np.abs(series_values(series))
     n = absv.size
     if not MIN_TAIL_POINTS <= k < n:
         raise InsufficientTail(f"need {MIN_TAIL_POINTS} <= k < n, got k={k}, n={n}")
@@ -281,7 +270,7 @@ def acf(series, max_lag: int, absolute: bool = False) -> AcfResult:
     Biased normalization (divide by n at every lag) keeps the estimate a
     valid correlation sequence bounded by 1 in absolute value.
     """
-    v = _values(series)
+    v = series_values(series)
     check_max_lag(max_lag)
     if absolute:
         v = np.abs(v)

@@ -490,10 +490,7 @@ def check_lyapunov_params(t_horizon: int, trials: int) -> None:
 
 
 def lyapunov_top(
-    ar_spec: KestenAR | KestenScalar,
-    t_horizon: int = 1000,
-    trials: int = 100,
-    rng: RngStream = RngStream(0),
+    ar_spec: KestenAR | KestenScalar, t_horizon: int, trials: int, rng: RngStream
 ) -> LyapunovEstimate:
     """Top Lyapunov exponent of the companion-matrix product, by Monte Carlo.
 
@@ -504,7 +501,7 @@ def lyapunov_top(
     spec = as_ar(ar_spec)
     log_norms = _batched_log_norms(spec, rng.generator(), (t_horizon,), trials)
     g = log_norms[t_horizon] / t_horizon
-    stderr = float(g.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    stderr = float(g.std(ddof=1) / math.sqrt(trials))
     return LyapunovEstimate(float(g.mean()), int(t_horizon), int(trials), stderr)
 
 

@@ -80,7 +80,7 @@ def exact_pareto(mu: float, n: int, seed: int) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def fig2_series():
-    return simulate(FIG2_SPEC, RngStream(1), 10**6)
+    return simulate(FIG2_SPEC, RngStream(1), 10**6, 0)
 
 
 @pytest.fixture(scope="session")

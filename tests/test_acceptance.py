@@ -151,7 +151,7 @@ def test_criterion_5_garch_mapping():
     spec = Garch11(omega, alpha, beta, sigma0=0.1)
     rng = RngStream(314)
     n = 10**5
-    _r, sigma2, _z = garch11_paths(spec, rng, n)
+    _r, sigma2, _z = garch11_paths(spec, rng, n, 0)
     a_law, e_law = spec.feedback
     a = a_law.sample(rng.generator(), n)
     x = np.empty(n)

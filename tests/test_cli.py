@@ -876,7 +876,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("source", ["simulate", "ingest"])
     def test_npy_series_prints_as_its_csv(self, tmp_path, capsys, source):
-        series = simulate(FIG3_SPEC, RngStream(4), 5000)
+        series = simulate(FIG3_SPEC, RngStream(4), 5000, 10_000)
         if source == "simulate":
             write_series_csv(series, tmp_path / "series.csv")
             write_series_npy(series, tmp_path / "series.npy")

@@ -22,6 +22,7 @@ from kestenlab import (
 from kestenlab import cli, estimators
 from kestenlab.estimators import CCDF_PLOT_POINTS, mean_std, tail_fit_with_ccdf, thin_ccdf
 from kestenlab.cli import config_from_dict, run
+from kestenlab.processes import OVERFLOW_LIMIT
 from kestenlab.errors import (
     DegenerateTail,
     InsufficientTail,
@@ -321,6 +322,12 @@ class TestAcf:
         assert acf(x, 2).values.tobytes() == acf(x * s, 2).values.tobytes()
         assert mean_std(x) == (float((x * s).mean()) / s, float((x * s).std()) / s)
         assert math.isfinite(mean_std(x)[1])
+        # the largest values a simulated path may hold, of one sign and alternating:
+        # the mean and std of a run's series stay inside the path's own limit
+        big = np.nextafter(OVERFLOW_LIMIT, 0.0)
+        for y in (np.full(40, big), np.array([(-1.0) ** t * big for t in range(40)])):
+            mean, std = mean_std(y)
+            assert abs(mean) <= big and std <= big
 
 
 @pytest.mark.parametrize(

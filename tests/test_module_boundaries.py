@@ -1,7 +1,8 @@
 """Each module of the package uses only the public names of the others, JSON
 text and type annotations are each read in one place, each predicted exponent
 and each law's sign facts are computed once, each process kind states its
-feedback laws and companion form once, and the package runs on numpy alone."""
+feedback laws and companion form once, one function checks a return series,
+no default is built at import, and the package runs on numpy alone."""
 
 import ast
 import json
@@ -106,6 +107,31 @@ def test_one_row_rule_serves_the_full_ccdf_and_the_sorted_sample():
 
 def test_one_function_predicts_the_unit_exponent():
     assert _callers({"unit_exponent_prediction"}) == ["cli.run"]
+
+
+def test_one_function_states_the_return_series_rule():
+    # nonempty, 1-d and finite float64, for a ReturnSeries and every estimator's input
+    assert _callers({"series_values"}) == [
+        "estimators.mean_std",
+        "estimators.empirical_ccdf",
+        "estimators.tail_fit_with_ccdf",
+        "estimators.hill_estimator",
+        "estimators.acf",
+        "processes.ReturnSeries.__post_init__",
+    ]
+
+
+def test_no_function_default_is_built_at_import():
+    # a default made by a call is one object shared by every call that omits it,
+    # such as a random stream whose seed the caller never chose
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaults = [*node.args.defaults, *filter(None, node.args.kw_defaults)]
+                if any(isinstance(n, ast.Call) for d in defaults for n in ast.walk(d)):
+                    found.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+    assert found == []
 
 
 def test_no_module_warns():

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -61,13 +62,13 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestInverseMultiplier:
     def test_constant_laws(self):
         spec = InverseMultiplier(Constant(0.0), Constant(1.0))
-        s = simulate(spec, RngStream(0), 3)
+        s = simulate(spec, RngStream(0), 3, 0)
         assert s.values.tolist() == [1.0, 1.0, 1.0]
 
     def test_exact_unit_tail(self):
         # P(1/(1-U) > 10) = P(U > 0.9) = 0.1; 3-sigma binomial band ~0.0009
         spec = InverseMultiplier(Uniform(0.0, 1.0), Constant(1.0))
-        s = simulate(spec, RngStream(5), 10**6)
+        s = simulate(spec, RngStream(5), 10**6, 0)
         assert abs((s.values > 10).mean() - 0.1) < 0.003
 
     def test_degenerate_unit_coefficient(self):
@@ -75,20 +76,20 @@ class TestInverseMultiplier:
         for a_law in (Constant(1.0), GarchCoefficient(1.0, 0.0)):
             with pytest.raises(DegenerateSpec, match="a == 1 surely"):
                 simulate(
-                    InverseMultiplier(a_law, Normal(0.0, 1.0)), RngStream(0), 10
+                    InverseMultiplier(a_law, Normal(0.0, 1.0)), RngStream(0), 10, 0
                 )
 
     def test_near_one_draws_are_resampled(self):
         # half of this sliver sits within 1e-12 of 1 and must be redrawn
         spec = InverseMultiplier(Uniform(1 - 2e-12, 1 + 2e-12), Constant(1.0))
-        s = simulate(spec, RngStream(3), 1000)
+        s = simulate(spec, RngStream(3), 1000, 0)
         assert s.resamples > 0
         assert np.isfinite(s.values).all()
 
     def test_concentrated_at_one_fails(self):
         spec = InverseMultiplier(Uniform(1 - 4e-13, 1 + 4e-13), Constant(1.0))
         with pytest.raises(DegenerateSpec):
-            simulate(spec, RngStream(3), 100)
+            simulate(spec, RngStream(3), 100, 0)
 
     def test_fig2_tail_exponent_near_one(self, fig2_series):
         fit = tail_exponent_ls(fig2_series)
@@ -105,7 +106,7 @@ class TestInverseMultiplier:
         with np.errstate(over="ignore"):
             step = int(np.argmax(np.abs(e / (1.0 - a)) >= 1e300))
         with pytest.raises(NumericalOverflow) as exc:
-            simulate(spec, RngStream(0), 10**5)
+            simulate(spec, RngStream(0), 10**5, 0)
         assert str(exc.value) == (
             f"the path e / (1 - a) exceeded 1e+300 in absolute value at step {step}; "
             "rescale the e law"
@@ -174,7 +175,9 @@ class TestKestenAR:
         b = simulate(scaled, RngStream(4), 500, 0)
         assert np.array_equal(a.values, b.values)
         # the matrix Monte Carlo draws its weights through the same rule
-        assert lyapunov_top(base, 100, 10) == lyapunov_top(scaled, 100, 10)
+        assert lyapunov_top(base, 100, 10, RngStream(0)) == lyapunov_top(
+            scaled, 100, 10, RngStream(0)
+        )
 
     def test_zero_weight_sum(self):
         spec = KestenAR(
@@ -184,7 +187,7 @@ class TestKestenAR:
         with pytest.raises(ZeroWeightSum):
             simulate(spec, RngStream(0), 10, 0)
         with pytest.raises(ZeroWeightSum):
-            lyapunov_top(spec, 100, 10)
+            lyapunov_top(spec, 100, 10, RngStream(0))
 
     def test_r_init_length_mismatch(self):
         with pytest.raises(InvalidConfig):
@@ -247,7 +250,7 @@ class TestGarch11:
         spec = Garch11(0.01, 0.09, 0.9, sigma0=0.1)
         rng = RngStream(77)
         n = 10**5
-        _returns, sigma2, _z = garch11_paths(spec, rng, n)
+        _returns, sigma2, _z = garch11_paths(spec, rng, n, 0)
         a_law, e_law = spec.feedback
         a = a_law.sample(rng.generator(), n)
         x = np.empty(n)
@@ -260,7 +263,7 @@ class TestGarch11:
         # sigma2 runs on the scalar recursion of the mapped coefficient law
         spec = Garch11(0.01, 0.09, 0.9, sigma0=0.1)
         n = 10**4
-        _returns, sigma2, _z = garch11_paths(spec, RngStream(77), n)
+        _returns, sigma2, _z = garch11_paths(spec, RngStream(77), n, 0)
         kesten = KestenScalar(
             GarchCoefficient(spec.beta, spec.alpha), Constant(spec.omega), r0=spec.sigma0**2
         )
@@ -284,6 +287,26 @@ class TestGarch11:
         for params in ((0.0, 0.1, 0.8), (0.01, -0.1, 0.8), (math.inf, 0.1, 0.8), (0.01, math.nan, 0.8)):
             with pytest.raises(InvalidConfig):
                 Garch11(*params)
+
+
+@pytest.mark.parametrize("seed", [5, 131])
+@pytest.mark.parametrize("burn_in", [0, 10_000])
+def test_simulate_draws_the_garch_returns_as_garch11_paths_does(seed, burn_in):
+    spec = Garch11(0.01, 0.09, 0.9)
+    returns = garch11_paths(spec, RngStream(seed), 5000, burn_in)[0]
+    assert simulate(spec, RngStream(seed), 5000, burn_in).values.tobytes() == returns.tobytes()
+
+
+def test_burn_in_horizon_trials_and_stream_come_from_the_caller():
+    # the config states burn_in's default and the lyapunov analysis its horizon
+    # and trials; a stream default would be one seed shared by every call
+    for function, names in (
+        (simulate, ["burn_in"]),
+        (garch11_paths, ["burn_in"]),
+        (lyapunov_top, ["t_horizon", "trials", "rng"]),
+    ):
+        params = inspect.signature(function).parameters
+        assert [n for n in names if params[n].default is not inspect.Parameter.empty] == []
 
 
 class TestGarchFeedback:
@@ -545,7 +568,7 @@ class TestCompanionKernel:
     def test_garch_volatility_matches_plain_loop(self):
         spec = Garch11(0.01, 0.09, 0.9, sigma0=0.1)
         n = 3001
-        _returns, sigma2, z = garch11_paths(spec, RngStream(5), n)
+        _returns, sigma2, z = garch11_paths(spec, RngStream(5), n, 0)
         ref = [spec.sigma0**2]
         for zt in z[:-1].tolist():
             ref.append((spec.beta + spec.alpha * zt * zt) * ref[-1] + spec.omega)
@@ -864,7 +887,7 @@ class TestScalarKernelHasNoWeightRow:
     def test_garch_volatility_is_the_unit_weight_path_bitwise(self):
         spec = Garch11(0.01, 0.09, 0.9, sigma0=0.1)
         n = 3 * 1024 + 37
-        _returns, sigma2, z = garch11_paths(spec, RngStream(77), n)
+        _returns, sigma2, z = garch11_paths(spec, RngStream(77), n, 0)
         zp, ones = z[:-1], np.ones((1, n - 1))
         a = spec.beta + spec.alpha * zp * zp
         weighted = processes._companion_path(a, ones, spec.omega * ones[0], (spec.sigma0**2,))
@@ -955,9 +978,9 @@ SCALAR = KestenScalar(Exponential(0.55), Normal(0.0, 0.0065))
     "build",
     [
         lambda: ReturnSeries(np.array([1.0, np.nan]), "digest"),
-        lambda: simulate(SCALAR, RngStream(0), 0),
-        lambda: simulate(object(), RngStream(0), 10),
-        lambda: garch11_paths(SCALAR, RngStream(0), 10),
+        lambda: simulate(SCALAR, RngStream(0), 0, 10_000),
+        lambda: simulate(object(), RngStream(0), 10, 10_000),
+        lambda: garch11_paths(SCALAR, RngStream(0), 10, 0),
         lambda: TailFit(0.02, 3.0, 0.0, 5, 0.1),
         lambda: AcfResult(np.arange(2), np.array([1.0, np.nan]), "raw"),
         lambda: CramerSolution(0.0, (1.0, 1.0), 0.0, "closed-form"),

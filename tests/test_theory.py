@@ -633,7 +633,7 @@ class TestUnitExponentPrediction:
         from kestenlab import InverseMultiplier, simulate
 
         spec = InverseMultiplier(Uniform(0.0, 2.0), Constant(1.0))
-        s = simulate(spec, RngStream(19), 10**6)
+        s = simulate(spec, RngStream(19), 10**6, 0)
         absr = np.abs(s.values)
         for x in (50.0, 100.0, 200.0):
             predicted = unit_exponent_prediction(spec.a_law).tail_constant / x
