@@ -19,13 +19,13 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .distributions import RngStream, check_keys, law_from_config, read_record, read_value
+from .distributions import Record, RngStream, check_keys, law_from_config, read_record, read_value
 from .errors import (
     InvalidConfig,
     KestenLabError,
@@ -83,7 +83,7 @@ OUTPUT_ROOT_ENV = "KESTENLAB_OUTPUT_ROOT"
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Full description of one experiment; round-trips through canonical JSON."""
 
     process: ProcessSpec
@@ -105,9 +105,6 @@ class ExperimentConfig:
             name: _analysis_params(name, params, self.process)
             for name, params in self.analyses.items()
         }
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "process": self.process.to_config()}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -140,7 +137,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 @dataclass
-class RunManifest:
+class RunManifest(Record):
     """Record of a completed run; written last, so its existence marks success."""
 
     config_digest: str
@@ -151,8 +148,6 @@ class RunManifest:
     output_dir: str
     outputs: dict[str, list[str]]
     counters: dict[str, int]
-
-    to_dict = asdict
 
 
 def _load_json(text: str | bytes, what: str):
@@ -266,13 +261,11 @@ def _report_tail_fit(entry: TailFit, out_dir: Path) -> list[str]:
 
 
 @dataclass(frozen=True)
-class HillEstimate:
+class HillEstimate(Record):
     """The Hill tail index from the top k order statistics, a cross-check."""
 
     k: int
     estimate: float
-
-    to_dict = asdict
 
 
 def _hill(series, config: ExperimentConfig, params: dict, write) -> HillEstimate:
@@ -318,12 +311,10 @@ def _report_acf(entry: dict, out_dir: Path) -> list[str]:
 
 
 @dataclass(frozen=True)
-class ConditionsSummary:
+class ConditionsSummary(Record):
     """The verdict of the (a)-(h) checklist; ``conditions.json`` holds the checklist."""
 
     all_verified: bool
-
-    to_dict = asdict
 
 
 def _conditions(series, config: ExperimentConfig, params: dict, write) -> ConditionsSummary:
@@ -412,7 +403,7 @@ def _analysis_params(name: str, params, process: ProcessSpec) -> dict:
 
 
 @dataclass(frozen=True)
-class RunSummary:
+class RunSummary(Record):
     """``summary.json``: the run's headline numbers and one entry per analysis run."""
 
     process: ProcessSpec
@@ -432,9 +423,7 @@ class RunSummary:
     moment_lyapunov: CramerSolution | None = None
 
     def to_dict(self) -> dict:
-        entries = {f.name: getattr(self, f.name) for f in fields(self)}
-        entries["process"] = self.process.to_config()
-        return {k: v for k, v in entries.items() if v is not None}
+        return {k: v for k, v in super().to_dict().items() if v is not None}
 
 
 def run(
@@ -717,15 +706,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InvalidConfig, ParseError, NonPositivePrice) as exc:
+    except (KestenLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except KestenLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, (InvalidConfig, ParseError, NonPositivePrice)):
+            return 2
+        return 4 if isinstance(exc, OSError) else 3
 
 
 if __name__ == "__main__":

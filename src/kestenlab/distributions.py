@@ -120,6 +120,8 @@ class RngStream:
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
             v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise InvalidConfig(f"{name} must be an integer, got {v!r}")
             if not (0 <= int(v) < 2**64):
                 raise InvalidConfig(f"{name} must fit in 64 unsigned bits, got {v}")
 
@@ -137,24 +139,27 @@ def _double_factorial_odd(j: int) -> float:
     return out
 
 
-class KindTagged:
-    """Base of the laws and process specs: the config is ``kind``, then each field.
+class Record:
+    """Base of every dataclass written as JSON: ``to_dict()`` is ``kind``, where the class
+    has one, then each field under its ``metadata["key"]`` or its name."""
 
-    A field's config key is its name, or its ``metadata["key"]``;
-    ``read_record`` reads the config back.
-    """
-
-    def to_config(self) -> dict:
-        out = {"kind": self.kind}
+    def to_dict(self) -> dict:
+        out = {"kind": self.kind} if hasattr(self, "kind") else {}
         for f in fields(self):
             out[f.metadata.get("key", f.name)] = _config_value(getattr(self, f.name))
         return out
 
 
+class KindTagged(Record):
+    """Base of the laws and process specs, whose config is their record."""
+
+    to_config = Record.to_dict
+
+
 def _config_value(value):
-    """A field as config: a law as its config, a tuple as a list."""
-    if isinstance(value, KindTagged):
-        return value.to_config()
+    """A field as JSON data: a record as its to_dict(), a tuple as a list."""
+    if isinstance(value, Record):
+        return value.to_dict()
     if isinstance(value, tuple):
         return [_config_value(v) for v in value]
     return value
@@ -604,7 +609,7 @@ _FIELD_HINTS: dict[type, dict] = {}  # read_record's resolved annotations, per c
 
 def read_record(classes, data, what: str):
     """The record that the JSON object ``data`` describes: the inverse of its
-    ``to_config()`` or ``to_dict()``.
+    ``to_dict()``.
 
     Of classes with a ``kind``, the one named by ``data["kind"]``.  Each field
     is read by ``read_value`` as its annotation, under its ``metadata["key"]``
@@ -634,8 +639,7 @@ def read_record(classes, data, what: str):
         record = cls(**args)
     except KestenLabError as exc:
         raise InvalidConfig(str(exc)) from exc
-    written = record.to_config() if isinstance(record, KindTagged) else record.to_dict()
-    check_keys(data, written, what)
+    check_keys(data, record.to_dict(), what)
     return record
 
 

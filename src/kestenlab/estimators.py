@@ -10,17 +10,17 @@ cross-check, never silently substituted.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.ma  # np.quantile loads it on first use; load it with the package instead
 
+from .distributions import Record
 from .errors import (
     DegenerateTail,
     InsufficientTail,
     InvalidConfig,
     NonPositivePrice,
-    NumericalOverflow,
     ReturnOverflow,
     SeriesTooShort,
 )
@@ -62,7 +62,7 @@ def mean_std(series) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class TailFit:
+class TailFit(Record):
     """Least-squares power-law fit of the tail of the survival function.
 
     ``exponent`` is the negated log-log slope (reported positive),
@@ -85,8 +85,6 @@ class TailFit:
                 f"fitted exponent must be positive, got {self.exponent}; "
                 "the data shows no power-law decay above this threshold"
             )
-
-    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -277,17 +275,15 @@ def acf(series, max_lag: int, absolute: bool = False) -> AcfResult:
     n = v.size
     if n <= 10 * max_lag:
         raise SeriesTooShort(f"need n > 10 * max_lag, got n={n}, max_lag={max_lag}")
+    if (v == v[0]).all():  # its computed mean need not equal its value
+        raise DegenerateTail("series has zero variance")
     with np.errstate(over="ignore", invalid="ignore"):
         xo = v - v.mean()
         gamma0 = float(xo @ xo) / n
-        if not np.isfinite(gamma0):  # the ACF does not depend on the series' scale
+        if not 0.0 < gamma0 < math.inf:  # the ACF is scale-free; at unit scale |xo| < 2
             v = v * _unit_scale(v)
             xo = v - v.mean()
             gamma0 = float(xo @ xo) / n
-    if not np.isfinite(gamma0):
-        raise NumericalOverflow("the series variance overflows float64; rescale the series")
-    if gamma0 == 0.0:
-        raise DegenerateTail("series has zero variance")
     vals = np.empty(max_lag + 1)
     vals[0] = 1.0
     for h in range(1, max_lag + 1):

@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CoefficientLaw, RngStream
+from .distributions import CoefficientLaw, Record, RngStream
 from .errors import (
     DegenerateLaw,
     InvalidConfig,
@@ -47,7 +47,7 @@ MOMENT_ROWS_CAP = 1000
 
 
 @dataclass(frozen=True)
-class CramerSolution:
+class CramerSolution(Record):
     """Root mu* > 0 of the moment equation, with solver diagnostics.
 
     ``residual`` is |E(a^mu*) - 1| (for the matrix case, the equivalent
@@ -72,11 +72,11 @@ class CramerSolution:
             )
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in super().to_dict().items() if v is not None}
 
 
 @dataclass(frozen=True)
-class StationarityCheck:
+class StationarityCheck(Record):
     """E[log a] and the verdict it implies."""
 
     log_moment: float
@@ -84,11 +84,11 @@ class StationarityCheck:
     tolerance = BOUNDARY_TOL
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "tolerance": self.tolerance}
+        return {**super().to_dict(), "tolerance": self.tolerance}
 
 
 @dataclass(frozen=True)
-class RegimeClassification:
+class RegimeClassification(Record):
     """Expectation-accuracy case and the tail-exponent regime it predicts.
 
     Case A: E(a) = 1 (accurate on average) -> exponent 1.
@@ -102,12 +102,9 @@ class RegimeClassification:
     consistent: bool
     solution: CramerSolution  # the moment-equation root the case is checked against
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 @dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(Record):
     """One entry of the stationarity/tail theorem checklist."""
 
     condition: str
@@ -115,11 +112,9 @@ class ConditionCheck:
     evidence: float | None = None
     note: str = ""
 
-    to_dict = asdict
-
 
 @dataclass(frozen=True)
-class TheoryReport:
+class TheoryReport(Record):
     """Checklist of conditions (a)-(h) plus the predicted exponent regime."""
 
     conditions: tuple[ConditionCheck, ...]
@@ -137,11 +132,9 @@ class TheoryReport:
     def all_verified(self) -> bool:
         return all(c.status == "verified" for c in self.conditions)
 
-    to_dict = asdict
-
 
 @dataclass(frozen=True)
-class LyapunovEstimate:
+class LyapunovEstimate(Record):
     """Monte Carlo estimate of the top Lyapunov exponent of the A-product."""
 
     gamma_hat: float
@@ -156,7 +149,7 @@ class LyapunovEstimate:
             raise TheoryError("stderr must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "norm": "inf"}  # the matrix norm of _batched_log_norms
+        return {**super().to_dict(), "norm": "inf"}  # the matrix norm of _batched_log_norms
 
 
 def stationarity_check(a_law: CoefficientLaw) -> StationarityCheck:
@@ -319,14 +312,12 @@ def expected_acf(a_law: CoefficientLaw, h: int) -> float:
 
 
 @dataclass(frozen=True)
-class UnitExponentPrediction:
+class UnitExponentPrediction(Record):
     """The unit-exponent tail 2 f_a(1) / x of an inverse-multiplier process."""
 
     density_at_one: float
     predicted_mu: float | None  # 1 where the density of a at 1 is positive
     tail_constant: float
-
-    to_dict = asdict
 
 
 def unit_exponent_prediction(a_law: CoefficientLaw) -> UnitExponentPrediction:

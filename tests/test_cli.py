@@ -236,9 +236,9 @@ class TestConfig:
 
 
 class TestRecords:
-    def test_numpy_inputs_serialize(self):
+    def test_numpy_inputs_serialize(self, tmp_path):
         # every record's to_dict() holds plain JSON values, whatever numpy
-        # scalars the caller passed in
+        # scalars the caller passed in, and read_record reads each one back
         spec = KestenScalar(
             Exponential(np.float64(0.55)), Normal(np.float64(0.0), np.float64(0.0065))
         )
@@ -255,9 +255,17 @@ class TestRecords:
                 {**SMALL_CONFIG, "n_samples": np.int64(20000), "seed": np.uint64(7)}
             ),
         ]
+        manifest = run(config_from_dict(SMALL_CONFIG), output_dir=tmp_path)
+        written = (tmp_path / "summary.json").read_text()
+        summary = read_record([RunSummary], json.loads(written), "summary")
+        assert _canonical_json(summary) == written
+        records += [manifest, summary]
         for record in records:
+            name = type(record).__name__
             text = _canonical_json(record.to_dict())
-            assert _canonical_json(json.loads(text)) == text, type(record).__name__
+            assert _canonical_json(json.loads(text)) == text, name
+            assert record.to_dict() == json.loads(_canonical_json(record)), name
+            assert read_record([type(record)], record.to_dict(), "x") == record, name
 
 
 class TestRun:

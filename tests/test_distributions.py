@@ -627,6 +627,19 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
 
+    @pytest.mark.parametrize("field", ["seed", "stream_id"])
+    @pytest.mark.parametrize("bad", [1.5, -0.5, 42.0, "7", math.nan, True])
+    def test_only_integers_are_seeds(self, field, bad):
+        # int() would truncate these, and the generator would then refuse them
+        with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):
+            RngStream(**{"seed": 0, field: bad})
+
+    @pytest.mark.parametrize("field", ["seed", "stream_id"])
+    @pytest.mark.parametrize("good", [np.uint64(2**64 - 1), np.int64(3)])
+    def test_numpy_integers_are_seeds(self, field, good):
+        draw = RngStream(**{"seed": 0, field: good}).generator().random()
+        assert draw == RngStream(**{"seed": 0, field: int(good)}).generator().random()
+
     def test_generator_restarts(self):
         rng = RngStream(99, 4)
         a = rng.generator().random(10)

@@ -320,6 +320,10 @@ class TestAcf:
         x = np.array([(-1.0) ** t * 1e308 for t in range(40)])
         s = 2.0**-1024
         assert acf(x, 2).values.tobytes() == acf(x * s, 2).values.tobytes()
+        # at the largest finite values too: at unit scale |v - mean| < 2
+        top = np.finfo(float).max
+        for y in (np.array([(-1.0) ** t * top for t in range(40)]), top * np.linspace(-1, 1, 101)):
+            assert acf(y, 2).values.tobytes() == acf(y * s, 2).values.tobytes()
         assert mean_std(x) == (float((x * s).mean()) / s, float((x * s).std()) / s)
         assert math.isfinite(mean_std(x)[1])
         # the largest values a simulated path may hold, of one sign and alternating:
@@ -328,6 +332,20 @@ class TestAcf:
         for y in (np.full(40, big), np.array([(-1.0) ** t * big for t in range(40)])):
             mean, std = mean_std(y)
             assert abs(mean) <= big and std <= big
+
+    def test_values_whose_squares_underflow_are_scaled_exactly(self):
+        # the sum of the squares of +-1e-300 is 0, yet the series varies
+        x = np.array([(-1.0) ** t * 1e-300 for t in range(40)])
+        s = 2.0**996
+        assert acf(x, 2).values.tobytes() == acf(x * s, 2).values.tobytes()
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, 1e308, np.finfo(float).max])
+    @pytest.mark.parametrize("n", [40, 101])
+    def test_a_constant_series_has_no_acf(self, value, n):
+        # its computed mean is not always its value (0.1 at n = 101, the float
+        # maximum at n = 40), so the centred values need not be zero
+        with pytest.raises(DegenerateTail, match="zero variance"):
+            acf(np.full(n, value), 2)
 
 
 @pytest.mark.parametrize(

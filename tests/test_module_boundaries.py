@@ -2,9 +2,11 @@
 text and type annotations are each read in one place, each predicted exponent
 and each law's sign facts are computed once, each process kind states its
 feedback laws and companion form once, one function checks a return series,
-no default is built at import, and the package runs on numpy alone."""
+no default is built at import, one rule writes every record, and the
+package runs on numpy alone."""
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -18,7 +20,14 @@ import pytest
 
 import kestenlab
 import kestenlab.cli as cli
-from kestenlab.distributions import CoefficientLaw, Constant, Exponential, Normal, Uniform
+from kestenlab.distributions import (
+    CoefficientLaw,
+    Constant,
+    Exponential,
+    Normal,
+    Record,
+    Uniform,
+)
 from kestenlab.errors import InvalidConfig
 from kestenlab.processes import Garch11, InverseMultiplier, KestenAR, KestenScalar, ProcessSpec
 
@@ -119,6 +128,18 @@ def test_one_function_states_the_return_series_rule():
         "estimators.acf",
         "processes.ReturnSeries.__post_init__",
     ]
+
+
+def test_one_rule_writes_every_record():
+    # Record.to_dict writes each record and read_record reads it back
+    assert _callers({"asdict", "dataclasses.asdict", "vars"}) == []
+    modules = [importlib.import_module(f"kestenlab.{p.stem}") for p in SRC.glob("[!_]*.py")]
+    writers = {
+        cls for module in modules for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__ and hasattr(cls, "to_dict")
+    }
+    assert {cli.RunSummary, cli.ExperimentConfig, Exponential, KestenAR} <= writers
+    assert [cls.__name__ for cls in writers if not issubclass(cls, Record)] == []
 
 
 def test_no_function_default_is_built_at_import():
