@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.ma  # np.quantile loads it on first use; load it with the package instead
 
 from .distributions import Record
 from .errors import (
@@ -152,6 +151,12 @@ def empirical_ccdf(series, absolute: bool = True) -> tuple[np.ndarray, np.ndarra
     return x, p
 
 
+def _distinct(v: np.ndarray) -> np.ndarray:
+    """The distinct values of a nondecreasing array, in order: np.unique of it
+    without np.unique, which loads numpy.ma on first use."""
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
 def _plot_rows(x: np.ndarray) -> np.ndarray:
     """The indices of sorted x that ``ccdf.csv`` keeps when x holds more than
     ``CCDF_PLOT_POINTS`` distinct values: the first, the last, and the first
@@ -161,7 +166,8 @@ def _plot_rows(x: np.ndarray) -> np.ndarray:
     first x is 0); on a sample with ties they name the same values."""
     smallest_positive = x[np.searchsorted(x, 0.0, side="right")]
     grid = np.geomspace(smallest_positive, x[-1], CCDF_PLOT_POINTS)
-    return np.unique(np.concatenate(([0, x.size - 1], np.searchsorted(x, grid))))
+    # geomspace ends exactly at x[-1], so the searched rows rise from 0 to x.size - 1
+    return _distinct(np.concatenate(([0], np.searchsorted(x, grid), [x.size - 1])))
 
 
 def thin_ccdf(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,6 +187,16 @@ def tail_exponent_ls(series, threshold: float | None = None) -> TailFit:
     (survival 0) is excluded to avoid log(0).
     """
     return tail_fit_with_ccdf(series, threshold)[0]
+
+
+def _sorted_quantile(s: np.ndarray, q: float) -> float:
+    """``np.quantile(s, q)`` of sorted ``s``, bit for bit: numpy's linear method
+    reads s[floor(h)] and s[ceil(h)] at h = (n - 1) q and interpolates with
+    its ``_lerp`` rule, which computes b - (b - a)(1 - t) from t = 0.5 up."""
+    h = (s.size - 1) * q
+    t = h - math.floor(h)
+    a, b = float(s[math.floor(h)]), float(s[math.ceil(h)])
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def check_threshold(threshold: float | None) -> None:
@@ -206,7 +222,7 @@ def tail_fit_with_ccdf(
     s.sort()
     n = s.size
     if threshold is None:
-        threshold = float(np.quantile(s, DEFAULT_TAIL_QUANTILE))
+        threshold = _sorted_quantile(s, DEFAULT_TAIL_QUANTILE)
     first = int(np.searchsorted(s, threshold, side="right"))  # the first value above it
     n_tail = n - first
     if n_tail < MIN_TAIL_POINTS:
@@ -232,7 +248,7 @@ def tail_fit_with_ccdf(
     stderr = float(np.sqrt(resid @ resid / max(m - 2, 1) / sxx))
     fit = TailFit(float(threshold), -slope, intercept, n_tail, stderr)
     few = np.count_nonzero(s[1:] != s[:-1]) < CCDF_PLOT_POINTS  # every distinct value is a row
-    x = np.unique(s) if few else np.unique(s[_plot_rows(s)])
+    x = _distinct(s) if few else _distinct(s[_plot_rows(s)])
     return fit, x, (n - np.searchsorted(s, x, side="right")) / n
 
 

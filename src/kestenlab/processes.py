@@ -20,13 +20,16 @@ import itertools
 import json
 import math
 import os
+import tempfile
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
+from . import __version__
 from .distributions import (
     CoefficientLaw,
     Constant,
@@ -507,8 +510,21 @@ def write_csv(path, header: str, *columns) -> None:
 
 
 def write_series_csv(series: ReturnSeries, path: str | Path) -> None:
-    """Write header t,r with round-trip-exact decimal floats and LF endings."""
-    write_csv(path, "t,r", range(len(series.values)), series.values)
+    """Write header t,r with round-trip-exact decimal floats and LF endings.
+
+    The text is hashed as it is written, never read back, and the values
+    are stored in the series cache under that hash: ``read_series_csv`` of
+    these bytes parses to exactly them, since float(repr(x)) == x.
+    """
+    sha = hashlib.sha256()
+
+    def write(text: str) -> None:
+        fh.write(text)
+        sha.update(text.encode())
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_csv(SimpleNamespace(write=write), "t,r", range(len(series.values)), series.values)
+    _cache_put(sha.hexdigest(), series.values)
 
 
 def write_series_npy(series: ReturnSeries, path: str | Path) -> None:
@@ -566,7 +582,15 @@ def _file_key(st: os.stat_result) -> tuple:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def read_csv_column(path: Path, select: Callable) -> tuple[np.ndarray, Callable, bytes]:
+def _snapshot(path: Path) -> tuple[os.stat_result, bytes]:
+    """The file's stat and its bytes, both from one open handle."""
+    with open(path, "rb") as fh:
+        return os.fstat(fh.fileno()), fh.read()
+
+
+def read_csv_column(
+    path: Path, select: Callable, snapshot: tuple | None = None
+) -> tuple[np.ndarray, Callable, bytes]:
     """Column ``select(header)`` of the CSV file ``path``, a row locator, and the file's bytes.
 
     Returns (values, row, raw).  ``values`` holds a float64 for each data
@@ -576,11 +600,10 @@ def read_csv_column(path: Path, select: Callable) -> tuple[np.ndarray, Callable,
     is float() of the cell (None when that fails); it rescans ``raw``, so
     a caller asks for it only to name a bad row.  ``select`` gets None for
     an empty file.  Bytes that are not UTF-8, and a row csv.reader refuses,
-    raise ParseError naming their line.
+    raise ParseError naming their line.  ``snapshot`` is ``_snapshot(path)``
+    when the caller has already read the file.
     """
-    with open(path, "rb") as fh:
-        before = os.fstat(fh.fileno())
-        raw = fh.read()
+    before, raw = snapshot or _snapshot(path)
 
     def scan(fh):
         reader = csv.reader(fh)
@@ -676,7 +699,12 @@ def read_series_csv(path: str | Path) -> np.ndarray:
             raise InvalidConfig(f"{path}: expected header 't,r', got {text!r}")
         return 1
 
-    values, row, _ = read_csv_column(path, select)
+    snapshot = _snapshot(path)
+    key = hashlib.sha256(snapshot[1]).hexdigest()
+    rows = snapshot[1].count(b"\n") - 1  # the LF-terminated rows after the header
+    if (values := _cache_get(key, rows)) is not None:
+        return values
+    values, row, _ = read_csv_column(path, select, snapshot)
     finite = np.isfinite(values)
     if not finite.all():
         line, cells, _ = row(int(finite.argmin()))
@@ -684,4 +712,64 @@ def read_series_csv(path: str | Path) -> np.ndarray:
         raise ParseError(f"{path}: line {line}: no finite return in {text!r}")
     if not values.size:
         raise ParseError(f"{path}: no data rows")
+    if values.size == rows:  # an entry of any other length could never be hit
+        _cache_put(key, values)
     return values
+
+
+# the series cache ----------------------------------------------------------------
+
+# Entries the series cache keeps; each put drops the least recently used beyond it.
+CACHE_ENTRIES = 16
+
+
+def _cache_dir() -> Path | None:
+    """$XDG_CACHE_HOME/kestenlab/<version>, or ~/.cache/... when that variable is
+    unset, empty or relative; None when there is no home directory."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        root = Path(base) if os.path.isabs(base) else Path.home() / ".cache"
+    except RuntimeError:
+        return None
+    return root / "kestenlab" / __version__
+
+
+def _cache_get(key: str, rows: int) -> np.ndarray | None:
+    """The values stored under ``key``, if the entry passes ``_read_npy`` and holds
+    ``rows`` values; else None.  A hit is marked as the most recently used, and
+    an OSError is a miss."""
+    if (directory := _cache_dir()) is None:
+        return None
+    entry = directory / f"{key}.npy"
+    try:
+        values = _read_npy(entry)
+        if values.size == rows:
+            os.utime(entry)
+            return values
+    except (OSError, ParseError):
+        pass
+    return None
+
+
+def _cache_put(key: str, values: np.ndarray) -> None:
+    """Store ``values`` under ``key``: written to a temporary file, then renamed
+    into place, and then all but the CACHE_ENTRIES most recently used files
+    (a stale temporary file too) are removed.  Any OSError ends the put,
+    silently."""
+    if (directory := _cache_dir()) is None:
+        return
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".", suffix=".npy", dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.save(fh, values, allow_pickle=False)
+            os.replace(tmp, directory / f"{key}.npy")
+        finally:
+            Path(tmp).unlink(missing_ok=True)
+        with os.scandir(directory) as found:
+            entries = sorted(((e.stat().st_mtime_ns, e.path) for e in found), reverse=True)
+        for _, stale in entries[CACHE_ENTRIES:]:
+            os.unlink(stale)
+    except OSError:
+        pass

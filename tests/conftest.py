@@ -78,6 +78,16 @@ def exact_pareto(mu: float, n: int, seed: int) -> np.ndarray:
     return u ** (-1.0 / mu)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def series_cache_home(tmp_path_factory):
+    """Point the series cache at a directory of this session: in-process calls
+    and the CLI subprocesses, which inherit the environment, never write to
+    the real home."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def fig2_series():
     return simulate(FIG2_SPEC, RngStream(1), 10**6, 0)

@@ -3,6 +3,7 @@ import gzip
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kestenlab
 from conftest import FIG3_SPEC, FIG4_SPEC, fuzzed
 from kestenlab import (
     Constant,
@@ -821,6 +823,50 @@ class TestCommandLine:
         lines = res.stdout.strip().splitlines()
         assert lines[0] == "lag,acf"
         assert len(lines) == 7
+
+    def test_series_commands_print_the_same_whatever_the_cache(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a fresh cache (ingest stores the returns, and fit-tail and acf hit), the
+        # same cache again, and a cache root that is a file, so nothing is stored
+        gen = RngStream(3).generator()
+        p = 100.0 * np.cumprod(np.concatenate([[1.0], 1.0 + gen.normal(0.0, 0.01, 3000)]))
+        write_csv(tmp_path / "prices.csv", "date,close", range(p.size), p)
+        (tmp_path / "blocked").write_text("")
+        out = str(tmp_path / "returns.csv")
+        seen = []
+        for root in ("cache", "cache", "blocked"):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / root))
+            printed = []
+            for argv in (
+                ["ingest", str(tmp_path / "prices.csv"), "--out", out],
+                ["fit-tail", out],
+                ["acf", out, "--max-lag", "5", "--absolute"],
+            ):
+                assert main(argv) == 0
+                printed.append(capsys.readouterr())
+            assert [err for _, err in printed] == ["", "", ""]
+            seen.append(([text for text, _ in printed], (tmp_path / "returns.csv").read_bytes()))
+        assert seen[0] == seen[1] == seen[2]
+        entries = tmp_path / "cache" / "kestenlab" / kestenlab.__version__
+        assert len(os.listdir(entries)) == 1
+
+    @pytest.mark.parametrize("command", ["fit-tail", "acf"])
+    @pytest.mark.parametrize(
+        "text", ["t,r\n0,0.01\n1,abc\n", "t,x\n0,0.01\n", "t,r\n"],
+        ids=["bad-row", "bad-header", "no-rows"],
+    )
+    def test_a_bad_series_csv_is_never_cached(self, tmp_path, monkeypatch, capsys, command, text):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        argv = [command, str(path)] + (["--max-lag", "1"] if command == "acf" else [])
+        results = []
+        for _ in range(2):
+            results.append((main(argv), capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][0] == 2 and results[0][1].err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("absolute", [False, True], ids=["raw", "absolute"])
     def test_acf_prints_the_acf_csv(self, tmp_path, absolute):

@@ -44,6 +44,17 @@ pytestmark = [
 ]
 
 
+@pytest.fixture(autouse=True, scope="module")
+def no_series_cache(tmp_path_factory):
+    """These tests are about the parse, which a series cache hit skips: a cache
+    root that is a file keeps the cache off."""
+    root = tmp_path_factory.mktemp("no-cache") / "file"
+    root.write_text("")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(root))
+        yield
+
+
 def reference_read_series_csv(path: str | Path) -> np.ndarray:
     """Read a t,r series file back into a value array of finite returns."""
     path = Path(path)

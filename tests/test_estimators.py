@@ -139,6 +139,26 @@ class TestTailExponentLs:
         fit = tail_exponent_ls(x)
         assert fit.threshold == pytest.approx(float(np.quantile(np.abs(x), 0.95)))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0.3]),
+            np.array([0.3, -0.1]),
+            np.repeat([0.0, 1.0, 2.0, 2.0, 3.0], 7),  # ties
+            np.round(exact_pareto(2.0, 10**5, seed=16), 2),  # ties among many values
+            *(np.random.default_rng(n).standard_t(3, n) for n in (3, 10, 19, 20, 21, 101, 999)),
+            exact_pareto(3.0, 10**6, seed=12),
+        ],
+        ids=lambda v: f"n={v.size}",
+    )
+    def test_default_threshold_is_np_quantile_bit_for_bit(self, values):
+        s = np.sort(np.abs(values))
+        for q in (estimators.DEFAULT_TAIL_QUANTILE, 0.05, 0.5, 0.75, 0.999):
+            assert estimators._sorted_quantile(s, q).hex() == float(np.quantile(s, q)).hex(), q
+        if values.size >= 10**5:
+            want = float(np.quantile(np.abs(values), estimators.DEFAULT_TAIL_QUANTILE))
+            assert tail_exponent_ls(values).threshold.hex() == want.hex()
+
     def test_insufficient_tail(self):
         x = exact_pareto(2.0, 1000, seed=13)
         with pytest.raises(InsufficientTail):
@@ -176,7 +196,7 @@ class TestTailExponentLs:
 
     def test_tail_fit_analysis_sorts_once(self, tmp_path, monkeypatch):
         # one tail_fit_with_ccdf call, no empirical_ccdf, and every np.unique on
-        # fewer values than the series: the tail slice and the plotted rows
+        # fewer values than the series: the tail slice
         calls, unique_sizes = [], []
         original, unique = estimators.tail_fit_with_ccdf, np.unique
 
@@ -206,8 +226,8 @@ class TestTailExponentLs:
 
     @pytest.mark.parametrize("threshold", [None, 2.7])  # both about 5% in the tail
     def test_tail_fit_memory_is_bounded(self, threshold):
-        # the |r| copy that is sorted in place, and np.quantile's partitioned copy
-        # of it: 2 n floats, where the full CCDF took more than 5 n
+        # the |r| copy that is sorted in place and a mask over it: under 2 n
+        # floats, where the full CCDF took more than 5 n
         values = exact_pareto(3.0, 10**6, seed=17)
         tracemalloc.start()
         try:

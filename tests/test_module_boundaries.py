@@ -2,8 +2,9 @@
 text and type annotations are each read in one place, each predicted exponent
 and each law's sign facts are computed once, each process kind states its
 feedback laws and companion form once, one function checks a return series,
-no default is built at import, one rule writes every record, and the
-package runs on numpy alone."""
+no default is built at import, one rule writes every record, only the
+series reader and writer use the series cache, and the package runs on
+numpy alone."""
 
 import ast
 import importlib
@@ -140,6 +141,18 @@ def test_one_rule_writes_every_record():
     }
     assert {cli.RunSummary, cli.ExperimentConfig, Exponential, KestenAR} <= writers
     assert [cls.__name__ for cls in writers if not issubclass(cls, Record)] == []
+
+
+def test_only_the_series_reader_and_writer_use_the_series_cache():
+    # one function names the cache directory, the reader and writer alone reach
+    # it, and an entry is read only by the checked .npy reader, never unpickled
+    assert _callers({"_cache_dir"}) == ["processes._cache_get", "processes._cache_put"]
+    assert _callers({"_cache_get"}) == ["processes.read_series_csv"]
+    assert _callers({"_cache_put"}) == ["processes.write_series_csv", "processes.read_series_csv"]
+    assert _callers({"_read_npy"}) == ["processes.read_series_csv", "processes._cache_get"]
+    assert _callers({"np.load", "numpy.load", "np.fromfile", "np.memmap"}) == ["processes._read_npy"]
+    found = [p.stem for p in sorted(SRC.glob("*.py")) if "XDG_CACHE_HOME" in p.read_text()]
+    assert found == ["processes"]
 
 
 def test_no_function_default_is_built_at_import():

@@ -1,10 +1,15 @@
+import hashlib
 import inspect
 import io
 import json
 import math
+import os
+import sys
+import threading
 import tracemalloc
 import typing
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +49,7 @@ from kestenlab import (
     write_series_csv,
     write_series_npy,
 )
+import kestenlab
 from kestenlab import processes
 from kestenlab.distributions import KindTagged
 from kestenlab.errors import (
@@ -51,6 +57,7 @@ from kestenlab.errors import (
     InvalidConfig,
     KestenLabError,
     NumericalOverflow,
+    ParseError,
     TheoryError,
     ZeroWeightSum,
 )
@@ -397,6 +404,172 @@ class TestWriteCsv:
         text = io.StringIO()
         processes.write_csv(text, "t,r", range(len(s)), s.values)
         assert text.getvalue() == joined_rows_csv("t,r", range(len(s)), s.values)
+
+
+class TestSeriesCache:
+    """The series cache: write_series_csv stores the values it writes under the
+    sha256 of its text, and read_series_csv returns them for a file of exactly
+    those bytes instead of parsing it."""
+
+    @pytest.fixture(autouse=True)
+    def entries(self, tmp_path, monkeypatch) -> Path:
+        """This test's own, empty cache root; returns its entry directory."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        return tmp_path / "cache" / "kestenlab" / kestenlab.__version__
+
+    @pytest.fixture
+    def parses(self, monkeypatch) -> list:
+        """The path of each file read_series_csv parses."""
+        calls, real = [], processes.read_csv_column
+        monkeypatch.setattr(
+            processes, "read_csv_column", lambda path, *a: calls.append(path) or real(path, *a)
+        )
+        return calls
+
+    @staticmethod
+    def _names(entries: Path) -> list[str]:
+        return sorted(os.listdir(entries)) if entries.exists() else []
+
+    def test_a_hit_equals_a_cold_parse_bit_for_bit(self, tmp_path, monkeypatch, entries, parses):
+        path = tmp_path / "r.csv"
+        write_series_csv(ReturnSeries(EDGE_FLOATS, "x"), path)
+        assert self._names(entries) == [hashlib.sha256(path.read_bytes()).hexdigest() + ".npy"]
+        hit = read_series_csv(path)
+        assert parses == []
+        monkeypatch.setenv("XDG_CACHE_HOME", str(path))  # a file: no cache
+        cold = read_series_csv(path)
+        assert parses == [path]
+        assert hit.tobytes() == cold.tobytes() == EDGE_FLOATS.tobytes()
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda entry: entry.write_bytes(entry.read_bytes()[:-8]),
+            lambda entry: np.save(entry, EDGE_FLOATS[:-1]),
+            lambda entry: np.save(entry, np.zeros(EDGE_FLOATS.size, np.float32)),
+            lambda entry: np.save(entry, EDGE_FLOATS.astype(object), allow_pickle=True),
+            lambda entry: entry.write_bytes(b"\x93NUMPY garbage"),
+        ],
+        ids=["truncated", "one-value-short", "float32", "pickled", "garbage"],
+    )
+    def test_a_bad_entry_falls_back_to_the_parse(self, tmp_path, entries, parses, spoil):
+        path = tmp_path / "r.csv"
+        write_series_csv(ReturnSeries(EDGE_FLOATS, "x"), path)
+        (entry,) = entries.iterdir()
+        spoil(entry)
+        assert read_series_csv(path).tobytes() == EDGE_FLOATS.tobytes()
+        assert parses == [path]
+        # the parse stored the entry afresh
+        assert read_series_csv(path).tobytes() == EDGE_FLOATS.tobytes()
+        assert parses == [path]
+
+    def test_a_file_with_one_byte_edited_misses(self, tmp_path, entries, parses):
+        path = tmp_path / "r.csv"
+        write_series_csv(ReturnSeries(EDGE_FLOATS, "x"), path)
+        path.write_bytes(path.read_bytes().replace(b"1e-05", b"2e-05"))
+        assert read_series_csv(path).tolist() == [2e-05 if v == 1e-05 else v for v in EDGE_FLOATS]
+        assert parses == [path]
+        assert len(self._names(entries)) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            't,r\n0,"3.5"\n1,-2\n',
+            "t,r\r\n0,1.5\r\n1,2.5\r\n",
+            "t,r\n0,1.5,abc\n1,-2.5,0.5\n",
+        ],
+        ids=["quoted-cell", "crlf", "three-fields"],
+    )
+    def test_the_reader_stores_what_it_parsed(self, tmp_path, entries, parses, text):
+        path = tmp_path / "r.csv"
+        path.write_bytes(text.encode())
+        cold = read_series_csv(path)
+        assert read_series_csv(path).tobytes() == cold.tobytes()
+        assert parses == [path]
+
+    def test_an_entry_that_could_never_hit_is_not_stored(self, tmp_path, entries, parses):
+        # a blank row is skipped, so the values are fewer than the lines
+        path = tmp_path / "r.csv"
+        path.write_text("t,r\n0,0.01\n,\n1,0.02\n")
+        assert read_series_csv(path).tolist() == read_series_csv(path).tolist() == [0.01, 0.02]
+        assert parses == [path, path]
+        assert self._names(entries) == []
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("t,x\n0,1.5\n", InvalidConfig),
+            ("t,r\n0,1.5\n1,nan\n", ParseError),
+            ("t,r\n", ParseError),
+            ("t,r\n0,1.5\n1,\xff\n", ParseError),
+        ],
+        ids=["header", "nan", "no-rows", "not-utf8"],
+    )
+    def test_a_file_that_fails_a_check_is_never_stored(self, tmp_path, entries, text, error):
+        path = tmp_path / "r.csv"
+        path.write_bytes(text.encode("latin-1"))
+        for _ in range(2):
+            with pytest.raises(error) as exc:
+                read_series_csv(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert self._names(entries) == []
+
+    def test_pruning_keeps_the_most_recently_used_entries(self, tmp_path, entries):
+        keys = []
+        for i in range(processes.CACHE_ENTRIES + 4):
+            path = tmp_path / f"r{i}.csv"
+            write_series_csv(ReturnSeries(np.array([float(i)]), "x"), path)
+            keys.append(hashlib.sha256(path.read_bytes()).hexdigest() + ".npy")
+            os.utime(entries / keys[-1], ns=(i + 1, i + 1))  # distinct times, oldest first
+        assert self._names(entries) == sorted(keys[4:])
+        assert read_series_csv(tmp_path / "r4.csv").tolist() == [4.0]  # a hit is a use
+        write_series_csv(ReturnSeries(np.array([-1.0]), "x"), tmp_path / "new.csv")
+        kept = self._names(entries)
+        assert len(kept) == processes.CACHE_ENTRIES
+        assert keys[4] in kept and keys[5] not in kept
+
+    def test_concurrent_writers_and_readers_read_their_own_values(self, tmp_path, entries):
+        # more threads than cores, more series than entries: puts, prunes and
+        # hits interleave, and every read still returns what its file holds
+        def work(worker: int) -> None:
+            for i in range(12):
+                values = np.array([float(worker), float(i), 0.5])
+                path = tmp_path / f"w{worker}-{i}.csv"
+                write_series_csv(ReturnSeries(values, "x"), path)
+                for _ in range(2):
+                    if read_series_csv(path).tobytes() != values.tobytes():
+                        wrong.append(path)
+
+        wrong: list = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        write_series_csv(ReturnSeries(np.array([-1.0]), "x"), tmp_path / "last.csv")
+        assert len(os.listdir(entries)) == processes.CACHE_ENTRIES
+
+    def test_an_unusable_cache_changes_nothing(self, tmp_path, monkeypatch, parses):
+        def no_home():
+            raise RuntimeError("Could not determine home directory.")
+
+        path = tmp_path / "r.csv"
+        for setup in (
+            lambda: monkeypatch.setenv("XDG_CACHE_HOME", str(path)),  # a file
+            lambda: (monkeypatch.delenv("XDG_CACHE_HOME"), monkeypatch.setattr(Path, "home", no_home)),
+        ):
+            setup()
+            write_series_csv(ReturnSeries(EDGE_FLOATS, "x"), path)
+            assert read_series_csv(path).tobytes() == EDGE_FLOATS.tobytes()
+        assert parses == [path, path]
+        assert os.listdir(tmp_path) == ["r.csv"]
 
 
 ROUND_TRIP_SPECS = {
