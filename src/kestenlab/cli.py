@@ -57,6 +57,7 @@ from .processes import (
     kinds_with,
     read_csv_column,
     read_series_csv,
+    read_snapshot,
     simulate,
     write_series,
     write_series_npy,
@@ -529,7 +530,8 @@ def ingest_prices(csv_path: str | Path, column_spec: str | int = "close") -> Ret
             raise ParseError(f"{path}: column index {col} out of range")
         return col
 
-    prices, row, raw = read_csv_column(path, select)
+    before, raw = read_snapshot(path)
+    prices, row = read_csv_column(path, select, before, raw)
     positive = prices > 0  # False at NaN: a cell float() cannot parse, or nan
     if not positive.all():
         line, cells, value = row(int(positive.argmin()))

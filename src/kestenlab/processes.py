@@ -13,6 +13,7 @@ form (``companion``), each None on a kind without one.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -512,19 +513,22 @@ def write_csv(path, header: str, *columns) -> None:
 def write_series_csv(series: ReturnSeries, path: str | Path) -> None:
     """Write header t,r with round-trip-exact decimal floats and LF endings.
 
-    The text is hashed as it is written, never read back, and the values
-    are stored in the series cache under that hash: ``read_series_csv`` of
-    these bytes parses to exactly them, since float(repr(x)) == x.
+    The text is measured and hashed as it is written, never read back, and
+    the values are stored in the series cache under its size and hash:
+    ``read_series_csv`` of these bytes parses to exactly them, since
+    float(repr(x)) == x.
     """
     sha = hashlib.sha256()
 
     def write(text: str) -> None:
-        fh.write(text)
-        sha.update(text.encode())
+        data = text.encode()
+        sha.update(data)
+        fh.write(data)
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         write_csv(SimpleNamespace(write=write), "t,r", range(len(series.values)), series.values)
-    _cache_put(sha.hexdigest(), series.values)
+        size = fh.tell()
+    _cache_put(f"{size}-{sha.hexdigest()}", series.values)
 
 
 def write_series_npy(series: ReturnSeries, path: str | Path) -> None:
@@ -582,28 +586,27 @@ def _file_key(st: os.stat_result) -> tuple:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def _snapshot(path: Path) -> tuple[os.stat_result, bytes]:
+def read_snapshot(path: Path) -> tuple[os.stat_result, bytes]:
     """The file's stat and its bytes, both from one open handle."""
     with open(path, "rb") as fh:
         return os.fstat(fh.fileno()), fh.read()
 
 
 def read_csv_column(
-    path: Path, select: Callable, snapshot: tuple | None = None
-) -> tuple[np.ndarray, Callable, bytes]:
-    """Column ``select(header)`` of the CSV file ``path``, a row locator, and the file's bytes.
+    path: Path, select: Callable, before: os.stat_result, raw: bytes
+) -> tuple[np.ndarray, Callable]:
+    """Column ``select(header)`` of the CSV file ``path`` and a row locator.
 
-    Returns (values, row, raw).  ``values`` holds a float64 for each data
+    ``before, raw`` is ``read_snapshot(path)``, the file's stat and bytes.
+    Returns (values, row).  ``values`` holds a float64 for each data
     row of ``raw`` whose cells are not all blank: float() of the column's
     cell, NaN where that fails.  ``row(i)`` is the i-th such row as (line,
     cells, value), where line is the row's first physical line and value
     is float() of the cell (None when that fails); it rescans ``raw``, so
     a caller asks for it only to name a bad row.  ``select`` gets None for
     an empty file.  Bytes that are not UTF-8, and a row csv.reader refuses,
-    raise ParseError naming their line.  ``snapshot`` is ``_snapshot(path)``
-    when the caller has already read the file.
+    raise ParseError naming their line.
     """
-    before, raw = snapshot or _snapshot(path)
 
     def scan(fh):
         reader = csv.reader(fh)
@@ -669,11 +672,11 @@ def read_csv_column(
                     encoding="utf-8",
                 )
             if _file_key(os.stat(path)) == _file_key(before):
-                return values, row, raw
+                return values, row
         except (ValueError, OSError):  # a row that does not parse, bytes not UTF-8, a lost file
             pass
     values = [math.nan if value is None else value for _, _, value in rows()]
-    return np.array(values, dtype=np.float64), row, raw
+    return np.array(values, dtype=np.float64), row
 
 
 def _is_npy(path: str | Path) -> bool:
@@ -699,12 +702,10 @@ def read_series_csv(path: str | Path) -> np.ndarray:
             raise InvalidConfig(f"{path}: expected header 't,r', got {text!r}")
         return 1
 
-    snapshot = _snapshot(path)
-    key = hashlib.sha256(snapshot[1]).hexdigest()
-    rows = snapshot[1].count(b"\n") - 1  # the LF-terminated rows after the header
-    if (values := _cache_get(key, rows)) is not None:
+    before, raw = read_snapshot(path)
+    if (values := _cache_get(raw)) is not None:
         return values
-    values, row, _ = read_csv_column(path, select, snapshot)
+    values, row = read_csv_column(path, select, before, raw)
     finite = np.isfinite(values)
     if not finite.all():
         line, cells, _ = row(int(finite.argmin()))
@@ -712,8 +713,6 @@ def read_series_csv(path: str | Path) -> np.ndarray:
         raise ParseError(f"{path}: line {line}: no finite return in {text!r}")
     if not values.size:
         raise ParseError(f"{path}: no data rows")
-    if values.size == rows:  # an entry of any other length could never be hit
-        _cache_put(key, values)
     return values
 
 
@@ -734,16 +733,21 @@ def _cache_dir() -> Path | None:
     return root / "kestenlab" / __version__
 
 
-def _cache_get(key: str, rows: int) -> np.ndarray | None:
-    """The values stored under ``key``, if the entry passes ``_read_npy`` and holds
-    ``rows`` values; else None.  A hit is marked as the most recently used, and
-    an OSError is a miss."""
+def _cache_get(raw: bytes) -> np.ndarray | None:
+    """The values ``write_series_csv`` stored for a file of exactly the bytes
+    ``raw``: the entry under their size and sha256, if it passes ``_read_npy``
+    and holds one value per LF-terminated row after the header; else None.
+    The bytes are hashed only when an entry of their size is listed.  A hit
+    is marked as the most recently used, and an OSError is a miss."""
     if (directory := _cache_dir()) is None:
         return None
-    entry = directory / f"{key}.npy"
+    prefix = f"{len(raw)}-"
     try:
+        if not any(name.startswith(prefix) for name in os.listdir(directory)):
+            return None
+        entry = directory / f"{prefix}{hashlib.sha256(raw).hexdigest()}.npy"
         values = _read_npy(entry)
-        if values.size == rows:
+        if values.size == raw.count(b"\n") - 1:
             os.utime(entry)
             return values
     except (OSError, ParseError):
@@ -754,8 +758,9 @@ def _cache_get(key: str, rows: int) -> np.ndarray | None:
 def _cache_put(key: str, values: np.ndarray) -> None:
     """Store ``values`` under ``key``: written to a temporary file, then renamed
     into place, and then all but the CACHE_ENTRIES most recently used files
-    (a stale temporary file too) are removed.  Any OSError ends the put,
-    silently."""
+    (a stale temporary file too) are removed.  An OSError ends the store
+    silently; in the pruning it skips just the file it names, such as one
+    that another process removed after the listing."""
     if (directory := _cache_dir()) is None:
         return
     try:
@@ -767,9 +772,13 @@ def _cache_put(key: str, values: np.ndarray) -> None:
             os.replace(tmp, directory / f"{key}.npy")
         finally:
             Path(tmp).unlink(missing_ok=True)
+        used = []
         with os.scandir(directory) as found:
-            entries = sorted(((e.stat().st_mtime_ns, e.path) for e in found), reverse=True)
-        for _, stale in entries[CACHE_ENTRIES:]:
-            os.unlink(stale)
+            for entry in found:
+                with contextlib.suppress(OSError):
+                    used.append((entry.stat().st_mtime_ns, entry.path))
     except OSError:
-        pass
+        return
+    for _, stale in sorted(used, reverse=True)[CACHE_ENTRIES:]:
+        with contextlib.suppress(OSError):
+            os.unlink(stale)

@@ -148,7 +148,7 @@ def test_only_the_series_reader_and_writer_use_the_series_cache():
     # it, and an entry is read only by the checked .npy reader, never unpickled
     assert _callers({"_cache_dir"}) == ["processes._cache_get", "processes._cache_put"]
     assert _callers({"_cache_get"}) == ["processes.read_series_csv"]
-    assert _callers({"_cache_put"}) == ["processes.write_series_csv", "processes.read_series_csv"]
+    assert _callers({"_cache_put"}) == ["processes.write_series_csv"]
     assert _callers({"_read_npy"}) == ["processes.read_series_csv", "processes._cache_get"]
     assert _callers({"np.load", "numpy.load", "np.fromfile", "np.memmap"}) == ["processes._read_npy"]
     found = [p.stem for p in sorted(SRC.glob("*.py")) if "XDG_CACHE_HOME" in p.read_text()]

@@ -408,8 +408,8 @@ class TestWriteCsv:
 
 class TestSeriesCache:
     """The series cache: write_series_csv stores the values it writes under the
-    sha256 of its text, and read_series_csv returns them for a file of exactly
-    those bytes instead of parsing it."""
+    size and sha256 of its text, and read_series_csv returns them for a file of
+    exactly those bytes instead of parsing it.  The reader never stores."""
 
     @pytest.fixture(autouse=True)
     def entries(self, tmp_path, monkeypatch) -> Path:
@@ -430,10 +430,15 @@ class TestSeriesCache:
     def _names(entries: Path) -> list[str]:
         return sorted(os.listdir(entries)) if entries.exists() else []
 
+    @staticmethod
+    def _key(path: Path) -> str:
+        raw = path.read_bytes()
+        return f"{len(raw)}-{hashlib.sha256(raw).hexdigest()}.npy"
+
     def test_a_hit_equals_a_cold_parse_bit_for_bit(self, tmp_path, monkeypatch, entries, parses):
         path = tmp_path / "r.csv"
         write_series_csv(ReturnSeries(EDGE_FLOATS, "x"), path)
-        assert self._names(entries) == [hashlib.sha256(path.read_bytes()).hexdigest() + ".npy"]
+        assert self._names(entries) == [self._key(path)]
         hit = read_series_csv(path)
         assert parses == []
         monkeypatch.setenv("XDG_CACHE_HOME", str(path))  # a file: no cache
@@ -457,43 +462,40 @@ class TestSeriesCache:
         write_series_csv(ReturnSeries(EDGE_FLOATS, "x"), path)
         (entry,) = entries.iterdir()
         spoil(entry)
-        assert read_series_csv(path).tobytes() == EDGE_FLOATS.tobytes()
-        assert parses == [path]
-        # the parse stored the entry afresh
-        assert read_series_csv(path).tobytes() == EDGE_FLOATS.tobytes()
-        assert parses == [path]
+        spoiled = entry.read_bytes()
+        for _ in range(2):
+            assert read_series_csv(path).tobytes() == EDGE_FLOATS.tobytes()
+        assert parses == [path, path]
+        assert entry.read_bytes() == spoiled  # the reader never stores
 
     def test_a_file_with_one_byte_edited_misses(self, tmp_path, entries, parses):
         path = tmp_path / "r.csv"
         write_series_csv(ReturnSeries(EDGE_FLOATS, "x"), path)
-        path.write_bytes(path.read_bytes().replace(b"1e-05", b"2e-05"))
+        stored = self._names(entries)
+        path.write_bytes(path.read_bytes().replace(b"1e-05", b"2e-05"))  # the same size
         assert read_series_csv(path).tolist() == [2e-05 if v == 1e-05 else v for v in EDGE_FLOATS]
         assert parses == [path]
-        assert len(self._names(entries)) == 2
+        assert self._names(entries) == stored
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            't,r\n0,"3.5"\n1,-2\n',
-            "t,r\r\n0,1.5\r\n1,2.5\r\n",
-            "t,r\n0,1.5,abc\n1,-2.5,0.5\n",
-        ],
-        ids=["quoted-cell", "crlf", "three-fields"],
-    )
-    def test_the_reader_stores_what_it_parsed(self, tmp_path, entries, parses, text):
+    def test_the_reader_never_stores(self, tmp_path, entries, parses):
+        # the bytes write_series_csv would write, but written by hand: no entry
         path = tmp_path / "r.csv"
-        path.write_bytes(text.encode())
-        cold = read_series_csv(path)
-        assert read_series_csv(path).tobytes() == cold.tobytes()
-        assert parses == [path]
-
-    def test_an_entry_that_could_never_hit_is_not_stored(self, tmp_path, entries, parses):
-        # a blank row is skipped, so the values are fewer than the lines
-        path = tmp_path / "r.csv"
-        path.write_text("t,r\n0,0.01\n,\n1,0.02\n")
-        assert read_series_csv(path).tolist() == read_series_csv(path).tolist() == [0.01, 0.02]
+        path.write_text("t,r\n0,0.01\n1,-0.02\n")
+        for _ in range(2):
+            assert read_series_csv(path).tolist() == [0.01, -0.02]
         assert parses == [path, path]
         assert self._names(entries) == []
+
+    def test_a_file_of_no_stored_size_is_not_hashed(self, tmp_path, monkeypatch, entries):
+        write_series_csv(ReturnSeries(EDGE_FLOATS, "x"), tmp_path / "r.csv")
+        hashed, real = [], processes.hashlib.sha256
+        monkeypatch.setattr(processes.hashlib, "sha256", lambda *a: hashed.append(a) or real(*a))
+        path = tmp_path / "other.csv"
+        path.write_text("t,r\n0,0.01\n")
+        assert read_series_csv(path).tolist() == [0.01]
+        assert hashed == []
+        assert read_series_csv(tmp_path / "r.csv").tobytes() == EDGE_FLOATS.tobytes()
+        assert len(hashed) == 1
 
     @pytest.mark.parametrize(
         "text, error",
@@ -519,7 +521,7 @@ class TestSeriesCache:
         for i in range(processes.CACHE_ENTRIES + 4):
             path = tmp_path / f"r{i}.csv"
             write_series_csv(ReturnSeries(np.array([float(i)]), "x"), path)
-            keys.append(hashlib.sha256(path.read_bytes()).hexdigest() + ".npy")
+            keys.append(self._key(path))
             os.utime(entries / keys[-1], ns=(i + 1, i + 1))  # distinct times, oldest first
         assert self._names(entries) == sorted(keys[4:])
         assert read_series_csv(tmp_path / "r4.csv").tolist() == [4.0]  # a hit is a use
@@ -528,9 +530,34 @@ class TestSeriesCache:
         assert len(kept) == processes.CACHE_ENTRIES
         assert keys[4] in kept and keys[5] not in kept
 
+    def test_pruning_skips_a_file_it_cannot_remove(self, tmp_path, monkeypatch, entries):
+        for i in range(processes.CACHE_ENTRIES):
+            write_series_csv(ReturnSeries(np.array([float(i)]), "x"), tmp_path / f"r{i}.csv")
+            os.utime(entries / self._key(tmp_path / f"r{i}.csv"), ns=(i + 3, i + 3))
+        for i, name in enumerate(["old0.npy", "old1.npy"]):
+            np.save(entries / name, np.zeros(1))
+            os.utime(entries / name, ns=(i + 1, i + 1))
+        os.symlink(tmp_path / "gone", entries / "gone.npy")  # listed, but its stat fails
+        # the next put prunes r0, then old1, then old0; r0 will not go
+        stuck = entries / self._key(tmp_path / "r0.csv")
+        real = os.unlink
+
+        def unlink(path, *a, **k):
+            if Path(path) == stuck:
+                raise FileNotFoundError(path)  # as if another process removed it
+            return real(path, *a, **k)
+
+        monkeypatch.setattr(processes.os, "unlink", unlink)
+        write_series_csv(ReturnSeries(np.array([-1.0]), "x"), tmp_path / "new.csv")
+        kept = self._names(entries)
+        assert len(kept) == processes.CACHE_ENTRIES + 2
+        assert {stuck.name, "gone.npy", self._key(tmp_path / "new.csv")} <= set(kept)
+        assert "old0.npy" not in kept and "old1.npy" not in kept
+
     def test_concurrent_writers_and_readers_read_their_own_values(self, tmp_path, entries):
         # more threads than cores, more series than entries: puts, prunes and
-        # hits interleave, and every read still returns what its file holds
+        # hits interleave, every read still returns what its file holds, and
+        # the last prune leaves the bound
         def work(worker: int) -> None:
             for i in range(12):
                 values = np.array([float(worker), float(i), 0.5])
@@ -553,7 +580,6 @@ class TestSeriesCache:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        write_series_csv(ReturnSeries(np.array([-1.0]), "x"), tmp_path / "last.csv")
         assert len(os.listdir(entries)) == processes.CACHE_ENTRIES
 
     def test_an_unusable_cache_changes_nothing(self, tmp_path, monkeypatch, parses):
