@@ -713,6 +713,9 @@ def main(argv=None) -> int:
         if isinstance(exc, (InvalidConfig, ParseError, NonPositivePrice)):
             return 2
         return 4 if isinstance(exc, OSError) else 3
+    except MemoryError as exc:  # numpy's names the array; a bare MemoryError has no message
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

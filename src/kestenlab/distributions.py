@@ -604,9 +604,6 @@ def read_value(tp, value, name: str):
     return _typed(value, tp, name)
 
 
-_FIELD_HINTS: dict[type, dict] = {}  # read_record's resolved annotations, per class
-
-
 def read_record(classes, data, what: str):
     """The record that the JSON object ``data`` describes: the inverse of its
     ``to_dict()``.
@@ -625,9 +622,7 @@ def read_record(classes, data, what: str):
         if not isinstance(kind, str) or kind not in kinds:
             raise InvalidConfig(f"unknown {what} kind {kind!r} (known: {', '.join(kinds)})")
         cls = kinds[kind]
-    hints = _FIELD_HINTS.get(cls)
-    if hints is None:
-        hints = _FIELD_HINTS[cls] = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls)
     args = {}
     for f in fields(cls):
         key = f.metadata.get("key", f.name)

@@ -6,9 +6,10 @@ feedback recursion r_t = a_t * sum_k w_kt r_{t-k} + e_t with the scalar
 r_t = a_t r_{t-1} + e_t as its K = 1 case, and GARCH(1,1), whose squared
 volatility is the scalar recursion.  Every recursion runs on one blocked
 kernel over ``companion_step``, the step theory's matrix products share.
-``simulate`` is the one entry point for every kind.  Each spec states
-the laws of the scalar recursion behind it (``feedback``) and its order-K
-form (``companion``), each None on a kind without one.
+Each spec states the laws of the scalar recursion behind it (``feedback``)
+and its order-K form (``companion``), each None on a kind without one, and
+draws its own paths (``paths``).  ``simulate``, the one entry point for
+every kind, runs a scalar spec as its companion.
 """
 
 from __future__ import annotations
@@ -70,6 +71,28 @@ class InverseMultiplier(KindTagged):
     e_law: CoefficientLaw
     kind = "inverse_multiplier"
     feedback = companion = None
+
+    def paths(self, gen: np.random.Generator, total: int) -> tuple[tuple[np.ndarray, ...], int]:
+        a_lo, a_hi = self.a_law.collapsed().support
+        if a_lo == a_hi and abs(1.0 - a_lo) < NEAR_ONE_TOL:
+            raise DegenerateSpec("a == 1 surely: the multiplier (1 - a)^{-1} is undefined")
+        a = self.a_law.sample(gen, total)
+        e = self.e_law.sample(gen, total)
+        # resample draws with |1 - a| < NEAR_ONE_TOL rather than emit huge
+        # finite spikes; the asymptotics concern large-but-finite values
+        resamples = 0
+        for _ in range(128):
+            mask = np.abs(1.0 - a) < NEAR_ONE_TOL
+            bad = int(mask.sum())
+            if bad == 0:
+                break
+            resamples += bad
+            a[mask] = self.a_law.sample(gen, bad)
+        else:
+            raise DegenerateSpec("a concentrates at 1: resampling did not terminate")
+        with np.errstate(over="ignore"):
+            path = e / (1.0 - a)
+        return (_checked(path, "the path e / (1 - a)", "rescale the e law"),), resamples
 
 
 @dataclass(frozen=True)
@@ -153,6 +176,14 @@ class KestenAR(KindTagged):
             w /= sums
         return a, w
 
+    def paths(self, gen: np.random.Generator, total: int) -> tuple[tuple[np.ndarray, ...], int]:
+        # weights exactly (Constant(1.0),) take the scalar step, with no weight
+        # row: the same bits, since 1.0 * x == x and a Constant draws nothing
+        unit = self.weight_laws == (Constant(1.0),)
+        a, w = (self.a_law.sample(gen, total), None) if unit else self.draw_coefficients(gen, total)
+        e = self.e_law.sample(gen, total)
+        return (_checked(_companion_path(a, w, e, self.r_init)),), 0
+
 
 @dataclass(frozen=True)
 class Garch11(KindTagged):
@@ -180,6 +211,14 @@ class Garch11(KindTagged):
         """sigma2_t = (beta + alpha z^2) sigma2_{t-1} + omega: GarchCoefficient(beta,
         alpha), a Constant when alpha == 0, and the constant noise omega."""
         return GarchCoefficient(self.beta, self.alpha).collapsed(), Constant(self.omega)
+
+    def paths(self, gen: np.random.Generator, total: int) -> tuple[tuple[np.ndarray, ...], int]:
+        z = gen.standard_normal(total)
+        # sigma2_t = a_{t-1} sigma2_{t-1} + omega, a = beta + alpha z^2 as GarchCoefficient draws it
+        zp, s0, omega = z[:-1], self.sigma0 * self.sigma0, np.full(total - 1, self.omega)
+        path = _companion_path(self.beta + self.alpha * zp * zp, None, omega, (s0,))
+        sigma2 = _checked(np.concatenate(([s0], path)))
+        return (np.sqrt(sigma2) * z, sigma2, z), 0
 
 
 ProcessSpec = InverseMultiplier | KestenScalar | KestenAR | Garch11
@@ -404,53 +443,15 @@ def _paths(
 ) -> tuple[tuple[np.ndarray, ...], int]:
     """The spec's paths with the first burn_in steps dropped, and the resample count.
 
-    The first path is the returns; GARCH(1,1) adds sigma2 and z.  Every
-    kind draws its laws in one up-front block each, a before e, and the
-    order-K weights between them; a scalar spec and sigma2 run the kernel
-    with no weight row, which gives the paths of their order-1 embeddings.
+    ``paths(gen, total)`` of the spec, or of a scalar spec's order-1 companion,
+    draws total steps of each path, the returns first (GARCH(1,1) adds sigma2
+    and z), from one up-front block per law, a before e, and counts the resamples.
     """
     if n < 1 or burn_in < 0:
         raise InvalidConfig(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
-    gen = rng.generator()
-    total = burn_in + n
-    resamples = 0
-    if isinstance(spec, InverseMultiplier):
-        a_lo, a_hi = spec.a_law.collapsed().support
-        if a_lo == a_hi and abs(1.0 - a_lo) < NEAR_ONE_TOL:
-            raise DegenerateSpec("a == 1 surely: the multiplier (1 - a)^{-1} is undefined")
-        a = spec.a_law.sample(gen, total)
-        e = spec.e_law.sample(gen, total)
-        # resample draws with |1 - a| < NEAR_ONE_TOL rather than emit huge
-        # finite spikes; the asymptotics concern large-but-finite values
-        for _ in range(128):
-            mask = np.abs(1.0 - a) < NEAR_ONE_TOL
-            bad = int(mask.sum())
-            if bad == 0:
-                break
-            resamples += bad
-            a[mask] = spec.a_law.sample(gen, bad)
-        else:
-            raise DegenerateSpec("a concentrates at 1: resampling did not terminate")
-        with np.errstate(over="ignore"):
-            path = e / (1.0 - a)
-        paths = (_checked(path, "the path e / (1 - a)", "rescale the e law"),)
-    elif isinstance(spec, KestenAR):
-        a, w = spec.draw_coefficients(gen, total)
-        e = spec.e_law.sample(gen, total)
-        paths = (_checked(_companion_path(a, w, e, spec.r_init)),)
-    elif isinstance(spec, KestenScalar):
-        a = spec.a_law.sample(gen, total)
-        e = spec.e_law.sample(gen, total)
-        paths = (_checked(_companion_path(a, None, e, (spec.r0,))),)
-    elif isinstance(spec, Garch11):
-        z = gen.standard_normal(total)
-        # sigma2_t = a_{t-1} sigma2_{t-1} + omega, a = beta + alpha z^2 as GarchCoefficient draws it
-        zp, s0, omega = z[:-1], spec.sigma0 * spec.sigma0, np.full(total - 1, spec.omega)
-        path = _companion_path(spec.beta + spec.alpha * zp * zp, None, omega, (s0,))
-        sigma2 = _checked(np.concatenate(([s0], path)))
-        paths = (np.sqrt(sigma2) * z, sigma2, z)
-    else:
+    if not isinstance(spec, ProcessSpec):
         raise InvalidConfig(f"unknown process spec {type(spec).__name__}")
+    paths, resamples = (spec.companion or spec).paths(rng.generator(), burn_in + n)
     return tuple(p[burn_in:] for p in paths), resamples
 
 

@@ -799,6 +799,24 @@ class TestCommandLine:
         res = _cli("run", str(cfg_path), "--output-dir", str(target))
         assert res.returncode == 4
 
+    @pytest.mark.parametrize(
+        "argv, change",
+        [
+            (["run"], {"n_samples": 10**15}),
+            (["lyapunov", "--config"], {"analyses": {"lyapunov": {"trials": 10**15}}}),
+        ],
+        ids=["n-samples", "lyapunov-trials"],
+    )
+    def test_too_large_to_allocate_exits_4_in_one_line(self, tmp_path, argv, change):
+        # numpy refuses the 7 PiB request at once, so nothing is allocated
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(json.dumps({**SMALL_CONFIG, "output_dir": str(tmp_path), **change}))
+        res = _cli(*argv, str(cfg_path))
+        assert res.returncode == 4
+        assert res.stderr.startswith("error: out of memory: Unable to allocate 7.11 PiB")
+        assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
+        assert "Traceback" not in res.stderr
+
     def test_ingest_fit_tail_acf(self, tmp_path):
         prices = tmp_path / "prices.csv"
         gen = RngStream(3).generator()

@@ -1,10 +1,10 @@
 """Each module of the package uses only the public names of the others, JSON
 text and type annotations are each read in one place, each predicted exponent
 and each law's sign facts are computed once, each process kind states its
-feedback laws and companion form once, one function checks a return series,
-no default is built at import, one rule writes every record, only the
-series reader and writer use the series cache, and the package runs on
-numpy alone."""
+feedback laws and companion form once and draws its own paths, one function
+checks a return series, no default is built at import, one rule writes every
+record, only the series reader and writer use the series cache, and the
+package runs on numpy alone."""
 
 import ast
 import importlib
@@ -59,13 +59,14 @@ def test_no_module_imports_another_modules_private_name():
     assert found == {}
 
 
-def _callers(names: set[str]) -> list[str]:
-    """``module.function`` around each call of a function spelled as one of ``names``."""
+def _callers(names: set[str], such_that=lambda call: True) -> list[str]:
+    """``module.function`` around each call of a function spelled as one of ``names``
+    for which ``such_that(call)`` holds."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and ast.unparse(child.func) in names:
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in names and such_that(child):
                 found.append(where)
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{where}.{child.name}" if named else where)
@@ -186,6 +187,19 @@ def test_each_kind_states_its_feedback_laws_and_companion_form_once():
     # decided in processes, and the cli and theory read the facts
     assert _callers({"GarchCoefficient"}) == ["processes.Garch11.feedback"]
     assert _callers({"KestenAR"}) == ["processes.KestenScalar.companion"]
+
+
+def test_each_kind_draws_its_own_paths():
+    # a scalar spec draws as its order-1 companion, and GARCH's sigma2 is the scalar
+    # recursion, so the kernel has two callers and no function switches on a kind
+    assert _callers({"_companion_path"}) == ["processes.KestenAR.paths", "processes.Garch11.paths"]
+    specs = {cls.__name__ for cls in typing.get_args(ProcessSpec)}
+
+    def on_a_spec_class(call) -> bool:
+        return bool(specs & {node.id for node in ast.walk(call.args[1]) if isinstance(node, ast.Name)})
+
+    checks = _callers({"isinstance"}, on_a_spec_class)
+    assert [where for where in checks if where.startswith("processes.")] == ["processes.garch11_paths"]
 
 
 SPECS = [

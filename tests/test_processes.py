@@ -1056,8 +1056,8 @@ def test_some_blocks_rejoin_and_some_do_not():
 
 
 class TestScalarKernelHasNoWeightRow:
-    # a scalar spec and GARCH's sigma2 run the kernel with no weight row; their
-    # order-1 embeddings multiply every step by a weight of exactly 1.0
+    # a scalar spec, an order-1 spec of weight exactly Constant(1.0) and GARCH's
+    # sigma2 run the kernel with no weight row; a weight row of 1.0 gives the same bits
     @staticmethod
     def embedding(spec: KestenScalar) -> KestenAR:
         return KestenAR(spec.a_law, spec.e_law, (Constant(1.0),), r_init=(spec.r0,))
@@ -1067,6 +1067,24 @@ class TestScalarKernelHasNoWeightRow:
         spec = KestenScalar(Exponential(0.55), Normal(0.0, 0.0065), r0=0.3)
         path = simulate(spec, RngStream(9), n, 0).values
         assert path.tobytes() == simulate(self.embedding(spec), RngStream(9), n, 0).values.tobytes()
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    def test_the_scalar_recursion_has_one_route(self, monkeypatch, normalize):
+        # fig3's laws as a unit-weight kesten_ar spec: no weight is drawn, and its
+        # path is the kesten_scalar path and the weight-row kernel's path bit for bit
+        def refuse(*args):
+            raise AssertionError("a unit-weight spec drew a weight row")
+
+        monkeypatch.setattr(KestenAR, "draw_coefficients", refuse)
+        a_law, e_law, r0 = FIG3_SPEC.a_law, FIG3_SPEC.e_law, FIG3_SPEC.r0
+        n = 3 * 1024 + 37
+        path = simulate(FIG3_SPEC, RngStream(4), n, 0).values
+        unit = KestenAR(a_law, e_law, (Constant(1.0),), normalize, (r0,))
+        assert simulate(unit, RngStream(4), n, 0).values.tobytes() == path.tobytes()
+        gen = RngStream(4).generator()
+        a, e = a_law.sample(gen, n), e_law.sample(gen, n)
+        weighted = processes._companion_path(a, np.ones((1, n)), e, (r0,))
+        assert weighted.tobytes() == path.tobytes()
 
     def test_rerun_block_is_the_unit_weight_path_bitwise(self, monkeypatch):
         # block 0's unit response underflows, and a start of 1e299 shows past what
