@@ -459,13 +459,13 @@ def run(
                 "stationary solution; refusing to simulate"
             )
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(process, InverseMultiplier) and process.a_law.has_density:
         entries["unit_exponent_prediction"] = unit_exponent_prediction(process.a_law)
 
     sim_rng = RngStream(config.seed, 0)
     series = simulate(process, sim_rng, config.n_samples, config.burn_in)
     mean, std = mean_std(series)
+    out_dir.mkdir(parents=True, exist_ok=True)  # after simulate: a refused run leaves no directory
 
     outputs: dict[str, list[str]] = {}
 

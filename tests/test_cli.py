@@ -698,6 +698,7 @@ class TestCommandLine:
             r"\d+; rescale the e law\n",
             res.stderr,
         ), res.stderr
+        assert not (tmp_path / "out").exists()
 
     RUN = ["run", "{cfg}", "--output-dir", "{out}"]
 
@@ -810,12 +811,14 @@ class TestCommandLine:
     def test_too_large_to_allocate_exits_4_in_one_line(self, tmp_path, argv, change):
         # numpy refuses the 7 PiB request at once, so nothing is allocated
         cfg_path = tmp_path / "huge.cfg"
-        cfg_path.write_text(json.dumps({**SMALL_CONFIG, "output_dir": str(tmp_path), **change}))
+        out = tmp_path / "out"
+        cfg_path.write_text(json.dumps({**SMALL_CONFIG, "output_dir": str(out), **change}))
         res = _cli(*argv, str(cfg_path))
         assert res.returncode == 4
         assert res.stderr.startswith("error: out of memory: Unable to allocate 7.11 PiB")
         assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
         assert "Traceback" not in res.stderr
+        assert not out.exists()
 
     def test_ingest_fit_tail_acf(self, tmp_path):
         prices = tmp_path / "prices.csv"

@@ -59,14 +59,13 @@ def test_no_module_imports_another_modules_private_name():
     assert found == {}
 
 
-def _callers(names: set[str], such_that=lambda call: True) -> list[str]:
-    """``module.function`` around each call of a function spelled as one of ``names``
-    for which ``such_that(call)`` holds."""
+def _callers(names: set[str]) -> list[str]:
+    """``module.function`` around each call of a function spelled as one of ``names``."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and ast.unparse(child.func) in names and such_that(child):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in names:
                 found.append(where)
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{where}.{child.name}" if named else where)
@@ -194,12 +193,16 @@ def test_each_kind_draws_its_own_paths():
     # recursion, so the kernel has two callers and no function switches on a kind
     assert _callers({"_companion_path"}) == ["processes.KestenAR.paths", "processes.Garch11.paths"]
     specs = {cls.__name__ for cls in typing.get_args(ProcessSpec)}
-
-    def on_a_spec_class(call) -> bool:
-        return bool(specs & {node.id for node in ast.walk(call.args[1]) if isinstance(node, ast.Name)})
-
-    checks = _callers({"isinstance"}, on_a_spec_class)
-    assert [where for where in checks if where.startswith("processes.")] == ["processes.garch11_paths"]
+    checks = []
+    tree = ast.parse((SRC / "processes.py").read_text())
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(function):
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "isinstance":
+                named = {node.id for node in ast.walk(call.args[1]) if isinstance(node, ast.Name)}
+                checks += [function.name] if specs & named else []
+    assert checks == ["garch11_paths"]
 
 
 SPECS = [

@@ -1059,14 +1059,17 @@ class TestScalarKernelHasNoWeightRow:
     # a scalar spec, an order-1 spec of weight exactly Constant(1.0) and GARCH's
     # sigma2 run the kernel with no weight row; a weight row of 1.0 gives the same bits
     @staticmethod
-    def embedding(spec: KestenScalar) -> KestenAR:
-        return KestenAR(spec.a_law, spec.e_law, (Constant(1.0),), r_init=(spec.r0,))
+    def weighted(spec: KestenScalar, seed: int, n: int) -> np.ndarray:
+        """The kernel's path with a weight row of 1.0, from the draws simulate makes."""
+        gen = RngStream(seed).generator()
+        a, e = spec.a_law.sample(gen, n), spec.e_law.sample(gen, n)
+        return processes._companion_path(a, np.ones((1, n)), e, (spec.r0,))
 
     @pytest.mark.parametrize("n", [1023, 1024, 1025, 3 * 1024 + 37])
     def test_scalar_path_is_the_unit_weight_path_bitwise(self, n):
         spec = KestenScalar(Exponential(0.55), Normal(0.0, 0.0065), r0=0.3)
         path = simulate(spec, RngStream(9), n, 0).values
-        assert path.tobytes() == simulate(self.embedding(spec), RngStream(9), n, 0).values.tobytes()
+        assert path.tobytes() == self.weighted(spec, 9, n).tobytes()
 
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
     def test_the_scalar_recursion_has_one_route(self, monkeypatch, normalize):
@@ -1076,15 +1079,11 @@ class TestScalarKernelHasNoWeightRow:
             raise AssertionError("a unit-weight spec drew a weight row")
 
         monkeypatch.setattr(KestenAR, "draw_coefficients", refuse)
-        a_law, e_law, r0 = FIG3_SPEC.a_law, FIG3_SPEC.e_law, FIG3_SPEC.r0
         n = 3 * 1024 + 37
         path = simulate(FIG3_SPEC, RngStream(4), n, 0).values
-        unit = KestenAR(a_law, e_law, (Constant(1.0),), normalize, (r0,))
+        unit = KestenAR(FIG3_SPEC.a_law, FIG3_SPEC.e_law, (Constant(1.0),), normalize, (FIG3_SPEC.r0,))
         assert simulate(unit, RngStream(4), n, 0).values.tobytes() == path.tobytes()
-        gen = RngStream(4).generator()
-        a, e = a_law.sample(gen, n), e_law.sample(gen, n)
-        weighted = processes._companion_path(a, np.ones((1, n)), e, (r0,))
-        assert weighted.tobytes() == path.tobytes()
+        assert self.weighted(FIG3_SPEC, 4, n).tobytes() == path.tobytes()
 
     def test_rerun_block_is_the_unit_weight_path_bitwise(self, monkeypatch):
         # block 0's unit response underflows, and a start of 1e299 shows past what
@@ -1098,7 +1097,7 @@ class TestScalarKernelHasNoWeightRow:
         n = 3 * 1024 + 37
         path = simulate(spec, RngStream(3), n, 0).values
         assert len(calls) == 3
-        assert path.tobytes() == simulate(self.embedding(spec), RngStream(3), n, 0).values.tobytes()
+        assert path.tobytes() == self.weighted(spec, 3, n).tobytes()
         assert len(calls) == 6
 
     def test_garch_volatility_is_the_unit_weight_path_bitwise(self):
